@@ -29,7 +29,7 @@ var benchParams = harness.Params{Scale: 0.25}
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := harness.Table2(workloads.All(), benchParams)
+		rows := harness.NewEngine(benchParams, 0).Table2(workloads.All())
 		if len(rows) != 12 {
 			b.Fatal("missing rows")
 		}
@@ -54,7 +54,7 @@ func BenchmarkFigure1(b *testing.B) {
 	// bench affordable while preserving the figure's shape.
 	ws := pick(b, "vpr", "mcf", "eon", "gzip")
 	for i := 0; i < b.N; i++ {
-		rows := harness.Figure1(ws, benchParams)
+		rows := harness.NewEngine(benchParams, 0).Figure1(ws)
 		if i == 0 {
 			var gain float64
 			for _, r := range rows {
@@ -76,7 +76,7 @@ func BenchmarkTable3(b *testing.B) {
 
 func BenchmarkFigure11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := harness.Figure11(workloads.All(), benchParams)
+		rows := harness.NewEngine(benchParams, 0).Figure11(workloads.All())
 		if i == 0 {
 			var maxSpeedup float64
 			for _, r := range rows {
@@ -92,7 +92,7 @@ func BenchmarkFigure11(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	ws := pick(b, "vpr", "eon", "gzip", "mcf", "twolf", "gap")
 	for i := 0; i < b.N; i++ {
-		cols := harness.Table4(ws, benchParams)
+		cols := harness.NewEngine(benchParams, 0).Table4(ws)
 		if i == 0 {
 			var frac float64
 			for _, c := range cols {

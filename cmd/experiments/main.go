@@ -61,12 +61,6 @@ func printSummary(e *harness.Engine) {
 	ck := st.Checkpoints
 	fmt.Fprintf(os.Stderr, "warm:   %d hits, %d misses, %d restores, disk %d loads / %d stores (%d bytes)\n",
 		ck.WarmHits, ck.WarmMisses, ck.Restores, ck.DiskLoads, ck.DiskStores, ck.DiskBytes)
-	// Store coordination counters only move with a shared -checkpoint-dir
-	// (or a size bound); keep the quiet case quiet.
-	if ck.SingleflightWaits+ck.LeaseTakeovers+ck.Evictions > 0 {
-		fmt.Fprintf(os.Stderr, "store:  %d singleflight waits (%d served by peers), %d lease takeovers, %d evictions (%d bytes reclaimed)\n",
-			ck.SingleflightWaits, ck.SingleflightHits, ck.LeaseTakeovers, ck.Evictions, ck.EvictedBytes)
-	}
 }
 
 func main() {
@@ -78,7 +72,6 @@ func main() {
 		verbose  = flag.Bool("v", false, "log every simulation and the memo summary")
 		asJSON   = flag.Bool("json", false, "emit all tables/figures as one JSON document (ignores -exp)")
 		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
-		ckMax    = flag.Int64("checkpoint-max-bytes", 0, "LRU-evict the checkpoint store past this size (0 = unbounded)")
 		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional|functional-interp")
 		useOrc   = flag.Bool("oracle", false, "validate every run against the functional model (differential oracle)")
 		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
@@ -141,7 +134,6 @@ func main() {
 
 	e := harness.NewEngine(harness.Params{Scale: *scale, BPred: *bpredFlg, IndirectPred: *ipredFlg}, *jobs)
 	e.Ckpt = harness.NewCheckpointer(*ckDir, warmMode)
-	e.Ckpt.MaxBytes = *ckMax
 	e.Oracle = harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}
 	if *verbose {
 		e.Progress = func(ev harness.Event) {

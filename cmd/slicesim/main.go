@@ -72,7 +72,6 @@ func main() {
 		ipredFlg = flag.String("ipred", "", "indirect target predictor, name[:params] (e.g. cascaded)")
 		asJSON   = flag.Bool("json", false, "emit the run's full counter snapshot as JSON")
 		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
-		ckMax    = flag.Int64("checkpoint-max-bytes", 0, "LRU-evict the checkpoint store past this size (0 = unbounded)")
 		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional|functional-interp")
 		useOrc   = flag.Bool("oracle", false, "validate the run against the functional model (differential oracle)")
 		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
@@ -146,7 +145,6 @@ func main() {
 	// the snapshot persists, so re-running with different measurement-only
 	// flags (-perfect, -trace, -top) skips the warm-up simulation.
 	cp := harness.NewCheckpointer(*ckDir, warmMode)
-	cp.MaxBytes = *ckMax
 	core, ck, warmSrc, err := cp.WarmedCoreCkpt(w, cfg, useSlices, warm)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/slicehw"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -90,18 +89,6 @@ type CheckpointStats struct {
 	// DiskBytes is the total bytes moved in either direction.
 	DiskLoads, DiskStores uint64
 	DiskBytes             uint64
-
-	// Cross-process single-flight (see store.go). SingleflightWaits counts
-	// Warm calls that found another process's lease on their key and
-	// waited; SingleflightHits counts waits resolved by loading that
-	// process's finished build (waits − hits rebuilt locally, e.g. after a
-	// takeover). LeaseTakeovers counts stale leases stolen from a dead or
-	// stalled holder.
-	SingleflightWaits, SingleflightHits uint64
-	LeaseTakeovers                      uint64
-	// Evictions/EvictedBytes count store entries removed by the MaxBytes
-	// LRU garbage collector.
-	Evictions, EvictedBytes uint64
 }
 
 // Checkpointer is a two-level warm-checkpoint cache: an in-memory map for
@@ -116,13 +103,6 @@ type Checkpointer struct {
 	// Mode selects detailed (default, behavior-identical) or functional
 	// (fast, approximate) warm-up.
 	Mode WarmMode
-	// MaxBytes, when > 0, bounds the on-disk store: after every store the
-	// least-recently-used entries are evicted until the total is back
-	// under the bound (set before the first Warm; see store.go).
-	MaxBytes int64
-	// Tracer, when non-nil, receives store coordination events
-	// (singleflight waits, lease takeovers, evictions).
-	Tracer stats.Tracer
 
 	mu      sync.Mutex
 	entries map[string]*ckptEntry
@@ -155,9 +135,9 @@ func (cp *Checkpointer) Stats() CheckpointStats {
 // neither cache level has it. Safe for concurrent use; concurrent requests
 // for the same key simulate once (the same done-channel discipline as the
 // engine memo — see Engine.Run for why waiters cannot starve creators).
-// With Dir set, the single-flight guarantee extends across processes: N
-// Checkpointers racing on one key perform exactly one warm simulation
-// between them (lock-file lease; see store.go).
+// Single-flight is per Checkpointer: separate Checkpointers (or processes)
+// sharing Dir may each build the same key, but atomic publication means a
+// reader only ever sees a whole entry.
 func (cp *Checkpointer) Warm(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (*cpu.Checkpoint, WarmSource, error) {
 	key := WarmKeyFor(w.Name, withSlices, warm, cp.Mode, cfg)
 	cp.mu.Lock()
@@ -172,19 +152,35 @@ func (cp *Checkpointer) Warm(w *workloads.Workload, cfg cpu.Config, withSlices b
 	cp.mu.Unlock()
 
 	var src WarmSource
-	en.ck, src, en.err = cp.warmFromStore(w, cfg, withSlices, warm, key)
+	en.ck, src, en.err = cp.resolve(w, cfg, withSlices, warm, key)
 	close(en.done)
 	return en.ck, src, en.err
 }
 
-// buildCounted is build plus miss accounting, shared by the no-store path
-// and the store's lease-holder path.
-func (cp *Checkpointer) buildCounted(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (ck *cpu.Checkpoint, persist bool, err error) {
-	ck, persist, err = cp.build(w, cfg, withSlices, warm)
+// resolve serves one warm prefix from the on-disk store, or simulates it
+// and persists the result. Warm calls it once per key.
+func (cp *Checkpointer) resolve(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64, key string) (*cpu.Checkpoint, WarmSource, error) {
+	if ck, n := cp.diskLoad(key); ck != nil {
+		cp.mu.Lock()
+		cp.st.WarmHits++
+		cp.st.DiskLoads++
+		cp.st.DiskBytes += uint64(n)
+		cp.mu.Unlock()
+		return ck, WarmFromDisk, nil
+	}
+	ck, persist, err := cp.build(w, cfg, withSlices, warm)
 	cp.mu.Lock()
 	cp.st.WarmMisses++
 	cp.mu.Unlock()
-	return ck, persist, err
+	if err == nil && persist {
+		if n := cp.diskStore(key, ck); n > 0 {
+			cp.mu.Lock()
+			cp.st.DiskStores++
+			cp.st.DiskBytes += uint64(n)
+			cp.mu.Unlock()
+		}
+	}
+	return ck, WarmFromSim, err
 }
 
 // WarmedCore returns a fresh core restored to the end of the warm prefix,
@@ -304,12 +300,11 @@ func warnf(format string, args ...any) {
 
 // diskLoad returns the stored checkpoint for key, or nil (with a warning
 // for anything other than a simple absence). n is the file size on
-// success. corrupt reports that an entry file was read but failed
-// validation — it can never become a valid done marker, so the
-// single-flight loop must remove it rather than wait on it.
-func (cp *Checkpointer) diskLoad(key string) (ck *cpu.Checkpoint, n int, corrupt bool) {
+// success. A corrupt entry is left in place: the rebuild that follows
+// replaces it.
+func (cp *Checkpointer) diskLoad(key string) (ck *cpu.Checkpoint, n int) {
 	if cp.Dir == "" {
-		return nil, 0, false
+		return nil, 0
 	}
 	path := ckptPath(cp.Dir, key)
 	b, err := os.ReadFile(path)
@@ -317,19 +312,17 @@ func (cp *Checkpointer) diskLoad(key string) (ck *cpu.Checkpoint, n int, corrupt
 		if !os.IsNotExist(err) {
 			warnf("checkpoint store: %v", err)
 		}
-		return nil, 0, false
+		return nil, 0
 	}
 	payload, err := parseCkptFile(b, key)
+	if err == nil {
+		ck, err = cpu.DecodeCheckpoint(payload)
+	}
 	if err != nil {
 		warnf("ignoring checkpoint %s: %v", filepath.Base(path), err)
-		return nil, 0, true
+		return nil, 0
 	}
-	ck, err = cpu.DecodeCheckpoint(payload)
-	if err != nil {
-		warnf("ignoring checkpoint %s: %v", filepath.Base(path), err)
-		return nil, 0, true
-	}
-	return ck, len(b), false
+	return ck, len(b)
 }
 
 func parseCkptFile(b []byte, key string) ([]byte, error) {
@@ -368,7 +361,11 @@ func parseCkptFile(b []byte, key string) ([]byte, error) {
 }
 
 // diskStore writes the checkpoint for key; best-effort (a failure warns and
-// the run proceeds). Returns bytes written, 0 if disabled or failed.
+// the run proceeds). Returns bytes written, 0 if disabled or failed. The
+// entry is written to a temp file unique to this call and renamed into
+// place, so concurrent writers of one key (other Checkpointers, other
+// processes) never interleave bytes: the last rename wins, and every
+// version it can replace is whole.
 func (cp *Checkpointer) diskStore(key string, ck *cpu.Checkpoint) int {
 	if cp.Dir == "" {
 		return 0
@@ -388,13 +385,23 @@ func (cp *Checkpointer) diskStore(key string, ck *cpu.Checkpoint) int {
 	b = append(b, payload...)
 
 	path := ckptPath(cp.Dir, key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.CreateTemp(cp.Dir, filepath.Base(path)+".tmp*")
+	if err != nil {
 		warnf("checkpoint store: %v", err)
 		return 0
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp makes 0600; entries are shared
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		warnf("checkpoint store: %v", err)
 		return 0
 	}

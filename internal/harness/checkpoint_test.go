@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -148,6 +149,69 @@ func TestCheckpointDiskCorruption(t *testing.T) {
 	measureVia(t, third, "vpr", cfg, false, warm, run)
 	if st := third.Stats(); st.DiskLoads != 1 {
 		t.Errorf("rewritten entry not loadable (DiskLoads=%d)", st.DiskLoads)
+	}
+}
+
+// TestConcurrentStoreWritersAgree: independent Checkpointers (standing in
+// for processes — they share only the directory) racing on one warm key
+// may each build it, but under -race every one must return the same
+// machine state, every store must succeed, the published entry must load
+// whole, and no temp file may be left behind. The builds finish at
+// slightly different times, so the writers then republish the entry in a
+// tight loop to make their stores overlap.
+func TestConcurrentStoreWritersAgree(t *testing.T) {
+	dir := t.TempDir()
+	w := pick(t, "vpr")[0]
+	cfg := cpu.Config4Wide()
+	const warm = 22_500
+	const n, republish = 4, 10
+	key := WarmKeyFor(w.Name, true, warm, WarmDetailed, cfg)
+
+	cks := make([]*cpu.Checkpoint, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		cp := NewCheckpointer(dir, WarmDetailed)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ck, src, err := cp.Warm(w, cfg, true, warm)
+			if err != nil {
+				t.Errorf("writer %d: %v", i, err)
+				return
+			}
+			cks[i] = ck
+			if st := cp.Stats(); src == WarmFromSim && st.DiskStores != 1 {
+				t.Errorf("writer %d built but stored %d entries, want 1", i, st.DiskStores)
+			}
+			for r := 0; r < republish; r++ {
+				if cp.diskStore(key, ck) == 0 {
+					t.Errorf("writer %d: republish %d failed", i, r)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	ref := cks[0].EncodeBinary()
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(ref, cks[i].EncodeBinary()) {
+			t.Errorf("writer %d returned a different checkpoint than writer 0", i)
+		}
+	}
+	ck, src, err := NewCheckpointer(dir, WarmDetailed).Warm(w, cfg, true, warm)
+	if err != nil || src != WarmFromDisk {
+		t.Fatalf("fresh checkpointer: src=%s err=%v, want a disk load", src, err)
+	}
+	if !bytes.Equal(ref, ck.EncodeBinary()) {
+		t.Error("published entry differs from the writers' checkpoint")
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+	if err != nil || len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v (%v)", tmps, err)
 	}
 }
 

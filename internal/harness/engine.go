@@ -70,8 +70,7 @@ type SliceSet struct {
 type RunResult struct {
 	Snap stats.Snapshot
 	// Wall is how long the simulation itself took (memo hits share the
-	// creating run's result, wall time included — see RunTracked for
-	// per-request provenance).
+	// creating run's result, wall time included).
 	Wall time.Duration
 }
 
@@ -194,8 +193,7 @@ func (e *Engine) emit(ev Event) {
 
 // Run executes (or recalls) one simulation. Safe for concurrent use.
 func (e *Engine) Run(spec RunSpec) (*RunResult, error) {
-	res, _, err := e.run(spec, e.Oracle)
-	return res, err
+	return e.run(spec, e.Oracle)
 }
 
 // RunValidated is Run with the differential oracle forced on, independent
@@ -206,24 +204,10 @@ func (e *Engine) Run(spec RunSpec) (*RunResult, error) {
 func (e *Engine) RunValidated(spec RunSpec) (*RunResult, error) {
 	o := e.Oracle
 	o.Enabled = true
-	res, _, err := e.run(spec, o)
-	return res, err
-}
-
-// RunTracked is Run additionally reporting whether the result was
-// recalled from the memo rather than simulated by this call — per-request
-// provenance the sweep service surfaces on its result records. validated
-// forces the differential oracle like RunValidated.
-func (e *Engine) RunTracked(spec RunSpec, validated bool) (res *RunResult, memoized bool, err error) {
-	o := e.Oracle
-	if validated {
-		o.Enabled = true
-	}
 	return e.run(spec, o)
 }
 
-// run implements Run/RunValidated/RunTracked; memoized reports whether
-// the result came from the memo instead of a simulation by this call.
+// run implements Run and RunValidated.
 //
 // Lock discipline: a caller that creates the memo entry simulates while
 // holding no lock and closes the entry's done channel when finished;
@@ -231,7 +215,7 @@ func (e *Engine) RunTracked(spec RunSpec, validated bool) (res *RunResult, memoi
 // workers acquire their pool slot *before* calling Run, so an entry's
 // creator always holds a slot and makes progress — a waiter can never
 // starve the creator of the last slot.
-func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, bool, error) {
+func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 	key := spec.Key()
 	e.mu.Lock()
 	if en, ok := e.memo[key]; ok {
@@ -239,18 +223,18 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, bool, error) {
 		e.mu.Unlock()
 		<-en.done
 		e.emit(Event{Spec: spec, Memoized: true})
-		return en.res, true, en.err
+		return en.res, en.err
 	}
 	en := &memoEntry{done: make(chan struct{})}
 	e.memo[key] = en
 	e.st.Misses++
 	e.mu.Unlock()
 
-	fail := func(err error) (*RunResult, bool, error) {
+	fail := func(err error) (*RunResult, error) {
 		// Resolve the entry with the error so waiters see it too.
 		en.err = err
 		close(en.done)
-		return nil, false, err
+		return nil, err
 	}
 	w, err := workloads.ByName(spec.Workload)
 	if err != nil {
@@ -273,9 +257,7 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, bool, error) {
 	start := time.Now()
 	core, warmSrc, err := runOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, set)
 	if err != nil {
-		en.err = err
-		close(en.done)
-		return nil, false, err
+		return fail(err)
 	}
 	res := &RunResult{Snap: core.Snapshot(), Wall: time.Since(start)}
 	if n := res.Snap.Sim.CycleGuardHits; n > 0 {
@@ -297,7 +279,7 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, bool, error) {
 	e.st.SimWall += res.Wall
 	e.mu.Unlock()
 	e.emit(Event{Spec: spec, Wall: res.Wall, Insts: insts, Warm: warmSrc})
-	return res, false, nil
+	return res, nil
 }
 
 // RunAll executes the specs over the worker pool and returns results in
@@ -363,12 +345,10 @@ func (e *Engine) mustRunAll(specs []RunSpec) []*RunResult {
 	return res
 }
 
-// SpecFor builds the canonical RunSpec for one (workload, config, slices)
+// specFor builds the canonical RunSpec for one (workload, config, slices)
 // leg under p: the drivers' region lengths and predictor defaults, hence
-// the drivers' exact memo key. External batch sources (the sweep service)
-// go through this so their runs dedupe against, and reproduce
-// byte-for-byte, the tables' own simulations.
-func SpecFor(p Params, w *workloads.Workload, cfg cpu.Config, withSlices bool) RunSpec {
+// the drivers' exact memo key.
+func specFor(p Params, w *workloads.Workload, cfg cpu.Config, withSlices bool) RunSpec {
 	warm, run := p.regions(w)
 	if cfg.BPred == "" {
 		cfg.BPred = p.BPred
@@ -382,11 +362,11 @@ func SpecFor(p Params, w *workloads.Workload, cfg cpu.Config, withSlices bool) R
 // baseSpec is the plain baseline run of w under cfg — no slices, no
 // perfect modes beyond what cfg already carries.
 func (e *Engine) baseSpec(w *workloads.Workload, cfg cpu.Config) RunSpec {
-	return SpecFor(e.Params, w, cfg, false)
+	return specFor(e.Params, w, cfg, false)
 }
 
 func (e *Engine) sliceSpec(w *workloads.Workload, cfg cpu.Config) RunSpec {
-	return SpecFor(e.Params, w, cfg, true)
+	return specFor(e.Params, w, cfg, true)
 }
 
 // profileFor classifies the problem instructions of w under cfg. The

@@ -22,15 +22,17 @@ import "repro/internal/workloads"
 //
 // v5: engine block gained the checkpoint store's cross-process
 // coordination counters (singleflightWaits, singleflightHits,
-// leaseTakeovers, evictions, evictedBytes). Purely additive, same
-// compatibility story as v3/v4; the new counters are zero unless a
-// shared -checkpoint-dir (or the sweep service) is in play.
+// leaseTakeovers, evictions, evictedBytes).
 //
 // v6: added figureMP, the multi-programmed SMT contention experiment
 // (per-co-schedule, per-program IPC with and without slices, slice
 // accuracy under contention, and cache-interference deltas). Purely
 // additive, same compatibility story as v3/v4/v5.
-const ExportSchema = "specslice-experiments/6"
+//
+// v7: the five v5 coordination counters are gone with the cross-process
+// store coordination they counted. Every other field is unchanged, so a
+// v7 reader that ignores unknown fields still parses v2–v6 documents.
+const ExportSchema = "specslice-experiments/7"
 
 // Export is the whole evaluation — every table and figure of the paper —
 // as one machine-readable document, the JSON counterpart of the formatted
@@ -69,35 +71,21 @@ type ExportEngine struct {
 	DiskLoads  uint64 `json:"diskLoads"`
 	DiskStores uint64 `json:"diskStores"`
 	DiskBytes  uint64 `json:"diskBytes"`
-
-	// Checkpoint store cross-process coordination (schema v5).
-	SingleflightWaits uint64 `json:"singleflightWaits"`
-	SingleflightHits  uint64 `json:"singleflightHits"`
-	LeaseTakeovers    uint64 `json:"leaseTakeovers"`
-	Evictions         uint64 `json:"evictions"`
-	EvictedBytes      uint64 `json:"evictedBytes"`
 }
 
-// Export renders the engine counters as the schema's engine block. The
-// sweep service reuses this type for its telemetry records, so a stats
-// consumer reads one shape everywhere.
+// Export renders the engine counters as the schema's engine block.
 func (st EngineStats) Export() ExportEngine {
 	return ExportEngine{
-		Simulations:       st.Misses,
-		MemoHits:          st.Hits,
-		SimInsts:          st.SimInsts,
-		SimWallMS:         st.SimWall.Milliseconds(),
-		WarmHits:          st.Checkpoints.WarmHits,
-		WarmMisses:        st.Checkpoints.WarmMisses,
-		Restores:          st.Checkpoints.Restores,
-		DiskLoads:         st.Checkpoints.DiskLoads,
-		DiskStores:        st.Checkpoints.DiskStores,
-		DiskBytes:         st.Checkpoints.DiskBytes,
-		SingleflightWaits: st.Checkpoints.SingleflightWaits,
-		SingleflightHits:  st.Checkpoints.SingleflightHits,
-		LeaseTakeovers:    st.Checkpoints.LeaseTakeovers,
-		Evictions:         st.Checkpoints.Evictions,
-		EvictedBytes:      st.Checkpoints.EvictedBytes,
+		Simulations: st.Misses,
+		MemoHits:    st.Hits,
+		SimInsts:    st.SimInsts,
+		SimWallMS:   st.SimWall.Milliseconds(),
+		WarmHits:    st.Checkpoints.WarmHits,
+		WarmMisses:  st.Checkpoints.WarmMisses,
+		Restores:    st.Checkpoints.Restores,
+		DiskLoads:   st.Checkpoints.DiskLoads,
+		DiskStores:  st.Checkpoints.DiskStores,
+		DiskBytes:   st.Checkpoints.DiskBytes,
 	}
 }
 

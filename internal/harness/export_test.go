@@ -103,98 +103,137 @@ func TestExportDocumentShape(t *testing.T) {
 	}
 }
 
-// TestExportReaderToleratesV2 locks the schema migration path: v3 is
-// purely additive, so this package's Export struct must parse a stored
-// v2 document, with figurePred simply absent.
-func TestExportReaderToleratesV2(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v2.golden.json"))
+// TestExportReaderIgnoresUnknownFields locks the schema migration path: a
+// reader must skip fields it does not know (here a v6 engine counter, as
+// the old documents carry) and lose nothing it does. The current golden
+// with one injected unknown key must decode and re-encode to the golden.
+func TestExportReaderIgnoresUnknownFields(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "export_vpr.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := bytes.Replace(want, []byte(`"engine": {`), []byte(`"engine": {"singleflightWaits": 0,`), 1)
+	if bytes.Equal(in, want) {
+		t.Fatal("golden has no engine block to inject into")
+	}
+	var doc Export
+	if err := json.Unmarshal(in, &doc); err != nil {
+		t.Fatalf("reader failed on a document with an unknown engine key: %v", err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, buf.Bytes()) {
+		t.Errorf("document with an unknown key decoded lossily\n--- want ---\n%s\n--- got ---\n%s", want, buf.Bytes())
+	}
+}
+
+// olderExport rebuilds a stored document of an earlier schema from the
+// current golden. Every schema step so far has only added top-level
+// sections (and v5 five engine counters, dropped again in v7), so dropping
+// the later sections, adding extraEngine keys and retagging reproduces the
+// older document's shape. It returns the parse by this package's reader.
+func olderExport(t *testing.T, schema string, drop []string, extraEngine map[string]any) Export {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range drop {
+		if _, ok := top[k]; !ok {
+			t.Fatalf("golden has no %q section to drop", k)
+		}
+		delete(top, k)
+	}
+	if len(extraEngine) > 0 {
+		var eng map[string]any
+		if err := json.Unmarshal(top["engine"], &eng); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range extraEngine {
+			eng[k] = v
+		}
+		if top["engine"], err = json.Marshal(eng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if top["schema"], err = json.Marshal(schema); err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(top)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v3 reader failed on a v2 document: %v", err)
+	if err := json.Unmarshal(old, &doc); err != nil {
+		t.Fatalf("reader failed on a %s document: %v", schema, err)
 	}
-	if doc.Schema != "specslice-experiments/2" {
-		t.Errorf("schema = %q, want the stored v2 tag", doc.Schema)
+	if doc.Schema != schema {
+		t.Errorf("schema = %q, want the stored %q tag", doc.Schema, schema)
 	}
-	if doc.FigurePred != nil {
-		t.Errorf("v2 document produced %d figurePred rows, want none", len(doc.FigurePred))
+	return doc
+}
+
+// TestExportReaderToleratesV2: v3 was purely additive, so a v2 document
+// (no figurePred, figureAuto or figureMP) must parse with those absent.
+func TestExportReaderToleratesV2(t *testing.T) {
+	doc := olderExport(t, "specslice-experiments/2",
+		[]string{"figurePred", "figureAuto", "figureMP"}, nil)
+	if doc.FigurePred != nil || doc.FigureAuto != nil || doc.FigureMP != nil {
+		t.Error("v2 document produced rows for sections it does not have")
 	}
 	if len(doc.Table2) == 0 || len(doc.Figure11) == 0 || len(doc.Table4) == 0 ||
 		doc.Engine.Simulations == 0 {
-		t.Error("v2 fields did not survive the v3 reader")
-	}
-}
-
-// TestExportReaderToleratesV4 does the same for the v4 → v5 step: v5 only
-// added engine-block coordination counters, so a stored v4 document must
-// parse with those counters zero and everything else intact.
-func TestExportReaderToleratesV4(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v4.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v5 reader failed on a v4 document: %v", err)
-	}
-	if doc.Schema != "specslice-experiments/4" {
-		t.Errorf("schema = %q, want the stored v4 tag", doc.Schema)
-	}
-	if doc.Engine.SingleflightWaits != 0 || doc.Engine.Evictions != 0 {
-		t.Error("v4 document produced nonzero v5 coordination counters")
-	}
-	if len(doc.FigureAuto) == 0 || len(doc.FigurePred) == 0 || len(doc.Table2) == 0 ||
-		doc.Engine.Simulations == 0 {
-		t.Error("v4 fields did not survive the v5 reader")
-	}
-}
-
-// TestExportReaderToleratesV5 does the same for the v5 → v6 step: v6 only
-// added figureMP, so a stored v5 document must parse with figureMP absent
-// and everything else intact.
-func TestExportReaderToleratesV5(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v5.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v6 reader failed on a v5 document: %v", err)
-	}
-	if doc.Schema != "specslice-experiments/5" {
-		t.Errorf("schema = %q, want the stored v5 tag", doc.Schema)
-	}
-	if doc.FigureMP != nil {
-		t.Errorf("v5 document produced %d figureMP rows, want none", len(doc.FigureMP))
-	}
-	if len(doc.FigureAuto) == 0 || len(doc.FigurePred) == 0 || len(doc.Table2) == 0 ||
-		doc.Engine.Simulations == 0 {
-		t.Error("v5 fields did not survive the v6 reader")
+		t.Error("v2 fields did not survive the reader")
 	}
 }
 
 // TestExportReaderToleratesV3 does the same for the v3 → v4 step: v4 only
-// added figureAuto, so a stored v3 document must parse with figureAuto
-// absent and everything else intact.
+// added figureAuto, so a v3 document must parse with figureAuto absent.
 func TestExportReaderToleratesV3(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v3.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v4 reader failed on a v3 document: %v", err)
-	}
-	if doc.Schema != "specslice-experiments/3" {
-		t.Errorf("schema = %q, want the stored v3 tag", doc.Schema)
-	}
+	doc := olderExport(t, "specslice-experiments/3",
+		[]string{"figureAuto", "figureMP"}, nil)
 	if doc.FigureAuto != nil {
 		t.Errorf("v3 document produced %d figureAuto rows, want none", len(doc.FigureAuto))
 	}
 	if len(doc.FigurePred) == 0 || len(doc.Table2) == 0 || len(doc.Figure11) == 0 ||
 		doc.Engine.Simulations == 0 {
-		t.Error("v3 fields did not survive the v4 reader")
+		t.Error("v3 fields did not survive the reader")
+	}
+}
+
+// TestExportReaderToleratesV4: a v4 document has figureAuto but neither
+// figureMP nor the v5 engine counters, and must parse with figureMP absent.
+func TestExportReaderToleratesV4(t *testing.T) {
+	doc := olderExport(t, "specslice-experiments/4", []string{"figureMP"}, nil)
+	if doc.FigureMP != nil {
+		t.Errorf("v4 document produced %d figureMP rows, want none", len(doc.FigureMP))
+	}
+	if len(doc.FigureAuto) == 0 || len(doc.FigurePred) == 0 || len(doc.Table2) == 0 ||
+		doc.Engine.Simulations == 0 {
+		t.Error("v4 fields did not survive the reader")
+	}
+}
+
+// TestExportReaderToleratesV5: a v5 document carries the five engine
+// coordination counters this reader no longer knows; they must be skipped
+// and everything else kept, with figureMP (added in v6) absent.
+func TestExportReaderToleratesV5(t *testing.T) {
+	doc := olderExport(t, "specslice-experiments/5", []string{"figureMP"},
+		map[string]any{"singleflightWaits": 3, "singleflightHits": 2,
+			"leaseTakeovers": 1, "evictions": 4, "evictedBytes": 4096})
+	if doc.FigureMP != nil {
+		t.Errorf("v5 document produced %d figureMP rows, want none", len(doc.FigureMP))
+	}
+	if len(doc.FigureAuto) == 0 || len(doc.FigurePred) == 0 || len(doc.Table2) == 0 ||
+		doc.Engine.Simulations == 0 {
+		t.Error("v5 fields did not survive the reader")
 	}
 }

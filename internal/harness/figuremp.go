@@ -134,7 +134,7 @@ func RunMP(group []*workloads.Workload, p Params, withSlices bool, warm, run uin
 	var seeds []oracle.ProgSeed
 	warmMax, runMax := warm, run
 	if warm == 0 || run == 0 {
-		gw, gr := MPRegions(p, group)
+		gw, gr := mpRegions(p, group)
 		if warm == 0 {
 			warmMax = gw
 		}
@@ -184,13 +184,12 @@ func RunMP(group []*workloads.Workload, p Params, withSlices bool, warm, run uin
 	return snap, nil
 }
 
-// MPRegions derives a co-schedule's inline warm and measured region
+// mpRegions derives a co-schedule's inline warm and measured region
 // lengths under p: the maximum of each program's scaled region, so every
 // program retires at least its own suggested region (the slower ones keep
 // the faster ones contending past theirs). RunMP applies this when its
-// warm/run overrides are zero; external schedulers (the sweep service)
-// call it to prefill result records with the lengths a leg will run.
-func MPRegions(p Params, group []*workloads.Workload) (warm, run uint64) {
+// warm/run overrides are zero.
+func mpRegions(p Params, group []*workloads.Workload) (warm, run uint64) {
 	for _, w := range group {
 		pw, pr := p.regions(w)
 		if pw > warm {
@@ -207,7 +206,7 @@ func MPRegions(p Params, group []*workloads.Workload) (warm, run uint64) {
 // are never memoized — no two share a warm prefix, and each leg is one
 // whole simulation — but they count in the engine stats like any other
 // miss. warm/run override the region lengths (zero derives them from the
-// engine params via MPRegions); validated forces the oracle on like
+// engine params via mpRegions); validated forces the oracle on like
 // RunValidated.
 func (e *Engine) RunMP(group []*workloads.Workload, withSlices, validated bool, warm, run uint64) (*RunResult, error) {
 	o := e.Oracle
@@ -326,9 +325,9 @@ func (e *Engine) FigureMP(ws []*workloads.Workload) []FigureMPRow {
 
 // noteMPRun folds one co-scheduled simulation into the engine counters:
 // it is a real simulation (never memoized), covering warm+run per program
-// (warm/run zero means the MPRegions-derived lengths).
+// (warm/run zero means the mpRegions-derived lengths).
 func (e *Engine) noteMPRun(g []*workloads.Workload, warm, run uint64, wall time.Duration) {
-	gw, gr := MPRegions(e.Params, g)
+	gw, gr := mpRegions(e.Params, g)
 	if warm == 0 {
 		warm = gw
 	}

@@ -45,11 +45,6 @@ type FigurePredRow struct {
 	Perfect  FigurePredLeg `json:"perfect"`
 }
 
-// FigurePred runs the predictor-stack comparison for the given workloads.
-func FigurePred(ws []*workloads.Workload, p Params) []FigurePredRow {
-	return NewEngine(p, 0).FigurePred(ws)
-}
-
 // probLeg folds one run's per-PC statistics over the problem-branch set.
 func probLeg(s *stats.Sim, pcs map[uint64]bool) (leg FigurePredLeg, execs uint64) {
 	for pc := range pcs {

@@ -146,11 +146,6 @@ type Table2Row struct {
 	BrMis   float64 // % of mispredictions covered
 }
 
-// Table2 reproduces the paper's Table 2 for the given workloads.
-func Table2(ws []*workloads.Workload, p Params) []Table2Row {
-	return NewEngine(p, 0).Table2(ws)
-}
-
 // Table2 reproduces the paper's Table 2 through the engine: the profiling
 // baselines run in parallel, then the per-PC statistics are classified.
 func (e *Engine) Table2(ws []*workloads.Workload) []Table2Row {
@@ -187,20 +182,14 @@ type Figure1Row struct {
 	Base, ProbPerf, AllPerf [2]float64 // index 0: 4-wide, 1: 8-wide
 }
 
-// Figure1 reproduces Figure 1: baseline, problem-instructions-perfect, and
-// all-perfect IPC on the 4- and 8-wide machines.
-func Figure1(ws []*workloads.Workload, p Params) []Figure1Row {
-	return NewEngine(p, 0).Figure1(ws)
-}
-
 // widthConfigs are Figure 1's two machines, index-aligned with the [2]
 // arrays of Figure1Row.
 var widthConfigs = []func() cpu.Config{cpu.Config4Wide, cpu.Config8Wide}
 
 // Figure1 reproduces Figure 1 through the engine in two parallel phases:
 // the per-(workload, width) baselines first — each doubles as both the
-// profiling input and the "baseline" bar, so the profiling run the serial
-// driver repeated per width is simulated exactly once — then the
+// profiling input and the "baseline" bar, so each width's profiling run
+// is simulated exactly once — then the
 // problem-perfect and all-perfect runs derived from those profiles.
 func (e *Engine) Figure1(ws []*workloads.Workload) []Figure1Row {
 	// Phase 1: baselines for both widths.
@@ -307,12 +296,6 @@ func coveredPerfect(w *workloads.Workload) cpu.Perfect {
 	return p
 }
 
-// Figure11 reproduces Figure 11: speedup of slice-assisted execution and
-// of "magically" perfecting the same problem instructions.
-func Figure11(ws []*workloads.Workload, p Params) []Figure11Row {
-	return NewEngine(p, 0).Figure11(ws)
-}
-
 // speedupPct is the percent cycle-count speedup of `with` over `base`,
 // guarding the degenerate zero-cycle run (nothing retired) that would
 // otherwise produce ±Inf/NaN.
@@ -393,11 +376,6 @@ type Table4Col struct {
 	// FracFromLoads estimates the share of the speedup due to
 	// prefetching, measured by re-running with PGI allocation disabled.
 	FracFromLoads float64
-}
-
-// Table4 reproduces the paper's Table 4 on the 4-wide machine.
-func Table4(ws []*workloads.Workload, p Params) []Table4Col {
-	return NewEngine(p, 0).Table4(ws)
 }
 
 // Table4 reproduces Table 4 through the engine: base, slice, and

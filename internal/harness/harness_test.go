@@ -24,7 +24,7 @@ func pick(t *testing.T, names ...string) []*workloads.Workload {
 }
 
 func TestTable2ShapeHolds(t *testing.T) {
-	rows := Table2(pick(t, "vpr", "gzip"), small)
+	rows := NewEngine(small, 0).Table2(pick(t, "vpr", "gzip"))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -47,7 +47,7 @@ func TestTable2ShapeHolds(t *testing.T) {
 }
 
 func TestFigure1Ordering(t *testing.T) {
-	rows := Figure1(pick(t, "vpr"), small)
+	rows := NewEngine(small, 0).Figure1(pick(t, "vpr"))
 	r := rows[0]
 	for i := 0; i < 2; i++ {
 		if !(r.AllPerf[i] >= r.ProbPerf[i] && r.ProbPerf[i] >= r.Base[i]*0.98) {
@@ -93,7 +93,7 @@ func TestTable3MatchesSliceMetadata(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	rows := Figure11(pick(t, "vpr", "eon", "parser"), Params{Scale: 0.3})
+	rows := NewEngine(Params{Scale: 0.3}, 0).Figure11(pick(t, "vpr", "eon", "parser"))
 	byName := map[string]Figure11Row{}
 	for _, r := range rows {
 		byName[r.Program] = r
@@ -116,7 +116,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestTable4Consistency(t *testing.T) {
-	cols := Table4(pick(t, "vpr"), Params{Scale: 0.3})
+	cols := NewEngine(Params{Scale: 0.3}, 0).Table4(pick(t, "vpr"))
 	c := cols[0]
 	if c.Forks == 0 {
 		t.Error("no forks recorded")

@@ -44,18 +44,6 @@ const (
 	// Differential oracle (oracle).
 	EvOracleDiverge   EventKind = "oracle-diverge"   // retired stream diverged from the functional model (N: retired index)
 	EvOracleInvariant EventKind = "oracle-invariant" // structural invariant violated (N: retired index)
-
-	// Checkpoint store coordination (harness). These carry no Cycle: they
-	// happen between simulations. Level names the store entry or lock.
-	EvCkptSingleflightWait EventKind = "ckpt-singleflight-wait" // waiting on a peer process's warm build
-	EvCkptLeaseTakeover    EventKind = "ckpt-lease-takeover"    // stale lease stolen from a dead holder
-	EvCkptEvict            EventKind = "ckpt-evict"             // store entry evicted by the LRU GC (N: bytes)
-
-	// Sweep service queue (sweepd). Level names the sweep; N is the queue
-	// depth after the event.
-	EvSweepEnqueue EventKind = "sweep-enqueue" // run accepted into the priority queue
-	EvSweepDequeue EventKind = "sweep-dequeue" // run claimed by a worker
-	EvSweepReject  EventKind = "sweep-reject"  // sweep refused: queue full (backpressure)
 )
 
 // Event is one structured telemetry event. Zero-valued fields are
