@@ -37,6 +37,9 @@
 // change) restore it instead of re-simulating. -warm=functional replaces
 // detailed warm-up simulation with a fast functional fast-forward that
 // touch-warms caches and predictors (approximate; see DESIGN.md).
+//
+// -cpuprofile writes a CPU profile of the whole run; `go tool pprof -top
+// -cum` on it splits the cycle loop's cost by pipeline stage.
 package main
 
 import (
@@ -45,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/bpred"
@@ -63,6 +67,35 @@ func printSummary(e *harness.Engine) {
 		ck.WarmHits, ck.WarmMisses, ck.Restores, ck.DiskLoads, ck.DiskStores, ck.DiskBytes)
 }
 
+// stopProfile flushes and closes the -cpuprofile output; it is a no-op
+// until startCPUProfile succeeds.
+var stopProfile = func() {}
+
+// startCPUProfile starts a CPU profile written to path (-cpuprofile).
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+		}
+	}
+	return nil
+}
+
+// exit flushes a running CPU profile, then exits with code.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
+}
+
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "table1|table2|figure1|table3|figure11|table4|figurepred|figureauto|figuremp|all")
@@ -78,18 +111,26 @@ func main() {
 		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")
 		bpredFlg = flag.String("bpred", "", "direction predictor for baseline configs, name[:params]")
 		ipredFlg = flag.String("ipred", "", "indirect target predictor for baseline configs, name[:params]")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		if err := startCPUProfile(*cpuProf); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			exit(1)
+		}
+		defer stopProfile()
+	}
 
 	// Resolve the predictor specs up front so a typo fails with the
 	// registry's name listing instead of deep inside a parallel batch.
 	if _, err := bpred.NewDir(*bpredFlg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if _, err := bpred.NewIndirect(*ipredFlg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	// The experiment drivers panic on run errors (mustRunAll); turn an
@@ -113,13 +154,13 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: oracle report written to %s\n", *orcOut)
 			}
 		}
-		os.Exit(1)
+		exit(1)
 	}()
 
 	warmMode, err := harness.ParseWarmMode(*warmFlg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	ws := workloads.All()
@@ -127,7 +168,7 @@ func main() {
 		w, err := workloads.ByName(*only)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		ws = []*workloads.Workload{w}
 	}
@@ -156,7 +197,7 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if *verbose {
 			st := e.Stats()
@@ -212,7 +253,7 @@ func main() {
 	case "all", "table1", "table2", "figure1", "table3", "figure11", "table4", "figurepred", "figureauto", "figuremp":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(1)
+		exit(1)
 	}
 
 	if *verbose {

@@ -20,6 +20,12 @@
 // disk so repeated invocations skip the warm-up simulation entirely;
 // -warm=functional fast-forwards the warm-up functionally instead of
 // simulating it cycle by cycle (approximate; see DESIGN.md).
+//
+// -cpuprofile writes a CPU profile of the run; `go tool pprof -top -cum`
+// on it splits the cycle loop's cost by pipeline stage:
+//
+//	slicesim -workload mcf -slices -run 20000 -cpuprofile cpu.prof
+//	go tool pprof -top -cum cpu.prof
 package main
 
 import (
@@ -29,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/bpred"
@@ -51,6 +58,35 @@ func writeOracleReport(path string, err error) {
 	} else {
 		fmt.Fprintf(os.Stderr, "slicesim: oracle report written to %s\n", path)
 	}
+}
+
+// stopProfile flushes and closes the -cpuprofile output; it is a no-op
+// until startCPUProfile succeeds.
+var stopProfile = func() {}
+
+// startCPUProfile starts a CPU profile written to path (-cpuprofile).
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+		}
+	}
+	return nil
+}
+
+// exit flushes a running CPU profile, then exits with code.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }
 
 func main() {
@@ -76,13 +112,21 @@ func main() {
 		useOrc   = flag.Bool("oracle", false, "validate the run against the functional model (differential oracle)")
 		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
 		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		if err := startCPUProfile(*cpuProf); err != nil {
+			fmt.Fprintln(os.Stderr, "slicesim:", err)
+			exit(1)
+		}
+		defer stopProfile()
+	}
 
 	warmMode, err := harness.ParseWarmMode(*warmFlg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	if *list {
@@ -101,7 +145,7 @@ func main() {
 	w, err := workloads.ByName(*name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	if *disasm {
@@ -124,11 +168,11 @@ func main() {
 	// registry's name listing instead of deep inside warm-up.
 	if _, err := bpred.NewDir(cfg.BPred); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if _, err := bpred.NewIndirect(cfg.IndirectPred); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	warm, region := w.SuggestedWarmup, w.SuggestedRun
 	if *warmup > 0 {
@@ -148,13 +192,13 @@ func main() {
 	core, ck, warmSrc, err := cp.WarmedCoreCkpt(w, cfg, useSlices, warm)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if *trace {
 		sink, cleanup, err := openTracer(*traceFmt, *traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		defer cleanup()
 		core.SetTracer(sink)
@@ -180,12 +224,12 @@ func main() {
 	if orc != nil {
 		if err := core.CheckInvariants(); err != nil {
 			fmt.Fprintf(os.Stderr, "slicesim: oracle: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := orc.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "slicesim: %v\n", err)
 			writeOracleReport(*orcOut, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "slicesim: oracle: %d retirements validated, no divergence\n", orc.Retired())
 	}
@@ -203,7 +247,7 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -247,7 +291,7 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 		w, err := workloads.ByName(strings.TrimSpace(n))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		group = append(group, w)
 	}
@@ -256,7 +300,7 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slicesim:", err)
 		writeOracleReport(orcOut, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if o.Enabled {
 		fmt.Fprintln(os.Stderr, "slicesim: oracle: all programs validated, no divergence")
@@ -277,7 +321,7 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}

@@ -88,7 +88,8 @@ func TestLiSmallAndLarge(t *testing.T) {
 			if !ok {
 				break
 			}
-			o := isa.Execute(in, pc, st)
+			var o isa.Outcome
+			isa.Execute(in, pc, st, &o)
 			pc = o.NextPC(pc)
 		}
 		return st.regs[5]

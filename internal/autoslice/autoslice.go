@@ -70,6 +70,7 @@ func CollectTrace(image *asm.Image, m *mem.Memory, entry uint64, n int) (*Trace,
 	}
 	st := traceState{regs: &regs, m: m}
 	pc := entry
+	var out isa.Outcome
 	for len(tr.entries) < n {
 		in, ok := image.At(pc)
 		if !ok {
@@ -81,7 +82,7 @@ func CollectTrace(image *asm.Image, m *mem.Memory, entry uint64, n int) (*Trace,
 			e.nsrc++
 		}
 		idx := int32(len(tr.entries))
-		out := isa.Execute(in, pc, st)
+		isa.Execute(in, pc, &st, &out)
 		if d, ok := in.Dest(); ok {
 			lastWrite[d] = idx
 		}

@@ -15,6 +15,8 @@ type StreamPrefetcher struct {
 	// Counters.
 	Launched  uint64 // prefetch requests issued to the hierarchy
 	Confirmed uint64 // misses that matched an existing stream
+
+	out []uint64 // OnMiss's result buffer, reused call to call
 }
 
 type stream struct {
@@ -32,10 +34,10 @@ func NewStreamPrefetcher(n, depth int) *StreamPrefetcher {
 // OnMiss records a demand miss of lineAddr (already line-aligned, in units
 // of one L1 line) and returns the list of line addresses to prefetch. The
 // hierarchy filters lines already cached or in flight and applies the
-// bandwidth gate.
+// bandwidth gate. The returned slice is only valid until the next call.
 func (p *StreamPrefetcher) OnMiss(lineAddr, lineBytes uint64) []uint64 {
 	p.clock++
-	var out []uint64
+	out := p.out[:0]
 
 	// A miss matching an existing stream confirms it: run further ahead.
 	for i := range p.streams {
@@ -50,6 +52,7 @@ func (p *StreamPrefetcher) OnMiss(lineAddr, lineBytes uint64) []uint64 {
 			}
 			s.nextLine = lineAddr + uint64(s.dir)*lineBytes
 			p.Launched += uint64(len(out))
+			p.out = out
 			return out
 		}
 	}
@@ -74,6 +77,7 @@ func (p *StreamPrefetcher) OnMiss(lineAddr, lineBytes uint64) []uint64 {
 	// Sequential next-block prefetch before any stride is known.
 	out = append(out, lineAddr+lineBytes)
 	p.Launched++
+	p.out = out
 	return out
 }
 

@@ -29,6 +29,21 @@ type calEntry struct {
 	seq uint64
 }
 
+// newCalendar carves every bucket from one backing array, slots entries
+// per bucket, so a fresh or restored core pays one allocation instead of
+// growing each bucket separately. A bucket that outgrows its slots
+// reallocates alone: the full slice expression caps each bucket at its
+// own region, so an append can never spill into its neighbour.
+func newCalendar(slots int) [][]calEntry {
+	cal := make([][]calEntry, calBuckets)
+	backing := make([]calEntry, calBuckets*slots)
+	for i := range cal {
+		lo := i * slots
+		cal[i] = backing[lo : lo : lo+slots]
+	}
+	return cal
+}
+
 // calFile files an instruction for completion; call after CompleteCycle is
 // set at issue. Completion times are always in the future (every latency
 // is >= 1), so the bucket cannot be the one completeStage is draining.

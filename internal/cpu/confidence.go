@@ -1,5 +1,7 @@
 package cpu
 
+import "repro/internal/slicehw"
+
 // confidence implements a JRS-style resetting-counter confidence estimator
 // (Jacobsen, Rotenberg & Smith, MICRO-29 — the paper's reference [8]) used
 // to gate slice forks (§6.3): a fork is profitable only when one of the
@@ -44,23 +46,18 @@ func (c *confidence) confident(pc uint64) bool {
 // sliceWorthForking reports whether any instruction covered by s is
 // currently low-confidence — i.e., whether pre-executing it can pay. Each
 // program gates against its own confidence table.
-func (p *progState) sliceWorthForking(s *sliceRef) bool {
-	for _, pc := range s.coveredBranches {
+func (p *progState) sliceWorthForking(s *slicehw.Slice) bool {
+	branches := s.CoveredBranchPCs()
+	for _, pc := range branches {
 		if !p.conf.confident(pc) {
 			return true
 		}
 	}
-	for _, pc := range s.coveredLoads {
+	for _, pc := range s.CoveredLoadPCs {
 		if !p.conf.confident(pc) {
 			return true
 		}
 	}
 	// A slice covering nothing trackable always forks.
-	return len(s.coveredBranches)+len(s.coveredLoads) == 0
-}
-
-// sliceRef caches a slice's covered PC lists for the gate's hot path.
-type sliceRef struct {
-	coveredBranches []uint64
-	coveredLoads    []uint64
+	return len(branches)+len(s.CoveredLoadPCs) == 0
 }

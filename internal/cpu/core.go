@@ -43,6 +43,7 @@ type Core struct {
 
 	// Zero-alloc cycle-loop machinery (see pool.go and sched.go).
 	pool       []*DynInst   // DynInst free list
+	spare      []DynInst    // never-used instructions of the current chunk (pool.go)
 	ready      []*DynInst   // seq-ordered dispatched instructions awaiting issue
 	storeWoken []*DynInst   // wakeups deferred to the end of issueStage
 	doneList   []*DynInst   // completeStage working set
@@ -164,13 +165,6 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 			p.sliceTable = sp.SliceTable
 			p.corr = slicehw.NewCorrelator(cfg.PredQueueDepth)
 			p.conf = newConfidence(4096, cfg.ConfidenceThreshold)
-			p.sliceRefs = make(map[*slicehw.Slice]*sliceRef)
-			for _, s := range sp.SliceTable.Slices() {
-				p.sliceRefs[s] = &sliceRef{
-					coveredBranches: s.CoveredBranchPCs(),
-					coveredLoads:    s.CoveredLoadPCs,
-				}
-			}
 		}
 		p.mainStores = newInstRing(64)
 		p.initStatCache()
@@ -186,7 +180,9 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	}
 	c.main = c.progs[0].main
 	c.S = c.progs[0].S
-	c.cal = make([][]calEntry, calBuckets)
+	// Twice the issue width: instructions issued in different cycles can
+	// complete together, but more than 2x IssueWidth in one cycle is rare.
+	c.cal = newCalendar(2 * cfg.IssueWidth)
 
 	c.registry.Register("Sim", c.S)
 	c.registry.Register("Hier", &c.hier.Stats)
@@ -439,11 +435,13 @@ func (c *Core) dispatchStage() {
 }
 
 // reapHelpers frees helper contexts that stopped fetching and drained.
-// Their correlator instances persist: predictions outlive the thread.
+// Their correlator instances persist: predictions outlive the thread,
+// which only drops its pin on the instance.
 func (c *Core) reapHelpers() {
 	for _, t := range c.threads {
 		if t.Alive && !t.IsMain && !t.Fetching && t.inflight() == 0 {
 			t.Alive = false
+			t.dropInstance()
 		}
 	}
 }

@@ -45,11 +45,13 @@ func (c *Core) retireDoneHelpers() {
 		if t.IsMain || !t.Alive || !t.Fetching {
 			continue
 		}
+		// sfPGI is set exactly on the PCs PGIAt resolves, so the flag
+		// alone identifies a parked PGI.
 		p := t.prog
 		if p == nil || p.sliceTable == nil || c.Cfg.SlicePredictionsOff || p.sliceFlags(t.PC)&sfPGI == 0 {
 			continue
 		}
-		if _, isPGI := p.sliceTable.PGIAt(t.PC); isPGI && t.Instance.Done() {
+		if t.Instance.Done() {
 			t.Fetching = false
 		}
 	}
@@ -112,14 +114,12 @@ func (c *Core) fetchFrom(t *Thread) {
 		// the queue. A live helper stalls while the queue is full rather
 		// than dropping the prediction, for the same reason.
 		if !t.IsMain && p.sliceTable != nil && !c.Cfg.SlicePredictionsOff && p.sliceFlags(pc)&sfPGI != 0 {
-			if ref, isPGI := p.sliceTable.PGIAt(pc); isPGI {
-				if t.Instance.Done() {
-					t.Fetching = false
-					return
-				}
-				if !p.corr.CanAllocate(ref.PGI.BranchPC) {
-					return
-				}
+			if t.Instance.Done() {
+				t.Fetching = false
+				return
+			}
+			if ref, _ := p.sliceTable.PGIAt(pc); !p.corr.CanAllocate(ref.PGI.BranchPC) {
+				return
 			}
 		}
 		c.fetchOne(t, in, pc)
@@ -135,15 +135,12 @@ func (c *Core) helperPGIStalled(t *Thread) bool {
 	if p.sliceTable == nil || c.Cfg.SlicePredictionsOff || p.sliceFlags(t.PC)&sfPGI == 0 {
 		return false
 	}
-	ref, isPGI := p.sliceTable.PGIAt(t.PC)
-	if !isPGI {
-		return false
-	}
 	if t.Instance.Done() {
 		// A kill that landed after this cycle's teardown pass; the helper
 		// just doesn't fetch this cycle and is retired next cycle.
 		return true
 	}
+	ref, _ := p.sliceTable.PGIAt(t.PC)
 	return !p.corr.CanAllocate(ref.PGI.BranchPC)
 }
 
@@ -222,7 +219,7 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 		di.Out = isa.Outcome{}
 	} else {
 		c.ectx = execCtx{c, t, di}
-		di.Out = isa.Execute(in, pc, &c.ectx)
+		isa.Execute(in, pc, &c.ectx, &di.Out)
 	}
 
 	// Register dependences and writer bookkeeping. Producers are
@@ -322,7 +319,7 @@ func (c *Core) fork(di *DynInst, s *slicehw.Slice) {
 	p := di.Thread.prog
 	// §6.3: gate the fork with confidence — don't pay slice overhead for
 	// problem instructions that are currently behaving well.
-	if c.Cfg.ConfidenceGatedForks && !p.sliceWorthForking(p.sliceRefs[s]) {
+	if c.Cfg.ConfidenceGatedForks && !p.sliceWorthForking(s) {
 		p.S.ForksGated++
 		c.emit(stats.Event{Kind: stats.EvForkGated, PC: di.PC, Slice: s.Index})
 		return

@@ -72,12 +72,13 @@ func RunFunctionalInterp(image *asm.Image, m *mem.Memory, entry uint64, maxInsts
 	var st FuncState
 	st.PC = entry
 	ctx := funcCtx{regs: &st.Regs, m: m}
+	var out isa.Outcome
 	for st.Retired < maxInsts {
 		in, ok := image.At(st.PC)
 		if !ok {
 			return st, fmt.Errorf("cpu: functional run fell off the image at %#x after %d instructions", st.PC, st.Retired)
 		}
-		out := isa.Execute(in, st.PC, ctx)
+		isa.Execute(in, st.PC, &ctx, &out)
 		st.Retired++
 		if out.Halt {
 			st.Halted = true

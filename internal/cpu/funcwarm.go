@@ -37,7 +37,7 @@ func (e *interpEngine) Step(out *isa.Outcome) (isa.Op, error) {
 	if !ok {
 		return isa.NOP, &compiled.OffImageError{PC: e.pc}
 	}
-	*out = isa.Execute(in, e.pc, e.ctx)
+	isa.Execute(in, e.pc, &e.ctx, out)
 	if !out.Halt {
 		e.pc = out.NextPC(e.pc)
 	}

@@ -147,7 +147,8 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 		if !ok {
 			t.Fatalf("replica fell off the image at %#x", pc)
 		}
-		out := isa.Execute(in, pc, ctx)
+		var out isa.Outcome
+		isa.Execute(in, pc, &ctx, &out)
 		switch {
 		case out.IsMem && !out.IsStore && !out.Fault:
 			h.Access(out.Addr, false, cache.KindDemand, now)

@@ -56,6 +56,22 @@ func (c *Core) CheckInvariants() error {
 		if d.inReady {
 			return fmt.Errorf("cpu: pooled instruction seq=%d pc=%#x still marked in the ready list", d.Seq, d.PC)
 		}
+		// scrub clears only [:len] of the recycled slices, so a pointer
+		// left past len would be pinned by the pool and resurface on reuse.
+		for _, tail := range [...]struct {
+			name string
+			i    int
+		}{
+			{"KillRecs", liveTail(d.KillRecs)},
+			{"Forked", liveTail(d.Forked)},
+			{"waiters", liveTail(d.waiters)},
+			{"olderStores", liveTail(d.olderStores)},
+		} {
+			if tail.i >= 0 {
+				return fmt.Errorf("cpu: pooled instruction seq=%d pc=%#x holds a pointer past len in %s[%d]",
+					d.Seq, d.PC, tail.name, tail.i)
+			}
+		}
 		pooled[d] = true
 	}
 
@@ -235,4 +251,15 @@ func (c *Core) checkThread(t *Thread, pooled map[*DynInst]bool) error {
 		}
 	}
 	return nil
+}
+
+// liveTail returns the index of the first non-nil slot in s[len:cap], or
+// -1 if that tail is all nil.
+func liveTail[T any](s []*T) int {
+	for i, p := range s[len(s):cap(s)] {
+		if p != nil {
+			return len(s) + i
+		}
+	}
+	return -1
 }

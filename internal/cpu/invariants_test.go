@@ -7,6 +7,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/workloads"
 )
 
 // invariantTestCore builds a core mid-run: halted programs release all
@@ -96,6 +97,19 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			},
 			want: "ready",
 		},
+		{
+			name: "pooled-stale-tail",
+			corrupt: func(c *Core) {
+				if len(c.pool) == 0 {
+					t.Skip("empty pool at the stop point")
+				}
+				// A truncation that forgot to nil the dropped slot: scrub
+				// clears only [:len], so the pointer would stay pinned.
+				d := c.pool[0]
+				d.waiters = append(d.waiters[:0], c.main.rob.front())[:0]
+			},
+			want: "past len",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,6 +121,34 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("violation %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestPooledSliceTailsNil pins the length-only scrub's precondition on
+// real slice-heavy runs: at every stop point, CheckInvariants finds only
+// nil pointers in [len:cap] of each pooled instruction's KillRecs, Forked,
+// waiters and olderStores. The run must actually fork slices and recycle
+// instructions, or the check is vacuous.
+func TestPooledSliceTailsNil(t *testing.T) {
+	for _, name := range []string{"mcf", "gcc", "vpr"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := MustNew(Config4Wide(), w.Image, w.NewMemory(), w.Entry, w.SliceTable())
+			pooled := 0
+			for n := uint64(1000); n <= 20_000; n += 1000 {
+				c.Run(n) // Run's target is cumulative
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("after %d instructions: %v", n, err)
+				}
+				pooled += len(c.pool)
+			}
+			if pooled == 0 || c.S.Forks == 0 {
+				t.Fatalf("pooled %d instructions over %d forks; the tail check covered nothing", pooled, c.S.Forks)
 			}
 		})
 	}

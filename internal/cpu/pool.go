@@ -16,6 +16,9 @@ import (
 //     retire, and restored through undo() at squash;
 //   - the correlator's Consumer handle is cleared at retire
 //     (DropConsumer) or squash (UndoUse);
+//   - the instruction's own correlator handles (UsedPred, AllocPred,
+//     KillRecs) are released and nil'd (dropCorrHandles), because the
+//     correlator pools those objects under the same contract;
 //   - the committed-store queue pops the instruction the moment it
 //     retires or squashes;
 //   - forked helper threads drop their ForkInst back-reference.
@@ -29,7 +32,8 @@ import (
 // the snapshot-determinism test is the guard that a stale field can never
 // change simulated outcomes.
 
-// allocInst returns a scrubbed instruction, recycling the free list.
+// allocInst returns a scrubbed instruction, recycling the free list and
+// falling back to the current chunk of never-used instructions.
 func (c *Core) allocInst() *DynInst {
 	if n := len(c.pool); n > 0 {
 		d := c.pool[n-1]
@@ -38,13 +42,53 @@ func (c *Core) allocInst() *DynInst {
 		d.scrub()
 		return d
 	}
-	return &DynInst{}
+	if len(c.spare) == 0 {
+		c.spare = newInstChunk()
+	}
+	d := &c.spare[0]
+	c.spare = c.spare[1:]
+	return d
+}
+
+// Instructions are created instChunk at a time, with initial capacity for
+// their four per-instruction slices carved from shared arrays: waiterSlots
+// for waiters, storeSlots for olderStores (a load waits on every older
+// unissued store), one each for KillRecs and Forked. A fresh or restored
+// core then reaches its working set in a handful of allocations instead
+// of one per instruction and one per first append. An append past the
+// carved capacity reallocates that slice alone (the full slice
+// expressions cap each at its own region).
+const (
+	instChunk   = 64
+	waiterSlots = 8
+	storeSlots  = 16
+)
+
+func newInstChunk() []DynInst {
+	const deps = waiterSlots + storeSlots
+	insts := make([]DynInst, instChunk)
+	dep := make([]*DynInst, deps*instChunk)
+	recs := make([]*slicehw.KillRecord, instChunk)
+	forked := make([]*Thread, instChunk)
+	for i := range insts {
+		d := &insts[i]
+		w := deps * i
+		s := w + waiterSlots
+		d.waiters = dep[w:w:s]
+		d.olderStores = dep[s : s : s+storeSlots]
+		d.KillRecs = recs[i : i : i+1]
+		d.Forked = forked[i : i : i+1]
+	}
+	return insts
 }
 
 // scrub resets a recycled instruction while keeping the
-// KillRecs/Forked/waiters/olderStores backing arrays for reuse. The full
-// capacity of each slice is nil'd so the pool does not pin correlator
-// records or threads beyond the instruction's lifetime.
+// KillRecs/Forked/waiters/olderStores backing arrays for reuse. Only
+// [:len] of each slice is nil'd: every site that shortens one of them
+// (wakeWaiters, wakeStoreWaiters, dropStore, removeWaiter, deregister,
+// dropCorrHandles) nils the dropped slots first, so [len:cap] is already nil and the pool
+// pins no correlator record, thread or instruction beyond its lifetime.
+// CheckInvariants verifies that tail for every pooled instruction.
 //
 // Resetting is selective: a full-struct copy (`*d = DynInst{...}`) was the
 // hottest single line of the cycle loop, and most fields don't need it.
@@ -58,23 +102,11 @@ func (c *Core) allocInst() *DynInst {
 // Everything conditionally written in a lifetime is reset below; the
 // snapshot-determinism tests and the harness goldens guard the contract.
 func (d *DynInst) scrub() {
-	kr := d.KillRecs[:cap(d.KillRecs)]
-	for i := range kr {
-		kr[i] = nil
-	}
-	fk := d.Forked[:cap(d.Forked)]
-	for i := range fk {
-		fk[i] = nil
-	}
-	wt := d.waiters[:cap(d.waiters)]
-	for i := range wt {
-		wt[i] = nil
-	}
-	os := d.olderStores[:cap(d.olderStores)]
-	for i := range os {
-		os[i] = nil
-	}
-	d.KillRecs, d.Forked, d.waiters, d.olderStores = kr[:0], fk[:0], wt[:0], os[:0]
+	clear(d.KillRecs)
+	clear(d.Forked)
+	clear(d.waiters)
+	clear(d.olderStores)
+	d.KillRecs, d.Forked, d.waiters, d.olderStores = d.KillRecs[:0], d.Forked[:0], d.waiters[:0], d.olderStores[:0]
 
 	d.PredTaken, d.PredTarget = false, 0
 	d.NoTargetPred, d.Mispredicted = false, false
@@ -108,11 +140,31 @@ func (c *Core) releaseRetired(d *DynInst) {
 		}
 		d.nextWriter = nil
 	}
-	if p := d.Thread.prog; p.corr != nil && d.UsedPred != nil {
-		p.corr.DropConsumer(d.UsedPred, d)
+	if p := d.Thread.prog; p.corr != nil {
+		if d.UsedPred != nil {
+			p.corr.DropConsumer(d.UsedPred, d)
+		}
+		d.dropCorrHandles(p.corr)
 	}
 	c.dropForkRefs(d)
 	c.pool = append(c.pool, d)
+}
+
+// dropCorrHandles severs the instruction's correlator handles once they
+// have been committed or undone: the pins on UsedPred and AllocPred are
+// released, and the consumed kill records (already recycled by
+// CommitKill/UndoKill) are forgotten.
+func (d *DynInst) dropCorrHandles(corr *slicehw.Correlator) {
+	if d.UsedPred != nil {
+		corr.ReleasePred(d.UsedPred)
+		d.UsedPred = nil
+	}
+	if d.AllocPred != nil {
+		corr.ReleasePred(d.AllocPred)
+		d.AllocPred = nil
+	}
+	clear(d.KillRecs)
+	d.KillRecs = d.KillRecs[:0]
 }
 
 // releaseSquashed returns a squashed instruction to the pool. Scheduler

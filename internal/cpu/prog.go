@@ -61,7 +61,6 @@ type progState struct {
 	sliceTable *slicehw.Table
 	corr       *slicehw.Correlator
 	conf       *confidence
-	sliceRefs  map[*slicehw.Slice]*sliceRef
 
 	statSegs  []staticSeg // per-program Sim.ByPC cache
 	sliceSegs []sliceSeg  // per-PC slice-table flag cache (sliceflags.go)

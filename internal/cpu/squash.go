@@ -72,6 +72,7 @@ func (c *Core) squashInst(x *DynInst) {
 		if x.AllocPred != nil {
 			p.corr.UndoAllocate(x.AllocPred)
 		}
+		x.dropCorrHandles(p.corr)
 	}
 	for _, h := range x.Forked {
 		c.squashHelper(h)
@@ -115,6 +116,7 @@ func (c *Core) squashHelper(h *Thread) {
 	if p.corr != nil {
 		p.corr.RemoveInstance(h.Instance)
 	}
+	h.dropInstance()
 	h.Alive = false
 	h.Fetching = false
 }

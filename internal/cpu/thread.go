@@ -95,6 +95,15 @@ func (t *Thread) reset() {
 	t.ForkInst = nil
 }
 
+// dropInstance releases a dying helper context's pin on its correlator
+// instance and severs the pointer, so the correlator may recycle it.
+func (t *Thread) dropInstance() {
+	if t.Instance != nil {
+		t.prog.corr.ReleaseInstance(t.Instance)
+		t.Instance = nil
+	}
+}
+
 // execCtx adapts a (core, thread, dyninst) triple to isa.State, recording
 // undo information on the instruction as side effects happen. The core owns
 // one scratch instance (Core.ectx): passing its pointer to isa.Execute

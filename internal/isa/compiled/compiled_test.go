@@ -55,7 +55,8 @@ func interpRun(t testing.TB, im *asm.Image, st *refState, entry, maxInsts uint64
 		if !ok {
 			t.Fatalf("interp reference fell off the image at %#x after %d instructions", pc, retired)
 		}
-		out := isa.Execute(in, pc, st)
+		var out isa.Outcome
+		isa.Execute(in, pc, st, &out)
 		retired++
 		if out.Halt {
 			return pc, retired, true
@@ -265,7 +266,8 @@ func TestStepGolden(t *testing.T) {
 			ma := compiled.NewMachine(compiled.Compile(im), maMem, base)
 			ma.SetRegs(&regs)
 
-			want := isa.Execute(&tc.in, base, ref)
+			var want isa.Outcome
+			isa.Execute(&tc.in, base, ref, &want)
 
 			var got isa.Outcome
 			op, err := ma.Step(&got)
@@ -346,7 +348,8 @@ func TestStepLockstepFusedProgram(t *testing.T) {
 			ref.regs[3] = 1
 			ma.SetReg(3, 1)
 		}
-		want := isa.Execute(in, pc, ref)
+		var want isa.Outcome
+		isa.Execute(in, pc, ref, &want)
 		var got isa.Outcome
 		op, err := ma.Step(&got)
 		if err != nil {

@@ -38,7 +38,8 @@ func runCompiledVsInterp(t *testing.T, seed int64, chunk uint64) {
 		if !ok {
 			t.Fatalf("seed %d: reference fell off the image at %#x", seed, pc)
 		}
-		want := isa.Execute(in, pc, ref)
+		var want isa.Outcome
+		isa.Execute(in, pc, ref, &want)
 		var got isa.Outcome
 		op, err := ma.Step(&got)
 		if err != nil {

@@ -54,7 +54,9 @@ func (s *fakeState) Store(addr uint64, size int, v uint64) bool {
 
 func exec(t *testing.T, st *fakeState, in Inst) Outcome {
 	t.Helper()
-	return Execute(&in, 0x1000, st)
+	var o Outcome
+	Execute(&in, 0x1000, st, &o)
+	return o
 }
 
 func TestALUOps(t *testing.T) {
@@ -244,7 +246,8 @@ func TestBranches(t *testing.T) {
 		st := newFakeState()
 		st.regs[1] = uint64(c.a)
 		in := Inst{Op: c.op, Ra: 1, Imm: 5}
-		o := Execute(&in, 0x1000, st)
+		var o Outcome
+		Execute(&in, 0x1000, st, &o)
 		if !o.IsCtrl {
 			t.Fatalf("%v: not control", c.op)
 		}
@@ -268,7 +271,8 @@ func TestBranches(t *testing.T) {
 func TestCallsAndReturns(t *testing.T) {
 	st := newFakeState()
 	in := Inst{Op: CALL, Rd: RA, Imm: 10}
-	o := Execute(&in, 0x1000, st)
+	var o Outcome
+	Execute(&in, 0x1000, st, &o)
 	if !o.Taken || o.Target != 0x1000+4+40 {
 		t.Fatalf("call outcome %+v", o)
 	}
@@ -276,18 +280,18 @@ func TestCallsAndReturns(t *testing.T) {
 		t.Errorf("link = %#x", st.Reg(RA))
 	}
 	ret := Inst{Op: RET, Ra: RA}
-	o = Execute(&ret, 0x2000, st)
+	Execute(&ret, 0x2000, st, &o)
 	if !o.Taken || o.Target != 0x1004 {
 		t.Errorf("ret outcome %+v", o)
 	}
 	st.SetReg(5, 0x3000)
 	callr := Inst{Op: CALLR, Rd: RA, Ra: 5}
-	o = Execute(&callr, 0x1008, st)
+	Execute(&callr, 0x1008, st, &o)
 	if o.Target != 0x3000 || st.Reg(RA) != 0x100c {
 		t.Errorf("callr outcome %+v link=%#x", o, st.Reg(RA))
 	}
 	jmp := Inst{Op: JMP, Ra: 5}
-	o = Execute(&jmp, 0x1010, st)
+	Execute(&jmp, 0x1010, st, &o)
 	if !o.IsCtrl || o.Target != 0x3000 || o.WroteReg {
 		t.Errorf("jmp outcome %+v", o)
 	}
@@ -296,12 +300,13 @@ func TestCallsAndReturns(t *testing.T) {
 func TestForkAndHalt(t *testing.T) {
 	st := newFakeState()
 	in := Inst{Op: FORK, Imm: 3}
-	o := Execute(&in, 0x1000, st)
+	var o Outcome
+	Execute(&in, 0x1000, st, &o)
 	if !o.Fork || o.SliceIndex != 3 {
 		t.Errorf("fork outcome %+v", o)
 	}
 	h := Inst{Op: HALT}
-	o = Execute(&h, 0x1000, st)
+	Execute(&h, 0x1000, st, &o)
 	if !o.Halt {
 		t.Errorf("halt outcome %+v", o)
 	}
@@ -464,7 +469,8 @@ func TestQuickExecuteDeclaredEffects(t *testing.T) {
 			st.regs[r] = rng.Uint64() % (1 << 20) // keep addresses mapped-ish
 		}
 		before := st.regs
-		o := Execute(&in, 0x1000, st)
+		var o Outcome
+		Execute(&in, 0x1000, st, &o)
 		dest, hasDest := in.Dest()
 		for r := 1; r < NumRegs; r++ {
 			if Reg(r) != dest && st.regs[r] != before[r] {

@@ -9,8 +9,35 @@ package slicehw
 // attaches to the acting instruction so a squash restores the correlator
 // exactly (§5.2), and a prediction arriving after its branch was fetched is
 // handled as a late prediction with optional early resolution (§5.3).
+//
+// Pooling. Instances, their predictions and kill records are recycled
+// through per-correlator free lists, under the sever-before-pool contract
+// the CPU's DynInst pool follows: an object reaches a free list only once
+// no pointer to it can be followed again.
+//
+//   - A kill record is recycled the moment CommitKill or UndoKill consumes
+//     it; the caller must drop its pointer then.
+//   - A prediction is recycled together with its instance: Pred.inst is
+//     its only owner the correlator cannot see, and inst.entries keeps
+//     every prediction the instance ever allocated.
+//   - An instance is recycled once it is detached (off its slice's live
+//     list, so no queue can reach it or its predictions) and unpinned.
+//     Every outside handle holds one pin: the helper context NewInstance
+//     serves (dropped by ReleaseInstance), each prediction handed out by
+//     Allocate or Lookup (dropped by ReleasePred), and each kill record
+//     naming the instance or one of its predictions (dropped when the
+//     record is consumed).
+//
+// A missed release only leaks an object to the garbage collector; a
+// double release panics. CheckInvariants verifies that nothing reachable
+// sits on a free list.
 
-import "repro/internal/stats"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/stats"
+)
 
 // PredState is the lifecycle state of Figure 10's per-prediction "state".
 type PredState uint8
@@ -86,6 +113,11 @@ type Instance struct {
 	entries       []*Pred
 	finished      bool
 	removed       bool
+	// detached marks an instance dropped from its slice's live list; pins
+	// counts the outside handles still naming it or its predictions. The
+	// instance returns to the free list when detached with no pins.
+	detached bool
+	pins     int
 
 	// Debug is CPU-owned context (e.g. fork-time live-in values) used by
 	// debugging hooks; the correlator never touches it.
@@ -114,6 +146,11 @@ type Correlator struct {
 	maxPerBranch int
 	liveBySlice  map[*Slice][]*Instance
 	nextID       uint64
+
+	// Free lists (see Pooling above).
+	freeInsts []*Instance
+	freePreds []*Pred
+	freeRecs  []*KillRecord
 
 	// Tracer, when non-nil, receives one typed event per correlator
 	// mutation. The correlator has no clock: events leave with Cycle 0 and
@@ -155,10 +192,16 @@ func (c *Correlator) queueFor(branchPC uint64) *queue {
 	return q
 }
 
-// NewInstance registers a fork of s and returns its instance handle.
+// NewInstance registers a fork of s and returns its instance handle,
+// pinned once for the helper context that runs it; ReleaseInstance drops
+// that pin when the context lets go.
 func (c *Correlator) NewInstance(s *Slice) *Instance {
 	c.nextID++
-	inst := &Instance{ID: c.nextID, Slice: s}
+	inst := pop(&c.freeInsts)
+	if inst == nil {
+		inst = &Instance{}
+	}
+	inst.ID, inst.Slice, inst.pins = c.nextID, s, 1
 	if s.LoopKillSkipFirst {
 		inst.skipLoopKill = 1
 	}
@@ -183,13 +226,53 @@ func (c *Correlator) RemoveInstance(inst *Instance) {
 	for _, p := range inst.entries {
 		c.removePred(p)
 	}
+	c.detach(inst)
+}
+
+// detach drops inst from its slice's live list — after which no queue
+// holds its predictions — and recycles it if nothing pins it.
+func (c *Correlator) detach(inst *Instance) {
 	live := c.liveBySlice[inst.Slice]
-	for i, li := range live {
-		if li == inst {
-			c.liveBySlice[inst.Slice] = append(live[:i:i], live[i+1:]...)
-			break
-		}
+	if i := slices.Index(live, inst); i >= 0 {
+		// slices.Delete nils the vacated slot, so the shortened list's
+		// backing array pins nothing.
+		c.liveBySlice[inst.Slice] = slices.Delete(live, i, i+1)
 	}
+	inst.detached = true
+	c.maybeFree(inst)
+}
+
+// ReleaseInstance drops the pin NewInstance took for the helper context:
+// the context died, was squashed, or was reaped. The caller must not use
+// inst afterwards.
+func (c *Correlator) ReleaseInstance(inst *Instance) { c.unpin(inst) }
+
+// ReleasePred drops the pin Allocate or Lookup took for the caller's
+// handle on p (the PGI or the consuming branch left the pipeline). The
+// caller must not use p afterwards.
+func (c *Correlator) ReleasePred(p *Pred) { c.unpin(p.inst) }
+
+func (c *Correlator) unpin(inst *Instance) {
+	if inst.pins <= 0 {
+		panic(fmt.Sprintf("slicehw: instance %d released more often than pinned", inst.ID))
+	}
+	inst.pins--
+	c.maybeFree(inst)
+}
+
+// maybeFree recycles a detached, unpinned instance and every prediction
+// it allocated.
+func (c *Correlator) maybeFree(inst *Instance) {
+	if !inst.detached || inst.pins > 0 {
+		return
+	}
+	for _, p := range inst.entries {
+		*p = Pred{}
+		c.freePreds = append(c.freePreds, p)
+	}
+	clear(inst.entries)
+	*inst = Instance{entries: inst.entries[:0]}
+	c.freeInsts = append(c.freeInsts, inst)
 }
 
 func (c *Correlator) removePred(p *Pred) {
@@ -201,11 +284,8 @@ func (c *Correlator) removePred(p *Pred) {
 	if q == nil {
 		return
 	}
-	for i, e := range q.entries {
-		if e == p {
-			q.entries = append(q.entries[:i:i], q.entries[i+1:]...)
-			return
-		}
+	if i := slices.Index(q.entries, p); i >= 0 {
+		q.entries = slices.Delete(q.entries, i, i+1)
 	}
 }
 
@@ -221,7 +301,8 @@ func (c *Correlator) CanAllocate(branchPC uint64) bool {
 // Allocate creates an Empty entry for branchPC on behalf of inst (PGI
 // fetch). It returns nil when the branch queue is full or the instance is
 // gone; the prediction is then simply dropped, like a CAM allocation
-// failure in hardware.
+// failure in hardware. A returned entry is pinned for the caller until
+// ReleasePred.
 func (c *Correlator) Allocate(inst *Instance, branchPC uint64) *Pred {
 	if inst.Done() {
 		return nil
@@ -231,7 +312,12 @@ func (c *Correlator) Allocate(inst *Instance, branchPC uint64) *Pred {
 		c.Stats.QueueFull++
 		return nil
 	}
-	p := &Pred{BranchPC: branchPC, inst: inst}
+	p := pop(&c.freePreds)
+	if p == nil {
+		p = &Pred{}
+	}
+	p.BranchPC, p.inst = branchPC, inst
+	inst.pins++
 	q.entries = append(q.entries, p)
 	inst.entries = append(inst.entries, p)
 	c.Stats.Generated++
@@ -289,7 +375,7 @@ func (c *Correlator) Fill(p *Pred, dir bool) FillResult {
 //
 // It returns the matched entry (nil if none), the direction the fetch
 // should use, and whether the correlator overrode the conventional
-// predictor.
+// predictor. A matched entry is pinned for the caller until ReleasePred.
 func (c *Correlator) Lookup(branchPC uint64, fallbackDir bool, consumer any) (p *Pred, dir bool, override bool) {
 	q := c.queues[branchPC]
 	if q == nil {
@@ -310,6 +396,7 @@ func (c *Correlator) Lookup(branchPC uint64, fallbackDir bool, consumer any) (p 
 		}
 		e.Used = true
 		e.Consumer = consumer
+		e.inst.pins++
 		if e.Filled {
 			e.UsedDir = e.Dir
 			c.Stats.Overrides++
@@ -362,6 +449,8 @@ func (c *Correlator) RedirectUse(p *Pred, dir bool) {
 }
 
 // KillRecord captures everything one kill instruction did, for exact undo.
+// It pins every instance it names, directly or through a prediction, until
+// CommitKill or UndoKill consumes it and returns it to the free list.
 type KillRecord struct {
 	Preds []*Pred // entries this kill marked
 	// skipInst is the instance whose first-iteration exemption this kill
@@ -397,9 +486,12 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 	}
 	if inst.skipLoopKill > 0 {
 		inst.skipLoopKill--
-		return &KillRecord{skipInst: inst, slice: s}
+		rec := c.newRecord(s)
+		rec.skipInst = inst
+		c.pinRecord(rec)
+		return rec
 	}
-	rec := &KillRecord{slice: s}
+	rec := c.newRecord(s)
 	for _, bpc := range s.CoveredBranchPCs() {
 		q := c.queues[bpc]
 		if q == nil {
@@ -420,10 +512,12 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 			}
 		}
 	}
-	if len(rec.Preds) == 0 && rec.skipInst == nil {
+	if len(rec.Preds) == 0 {
 		c.Stats.KillNoTarget++
+		c.freeRecord(rec)
 		return nil
 	}
+	c.pinRecord(rec)
 	return rec
 }
 
@@ -434,7 +528,7 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 // ahead) are spared once. Finishing every live instance is what lets the
 // correlator re-align itself after squash/replay churn leaves a backlog.
 func (c *Correlator) KillSlice(s *Slice) *KillRecord {
-	rec := &KillRecord{slice: s}
+	rec := c.newRecord(s)
 	for _, inst := range c.liveBySlice[s] {
 		if inst.finished {
 			continue
@@ -459,12 +553,85 @@ func (c *Correlator) KillSlice(s *Slice) *KillRecord {
 	}
 	if len(rec.finishedInsts) == 0 && len(rec.skipSliceInsts) == 0 {
 		c.Stats.KillNoTarget++
+		c.freeRecord(rec)
 		return nil
 	}
+	c.pinRecord(rec)
 	return rec
 }
 
-// UndoKill reverses a kill record (the killer was squashed).
+// newRecord takes an empty kill record for slice s off the free list.
+func (c *Correlator) newRecord(s *Slice) *KillRecord {
+	rec := pop(&c.freeRecs)
+	if rec == nil {
+		rec = &KillRecord{}
+	}
+	rec.slice = s
+	return rec
+}
+
+// pop takes the most recently freed object off a free list, or returns
+// nil when the list is empty. The vacated slot is nil'd so the list pins
+// nothing it no longer holds.
+func pop[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	x := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return x
+}
+
+// pinRecord pins every instance rec names, once per reference;
+// unpinRecord drops exactly the same pins.
+func (c *Correlator) pinRecord(rec *KillRecord) {
+	for _, p := range rec.Preds {
+		p.inst.pins++
+	}
+	if rec.skipInst != nil {
+		rec.skipInst.pins++
+	}
+	for _, inst := range rec.skipSliceInsts {
+		inst.pins++
+	}
+	for _, inst := range rec.finishedInsts {
+		inst.pins++
+	}
+}
+
+func (c *Correlator) unpinRecord(rec *KillRecord) {
+	for _, p := range rec.Preds {
+		c.unpin(p.inst)
+	}
+	if rec.skipInst != nil {
+		c.unpin(rec.skipInst)
+	}
+	for _, inst := range rec.skipSliceInsts {
+		c.unpin(inst)
+	}
+	for _, inst := range rec.finishedInsts {
+		c.unpin(inst)
+	}
+}
+
+// freeRecord scrubs a consumed record, keeping its slices' backing arrays,
+// and returns it to the free list.
+func (c *Correlator) freeRecord(rec *KillRecord) {
+	clear(rec.Preds)
+	clear(rec.skipSliceInsts)
+	clear(rec.finishedInsts)
+	*rec = KillRecord{
+		Preds:          rec.Preds[:0],
+		skipSliceInsts: rec.skipSliceInsts[:0],
+		finishedInsts:  rec.finishedInsts[:0],
+	}
+	c.freeRecs = append(c.freeRecs, rec)
+}
+
+// UndoKill reverses a kill record (the killer was squashed) and recycles
+// it: the caller must not use rec afterwards.
 func (c *Correlator) UndoKill(rec *KillRecord) {
 	if rec == nil {
 		return
@@ -483,11 +650,14 @@ func (c *Correlator) UndoKill(rec *KillRecord) {
 		inst.finished = false
 		c.emit(stats.Event{Kind: stats.EvUndoKill, Slice: rec.slice.Index, Inst: int(inst.ID), Level: "slice"})
 	}
+	c.unpinRecord(rec)
+	c.freeRecord(rec)
 }
 
 // CommitKill physically deallocates killed entries once the killer
 // retires (predictions are "not deallocated until the kill instruction
-// retires", §5.2).
+// retires", §5.2), then recycles rec: the caller must not use it
+// afterwards.
 func (c *Correlator) CommitKill(rec *KillRecord) {
 	if rec == nil {
 		return
@@ -497,14 +667,10 @@ func (c *Correlator) CommitKill(rec *KillRecord) {
 	}
 	for _, inst := range rec.finishedInsts {
 		// The instance's bookkeeping can go once its entries are gone.
-		live := c.liveBySlice[rec.slice]
-		for i, li := range live {
-			if li == inst {
-				c.liveBySlice[rec.slice] = append(live[:i:i], live[i+1:]...)
-				break
-			}
-		}
+		c.detach(inst)
 	}
+	c.unpinRecord(rec)
+	c.freeRecord(rec)
 }
 
 // LiveList returns the unfinished instances of s, oldest first (debugging).

@@ -7,11 +7,34 @@ import (
 
 // TestFuzzCorrelatorInvariants drives the correlator with random but
 // legally-shaped operation sequences — allocations, fills, lookups, kills,
-// and undo of any of them in reverse order — and checks the structural
-// invariants the CPU relies on.
+// undo of any of them in reverse order, in-order commit, and helper
+// reaping — and checks the structural invariants the CPU relies on after
+// every operation. Across the fixed seeds the pools must actually recycle:
+// kill records consumed by UndoKill and predictions whose use was undone
+// come back off the free lists and pass CheckInvariants again.
 func TestFuzzCorrelatorInvariants(t *testing.T) {
+	var total fuzzCoverage
 	for seed := int64(0); seed < 40; seed++ {
-		runCorrelatorInvariants(t, seed)
+		total.add(runCorrelatorInvariants(t, seed))
+	}
+	if total.undoKills == 0 || total.undoUses == 0 || total.reusedRecs == 0 ||
+		total.reusedPreds == 0 || total.reusedInsts == 0 {
+		t.Fatalf("seeds never exercised kill → squash → undo → reuse: %+v", total)
+	}
+}
+
+// reuseSeeds are PRNG seeds whose single run drives the whole recycling
+// chain: a kill undone by a squash, a use undone by a squash, and kill
+// records, predictions and instances later taken back off the free lists
+// (TestReuseSeedsCoverRecycling keeps them honest).
+var reuseSeeds = []int64{8, 12, 17, 20}
+
+// TestReuseSeedsCoverRecycling pins the fuzz corpus's recycling seeds.
+func TestReuseSeedsCoverRecycling(t *testing.T) {
+	for _, seed := range reuseSeeds {
+		if cov := runCorrelatorInvariants(t, seed); !cov.fullChain() {
+			t.Errorf("seed %d no longer drives the recycling chain: %+v", seed, cov)
+		}
 	}
 }
 
@@ -22,10 +45,37 @@ func FuzzCorrelatorInvariants(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
 	}
+	for _, seed := range reuseSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, seed int64) { runCorrelatorInvariants(t, seed) })
 }
 
-func runCorrelatorInvariants(t testing.TB, seed int64) {
+// fuzzCoverage counts the recycling paths one run exercised.
+type fuzzCoverage struct {
+	undoKills, undoUses                  int
+	reusedRecs, reusedPreds, reusedInsts int
+}
+
+func (a *fuzzCoverage) add(b fuzzCoverage) {
+	a.undoKills += b.undoKills
+	a.undoUses += b.undoUses
+	a.reusedRecs += b.reusedRecs
+	a.reusedPreds += b.reusedPreds
+	a.reusedInsts += b.reusedInsts
+}
+
+func (a fuzzCoverage) fullChain() bool {
+	return a.undoKills > 0 && a.undoUses > 0 && a.reusedRecs > 0 && a.reusedPreds > 0 && a.reusedInsts > 0
+}
+
+// runCorrelatorInvariants models the CPU's protocol: the action stack is
+// the in-flight window in fetch order, a squash undoes a suffix youngest
+// first, a commit retires a prefix oldest first, and every handle the
+// correlator hands out is released exactly once — the helper context's
+// instance when it is squashed or reaped, a prediction when its PGI or
+// consumer leaves the window, a kill record when it commits or is undone.
+func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 	const branchA, branchB = 0x2000, 0x2020
 	rng := rand.New(rand.NewSource(seed))
 	s := &Slice{
@@ -41,47 +91,69 @@ func runCorrelatorInvariants(t testing.TB, seed int64) {
 	}
 	c := NewCorrelator(8)
 
+	// helper is one helper context; alive while it holds its instance pin.
+	type helper struct {
+		inst  *Instance
+		alive bool
+	}
 	type undoable struct {
-		kind string
-		pred *Pred
-		rec  *KillRecord
-		inst *Instance
+		kind     string
+		pred     *Pred
+		rec      *KillRecord
+		h        *helper
+		consumer int
 	}
 	var stack []undoable
-	var live []*Instance
+	var helpers []*helper // alive helpers
+	var cov fuzzCoverage
+
+	dropHelper := func(h *helper) {
+		h.alive = false
+		for k, x := range helpers {
+			if x == h {
+				helpers = append(helpers[:k], helpers[k+1:]...)
+				break
+			}
+		}
+	}
+	randBranch := func() uint64 {
+		if rng.Intn(2) == 0 {
+			return branchB
+		}
+		return branchA
+	}
 
 	for op := 0; op < 400; op++ {
-		switch rng.Intn(10) {
+		freeRecs, freePreds, freeInsts := len(c.freeRecs), len(c.freePreds), len(c.freeInsts)
+		switch rng.Intn(12) {
 		case 0, 1: // fork
-			inst := c.NewInstance(s)
-			live = append(live, inst)
-			stack = append(stack, undoable{kind: "fork", inst: inst})
+			h := &helper{inst: c.NewInstance(s), alive: true}
+			helpers = append(helpers, h)
+			stack = append(stack, undoable{kind: "fork", h: h})
+			if len(c.freeInsts) < freeInsts {
+				cov.reusedInsts++
+			}
 		case 2, 3: // allocate
-			if len(live) == 0 {
+			if len(helpers) == 0 {
 				continue
 			}
-			inst := live[rng.Intn(len(live))]
-			bpc := uint64(branchA)
-			if rng.Intn(2) == 0 {
-				bpc = branchB
-			}
-			if p := c.Allocate(inst, bpc); p != nil {
+			h := helpers[rng.Intn(len(helpers))]
+			if p := c.Allocate(h.inst, randBranch()); p != nil {
 				stack = append(stack, undoable{kind: "alloc", pred: p})
+				if len(c.freePreds) < freePreds {
+					cov.reusedPreds++
+				}
 			}
-		case 4: // fill a random entry
-			if len(live) == 0 {
+		case 4: // fill a random entry of a live helper's instance
+			if len(helpers) == 0 {
 				continue
 			}
-			inst := live[rng.Intn(len(live))]
-			if es := inst.Entries(); len(es) > 0 {
+			h := helpers[rng.Intn(len(helpers))]
+			if es := h.inst.Entries(); len(es) > 0 {
 				c.Fill(es[rng.Intn(len(es))], rng.Intn(2) == 0)
 			}
-		case 5, 6: // lookup
-			bpc := uint64(branchA)
-			if rng.Intn(2) == 0 {
-				bpc = branchB
-			}
-			p, _, override := c.Lookup(bpc, rng.Intn(2) == 0, op)
+		case 5: // lookup
+			p, _, override := c.Lookup(randBranch(), rng.Intn(2) == 0, op)
 			if p != nil {
 				if p.Killed {
 					t.Fatalf("seed %d: matched a killed entry", seed)
@@ -89,17 +161,23 @@ func runCorrelatorInvariants(t testing.TB, seed int64) {
 				if override && !p.Filled {
 					t.Fatalf("seed %d: override from an unfilled entry", seed)
 				}
-				stack = append(stack, undoable{kind: "use", pred: p})
+				stack = append(stack, undoable{kind: "use", pred: p, consumer: op})
 			}
-		case 7: // loop kill
+		case 6: // loop kill
 			if rec := c.KillLoop(s); rec != nil {
 				stack = append(stack, undoable{kind: "kill", rec: rec})
+				if len(c.freeRecs) < freeRecs {
+					cov.reusedRecs++
+				}
 			}
-		case 8: // slice kill
+		case 7: // slice kill
 			if rec := c.KillSlice(s); rec != nil {
 				stack = append(stack, undoable{kind: "kill", rec: rec})
+				if len(c.freeRecs) < freeRecs {
+					cov.reusedRecs++
+				}
 			}
-		case 9: // squash: undo a random suffix of the action stack
+		case 8, 9: // squash: undo a random suffix of the window
 			if len(stack) == 0 {
 				continue
 			}
@@ -109,43 +187,83 @@ func runCorrelatorInvariants(t testing.TB, seed int64) {
 				stack = stack[:len(stack)-1]
 				switch u.kind {
 				case "fork":
-					c.RemoveInstance(u.inst)
-					for k, li := range live {
-						if li == u.inst {
-							live = append(live[:k], live[k+1:]...)
-							break
-						}
+					// A reaped helper is not squashed again (the CPU's
+					// squashHelper skips dead contexts).
+					if u.h.alive {
+						c.RemoveInstance(u.h.inst)
+						c.ReleaseInstance(u.h.inst)
+						dropHelper(u.h)
 					}
 				case "alloc":
 					c.UndoAllocate(u.pred)
+					c.ReleasePred(u.pred)
 				case "use":
 					c.UndoUse(u.pred)
+					c.ReleasePred(u.pred)
+					cov.undoUses++
 				case "kill":
 					c.UndoKill(u.rec)
+					cov.undoKills++
+				}
+			}
+		case 10: // commit: retire a random prefix of the window
+			if len(stack) == 0 {
+				continue
+			}
+			n := 1 + rng.Intn(len(stack))
+			for _, u := range stack[:n] {
+				switch u.kind {
+				case "alloc":
+					c.ReleasePred(u.pred)
+				case "use":
+					c.DropConsumer(u.pred, u.consumer)
+					c.ReleasePred(u.pred)
+				case "kill":
+					c.CommitKill(u.rec)
+				}
+			}
+			stack = append(stack[:0], stack[n:]...)
+		case 11: // reap a helper whose fork has committed
+			for _, h := range helpers {
+				forkInFlight := false
+				for _, u := range stack {
+					if u.kind == "fork" && u.h == h {
+						forkInFlight = true
+						break
+					}
+				}
+				if !forkInFlight {
+					c.ReleaseInstance(h.inst)
+					dropHelper(h)
+					break
 				}
 			}
 		}
 
-		// Invariants after every operation.
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d, op %d: %v", seed, op, err)
+		}
 		for _, bpc := range []uint64{branchA, branchB} {
-			if n := c.QueueLen(bpc); n > 8 {
-				t.Fatalf("seed %d: queue %#x overflows: %d", seed, bpc, n)
-			}
 			if c.PendingFor(bpc) > c.QueueLen(bpc) {
 				t.Fatal("pending exceeds queue length")
 			}
 		}
 	}
 
-	// Drain: kill everything, commit, and the queues must empty.
+	// Drain: kill everything, then tear down every live helper (the
+	// squash-time cleanup); the queues must empty.
 	for c.KillSlice(s) != nil {
 	}
-	// Commit by removing all live instances (the CPU would CommitKill;
-	// RemoveInstance is the stronger cleanup used on squash).
-	for _, inst := range live {
-		c.RemoveInstance(inst)
+	for _, h := range append([]*helper(nil), helpers...) {
+		c.RemoveInstance(h.inst)
+		c.ReleaseInstance(h.inst)
+		dropHelper(h)
 	}
 	if c.PendingFor(branchA) != 0 || c.PendingFor(branchB) != 0 {
 		t.Fatalf("seed %d: pending entries after teardown", seed)
 	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("seed %d, after teardown: %v", seed, err)
+	}
+	return cov
 }

@@ -18,8 +18,38 @@ import "fmt"
 //     the queues);
 //   - live-list consistency: liveBySlice holds only non-removed instances
 //     of the keyed slice, and every entry of a live instance points back
-//     at it.
+//     at it;
+//   - pool hygiene: every object on a free list is scrubbed, no queue or
+//     live list reaches a pooled prediction or instance, and every live
+//     instance is undetached.
 func (c *Correlator) CheckInvariants() error {
+	freePred := make(map[*Pred]bool, len(c.freePreds))
+	for i, p := range c.freePreds {
+		if p == nil || *p != (Pred{}) {
+			return fmt.Errorf("slicehw: free prediction %d is not scrubbed", i)
+		}
+		if freePred[p] {
+			return fmt.Errorf("slicehw: prediction on the free list twice")
+		}
+		freePred[p] = true
+	}
+	freeInst := make(map[*Instance]bool, len(c.freeInsts))
+	for i, inst := range c.freeInsts {
+		if inst == nil || inst.ID != 0 || inst.Slice != nil || inst.pins != 0 || inst.detached ||
+			inst.finished || inst.removed || len(inst.entries) != 0 || inst.Debug != nil {
+			return fmt.Errorf("slicehw: free instance %d is not scrubbed", i)
+		}
+		if freeInst[inst] {
+			return fmt.Errorf("slicehw: instance on the free list twice")
+		}
+		freeInst[inst] = true
+	}
+	for i, rec := range c.freeRecs {
+		if rec == nil || len(rec.Preds) != 0 || rec.skipInst != nil || len(rec.skipSliceInsts) != 0 ||
+			len(rec.finishedInsts) != 0 || rec.slice != nil {
+			return fmt.Errorf("slicehw: free kill record %d is not scrubbed", i)
+		}
+	}
 	for pc, q := range c.queues {
 		if q.branchPC != pc {
 			return fmt.Errorf("slicehw: queue keyed %#x claims branch %#x", pc, q.branchPC)
@@ -39,6 +69,9 @@ func (c *Correlator) CheckInvariants() error {
 			}
 			if e.Consumer != nil && !e.Used {
 				return fmt.Errorf("slicehw: queue %#x entry %d has a consumer bound but is not Used", pc, i)
+			}
+			if freePred[e] {
+				return fmt.Errorf("slicehw: queue %#x entry %d is on the free list", pc, i)
 			}
 			if e.inst == nil {
 				return fmt.Errorf("slicehw: queue %#x entry %d has no instance", pc, i)
@@ -63,11 +96,17 @@ func (c *Correlator) CheckInvariants() error {
 			if inst.removed {
 				return fmt.Errorf("slicehw: removed instance %d still in the live list of slice %d", inst.ID, s.Index)
 			}
+			if freeInst[inst] || inst.detached {
+				return fmt.Errorf("slicehw: live instance %d of slice %d is pooled or detached", inst.ID, s.Index)
+			}
 			if inst.Slice != s {
 				return fmt.Errorf("slicehw: instance %d listed under slice %d but belongs to slice %d",
 					inst.ID, s.Index, inst.Slice.Index)
 			}
 			for j, p := range inst.entries {
+				if freePred[p] {
+					return fmt.Errorf("slicehw: instance %d entry %d is on the free list", inst.ID, j)
+				}
 				if p.inst != inst {
 					return fmt.Errorf("slicehw: instance %d entry %d points at instance %d", inst.ID, j, p.inst.ID)
 				}

@@ -14,6 +14,7 @@ package slicehw
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -77,16 +78,28 @@ type Slice struct {
 	// (instructions total, and inside the loop).
 	StaticSize int
 	LoopSize   int
+
+	// coveredBranches caches CoveredBranchPCs; NewTable fills it, so the
+	// loop kill on the hot fetch path never rebuilds the list.
+	coveredBranches []uint64
 }
 
 // CoveredBranchPCs returns the distinct problem branches this slice
-// predicts, in PGI order.
+// predicts, in PGI order. For a slice in a Table the list is computed once
+// by NewTable and shared: callers must not modify it.
 func (s *Slice) CoveredBranchPCs() []uint64 {
+	if s.coveredBranches != nil {
+		return s.coveredBranches
+	}
+	return coveredBranchPCs(s.PGIs)
+}
+
+// coveredBranchPCs lists the distinct BranchPCs of pgis in order. Slices
+// carry a handful of PGIs, so a linear duplicate scan beats a set.
+func coveredBranchPCs(pgis []PGI) []uint64 {
 	var out []uint64
-	seen := make(map[uint64]bool)
-	for _, p := range s.PGIs {
-		if !seen[p.BranchPC] {
-			seen[p.BranchPC] = true
+	for _, p := range pgis {
+		if !slices.Contains(out, p.BranchPC) {
 			out = append(out, p.BranchPC)
 		}
 	}
@@ -136,6 +149,7 @@ func NewTable(slices []*Slice) (*Table, error) {
 			return nil, fmt.Errorf("slicehw: slice %q missing fork or slice PC", s.Name)
 		}
 		s.Index = i
+		s.coveredBranches = coveredBranchPCs(s.PGIs)
 		t.forkAt[s.ForkPC] = append(t.forkAt[s.ForkPC], s)
 		if s.LoopKillPC != 0 {
 			t.loopKillAt[s.LoopKillPC] = append(t.loopKillAt[s.LoopKillPC], s)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // TestVPRSliceMatchesFigure5 locks the vpr slice to the paper's Figure 5
@@ -92,7 +93,10 @@ func TestSliceDisassemblyGolden(t *testing.T) {
 // TestWorkloadDataDeterminism: two fresh memories must be identical.
 func TestWorkloadDataDeterminism(t *testing.T) {
 	for _, w := range All() {
-		m1, m2 := w.NewMemory(), w.NewMemory()
+		// NewMemory clones the image InitMem built once; running InitMem
+		// again on a fresh memory must reproduce it.
+		m1, m2 := w.NewMemory(), mem.New()
+		w.InitMem(m2)
 		if m1.Footprint() != m2.Footprint() {
 			t.Errorf("%s: nondeterministic footprint", w.Name)
 		}

@@ -41,9 +41,11 @@ const (
 // point, and its speculative slices.
 //
 // Concurrency: a single *Workload may back many simultaneously running
-// cores. Image, Slices, and the memoized slice table are immutable after
+// cores, and All and ByName hand every caller the same process-wide
+// instance. Image, Slices, and the memoized slice table are immutable after
 // construction and safe to share; per-run mutable state (the memory) is
-// created fresh by NewMemory for every run.
+// created fresh by NewMemory for every run, as a copy-on-write view of an
+// initial image that is built once and never written.
 type Workload struct {
 	Name        string
 	Description string
@@ -63,15 +65,23 @@ type Workload struct {
 
 	tableOnce sync.Once
 	table     *slicehw.Table
+	memOnce   sync.Once
+	memImage  *mem.Snapshot
 }
 
-// NewMemory returns a freshly initialized memory for one run.
+// NewMemory returns a freshly initialized memory for one run. InitMem runs
+// once per Workload; every call then returns a copy-on-write clone of that
+// image, so a run copies only the pages it writes and concurrent runs
+// share the rest.
 func (w *Workload) NewMemory() *mem.Memory {
-	m := mem.New()
-	if w.InitMem != nil {
-		w.InitMem(m)
-	}
-	return m
+	w.memOnce.Do(func() {
+		m := mem.New()
+		if w.InitMem != nil {
+			w.InitMem(m)
+		}
+		w.memImage = m.Snapshot()
+	})
+	return mem.NewFromSnapshot(w.memImage)
 }
 
 // SliceTable returns the front-end slice/PGI table for this workload,
@@ -84,23 +94,41 @@ func (w *Workload) SliceTable() *slicehw.Table {
 	return w.table
 }
 
-// All returns every workload, in the paper's Table 2 order.
-func All() []*Workload {
-	return []*Workload{
-		Bzip2(), Crafty(), Eon(), Gap(), Gcc(), Gzip(),
-		Mcf(), Parser(), Perl(), Twolf(), Vortex(), VPR(),
-	}
+var (
+	sharedOnce sync.Once
+	shared     []*Workload
+)
+
+// sharedAll builds every workload once per process. Sharing is what makes
+// the per-Workload memoization pay: the engine resolves each simulation's
+// workload by name, and a fresh Workload per run would rebuild its image,
+// slice table and initial memory every time.
+func sharedAll() []*Workload {
+	sharedOnce.Do(func() {
+		shared = []*Workload{
+			Bzip2(), Crafty(), Eon(), Gap(), Gcc(), Gzip(),
+			Mcf(), Parser(), Perl(), Twolf(), Vortex(), VPR(),
+		}
+	})
+	return shared
 }
 
-// ByName finds a workload.
+// All returns every workload, in the paper's Table 2 order. The workloads
+// are the shared process-wide instances (see Workload); callers must not
+// modify them.
+func All() []*Workload {
+	return append([]*Workload(nil), sharedAll()...)
+}
+
+// ByName finds a workload, returning its shared process-wide instance.
 func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
+	for _, w := range sharedAll() {
 		if w.Name == name {
 			return w, nil
 		}
 	}
 	var names []string
-	for _, w := range All() {
+	for _, w := range sharedAll() {
 		names = append(names, w.Name)
 	}
 	sort.Strings(names)

@@ -223,3 +223,38 @@ func TestSliceMetadataComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestNewMemoryCopyOnWrite pins the shared-image contract: All and ByName
+// hand out one process-wide instance per workload, and NewMemory's clones
+// of its initial image are independent — a write to one clone is
+// invisible to the others and to clones made later.
+func TestNewMemoryCopyOnWrite(t *testing.T) {
+	w, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := ByName("mcf"); again != w {
+		t.Fatal("ByName returned a second instance")
+	}
+	found := false
+	for _, x := range All() {
+		found = found || x == w
+	}
+	if !found {
+		t.Fatal("All and ByName returned different instances")
+	}
+
+	m1, m2 := w.NewMemory(), w.NewMemory()
+	const addr = DataBase
+	if !m1.Mapped(addr) {
+		t.Fatalf("mcf's image does not map %#x", addr)
+	}
+	orig := m1.ReadU64(addr)
+	m1.WriteU64(addr, ^orig)
+	if got := m2.ReadU64(addr); got != orig {
+		t.Errorf("write to one clone leaked into a sibling: %#x, want %#x", got, orig)
+	}
+	if got := w.NewMemory().ReadU64(addr); got != orig {
+		t.Errorf("write to one clone leaked into the shared image: %#x, want %#x", got, orig)
+	}
+}
