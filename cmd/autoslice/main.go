@@ -9,43 +9,31 @@
 //	autoslice -workload crafty            closed loop on one workload
 //	autoslice -workload all               every workload
 //	autoslice -workload eon -print        also disassemble the candidates
-//	autoslice -workload eon -auto=false   legacy one-shot (no validation)
 //
 // The closed loop always validates every candidate run against the
 // functional model; -oracle additionally validates the baseline and
-// hand-slice reference legs. The legacy -auto=false path builds exactly
-// one slice from the top-ranked fork point and reports its measured
-// effect without oracle validation — useful for poking at the
-// constructor itself.
+// hand-slice reference legs. The table reports the accepted
+// configuration's accuracy and speedup, each rejected candidate gets a
+// line with its fork PC, accuracy, and speedup, and -print lists every
+// candidate's fork PC, size, live-ins, and PGI count with its code.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
-	"repro/internal/asm"
-	"repro/internal/autoslice"
-	"repro/internal/cpu"
 	"repro/internal/harness"
-	"repro/internal/profile"
-	"repro/internal/slicehw"
 	"repro/internal/workloads"
 )
 
 func main() {
 	var (
 		name   = flag.String("workload", "crafty", "workload to slice, or \"all\"")
-		auto   = flag.Bool("auto", true, "run the full closed loop (profile → cluster → build → validate → accept)")
 		print  = flag.Bool("print", false, "print the generated slice code")
-		scale  = flag.Float64("scale", 1.0, "region scale factor (closed loop)")
+		scale  = flag.Float64("scale", 1.0, "region scale factor")
 		jobs   = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		useOrc = flag.Bool("oracle", true, "also oracle-validate the baseline/hand reference legs")
-		trace  = flag.Int("trace", 80_000, "trace length for construction (legacy one-shot)")
-		lead   = flag.String("lead", "25,90", "min,max fork lead in dynamic instructions (legacy one-shot)")
-		region = flag.Uint64("run", 0, "measured instructions (legacy one-shot; default: workload suggestion)")
 	)
 	flag.Parse()
 
@@ -60,14 +48,7 @@ func main() {
 		ws = []*workloads.Workload{w}
 	}
 
-	if *auto {
-		closedLoop(ws, *scale, *jobs, *useOrc, *print)
-		return
-	}
-	if *name == "all" {
-		fail(fmt.Errorf("-auto=false runs one workload at a time; pick one with -workload"))
-	}
-	oneShot(ws[0], *trace, *lead, *region, *print)
+	closedLoop(ws, *scale, *jobs, *useOrc, *print)
 }
 
 // closedLoop runs the full pipeline through the shared experiment engine
@@ -86,8 +67,8 @@ func closedLoop(ws []*workloads.Workload, scale float64, jobs int, useOrc, print
 	if print {
 		for _, b := range builds {
 			for _, bu := range b.Builts {
-				fmt.Printf("\n%s (fork %#x, %d instructions, live-ins %v):\n",
-					bu.Slice.Name, bu.Slice.ForkPC, bu.Slice.StaticSize, bu.Slice.LiveIns)
+				fmt.Printf("\n%s (fork %#x, %d instructions, live-ins %v, %d PGIs):\n",
+					bu.Slice.Name, bu.Slice.ForkPC, bu.Slice.StaticSize, bu.Slice.LiveIns, len(bu.Slice.PGIs))
 				fmt.Print(bu.Program.Disasm())
 			}
 		}
@@ -103,110 +84,6 @@ func closedLoop(ws []*workloads.Workload, scale float64, jobs int, useOrc, print
 	if validated == 0 {
 		os.Exit(2)
 	}
-}
-
-// oneShot is the legacy single-candidate path: profile, pick the
-// top-ranked fork point, build one slice, and measure it — no clustering,
-// no repair, no oracle.
-func oneShot(w *workloads.Workload, traceLen int, lead string, region uint64, print bool) {
-	minLead, maxLead := parseLead(lead)
-
-	// 1. Profile: find the problem instructions (§2.2). Every problem
-	// branch is sliceable — non-zero-testing kinds (BLT/BGE/BLE/BGT) get
-	// their guard recomputed from the compare producer.
-	core := cpu.MustNew(cpu.Config4Wide(), w.Image, w.NewMemory(), w.Entry, nil)
-	core.Run(w.SuggestedWarmup)
-	core.ResetStats()
-	runLen := w.SuggestedRun
-	if region > 0 {
-		runLen = region
-	}
-	s := core.Run(runLen)
-	prof := profile.Characterize(s, profile.DefaultOptions(runLen))
-	problemPCs := prof.ProblemPCs()
-	if len(problemPCs) == 0 {
-		fail(fmt.Errorf("no problem instructions found in %s", w.Name))
-	}
-	fmt.Printf("profiled %d problem PCs (%d loads, %d branches)\n",
-		len(problemPCs), len(prof.LoadPCs), len(prof.BranchPCs))
-
-	// 2. Trace and pick a fork point. PCs with no dynamic instance in the
-	// trace cannot be sliced; report them instead of dropping silently.
-	tr, err := autoslice.CollectTrace(w.Image, w.NewMemory(), w.Entry, traceLen)
-	if err != nil {
-		fail(err)
-	}
-	if _, skipped := autoslice.ClusterProblemPCs(tr, problemPCs, 50); len(skipped) > 0 {
-		fmt.Printf("skipped %d problem PCs with no instance in the %d-instruction trace:", len(skipped), traceLen)
-		for _, pc := range skipped {
-			fmt.Printf(" %#x", pc)
-		}
-		fmt.Println()
-	}
-	cands := autoslice.SelectForkPoint(tr, problemPCs, minLead, maxLead)
-	if len(cands) == 0 {
-		fail(fmt.Errorf("no fork candidates"))
-	}
-	fork := cands[0]
-	fmt.Printf("fork point %#x (coverage %.0f%%, purity %.0f%%, mean lead %.0f instructions)\n",
-		fork.PC, fork.Coverage*100, fork.Purity*100, fork.MeanLead)
-
-	// 3. Extract and emit the slice.
-	built, err := autoslice.Build(tr, fork.PC, problemPCs, autoslice.DefaultOptions())
-	if err != nil {
-		fail(err)
-	}
-	sl := built.Slice
-	fmt.Printf("slice: %d instructions, live-ins %v, %d PGIs, %d prefetch loads\n",
-		sl.StaticSize, sl.LiveIns, len(sl.PGIs), len(sl.CoveredLoadPCs))
-	if print {
-		fmt.Println()
-		fmt.Print(built.Program.Disasm())
-	}
-
-	// 4. Compare baseline vs auto-slice-assisted execution.
-	im, err := asm.NewImage(w.Image.Programs()[0], built.Program)
-	if err != nil {
-		fail(err)
-	}
-	run := func(table *slicehw.Table) *cpu.Core {
-		c := cpu.MustNew(cpu.Config4Wide(), im, w.NewMemory(), w.Entry, table)
-		c.Run(w.SuggestedWarmup)
-		c.ResetStats()
-		c.Run(runLen)
-		return c
-	}
-	base := run(nil)
-	auto := run(slicehw.MustTable([]*slicehw.Slice{sl}))
-
-	fmt.Printf("\nbaseline:   IPC %.3f, %d mispredictions, %d load misses\n",
-		base.S.IPC(), base.S.Mispredicts, base.S.LoadMisses)
-	fmt.Printf("auto slice: IPC %.3f, %d mispredictions, %d load misses\n",
-		auto.S.IPC(), auto.S.Mispredicts, auto.S.LoadMisses)
-	// A run cut short (or identical cycle counts) must not print NaN/Inf.
-	speedup := "n/a"
-	if base.S.Cycles > 0 && auto.S.Cycles > 0 {
-		speedup = fmt.Sprintf("%.1f%%", (float64(base.S.Cycles)/float64(auto.S.Cycles)-1)*100)
-	}
-	acc := "n/a"
-	if n := auto.S.PredsCorrect + auto.S.PredsIncorrect; n > 0 {
-		acc = fmt.Sprintf("%.1f%%", float64(auto.S.PredsCorrect)/float64(n)*100)
-	}
-	fmt.Printf("speedup %s; %d overrides at %s accuracy; %d early resolutions\n",
-		speedup, auto.S.PredsUsed, acc, auto.S.EarlyResolutions)
-}
-
-func parseLead(s string) (int, int) {
-	parts := strings.SplitN(s, ",", 2)
-	if len(parts) != 2 {
-		fail(fmt.Errorf("bad -lead %q", s))
-	}
-	lo, err1 := strconv.Atoi(parts[0])
-	hi, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil || lo <= 0 || hi <= lo {
-		fail(fmt.Errorf("bad -lead %q", s))
-	}
-	return lo, hi
 }
 
 func fail(err error) {

@@ -105,7 +105,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "log every simulation and the memo summary")
 		asJSON   = flag.Bool("json", false, "emit all tables/figures as one JSON document (ignores -exp)")
 		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
-		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional|functional-interp")
+		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional")
 		useOrc   = flag.Bool("oracle", false, "validate every run against the functional model (differential oracle)")
 		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
 		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")

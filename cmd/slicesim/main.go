@@ -6,6 +6,7 @@
 //	slicesim -workload vpr -slices -run 400000
 //	slicesim -workload mcf -wide8
 //	slicesim -workload gzip -disasm            # print program + slice code
+//	slicesim -workload gzip -top 5             # problem instructions (Table 2's row)
 //	slicesim -workload eon -slices -trace      # stream telemetry events as text
 //	slicesim -workload eon -trace -trace-format=jsonl -trace-out=events.jsonl
 //	slicesim -workload eon -trace -trace-format=chrome -trace-out=trace.json
@@ -102,13 +103,13 @@ func main() {
 		trace    = flag.Bool("trace", false, "stream telemetry events (implies -slices)")
 		traceFmt = flag.String("trace-format", "text", "trace sink: text, jsonl, or chrome")
 		traceOut = flag.String("trace-out", "", "trace output file (default stdout)")
-		top      = flag.Int("top", 0, "print the N static instructions with the most PDEs")
+		top      = flag.Int("top", 0, "print the problem-instruction summary and the N static instructions with the most PDEs")
 		perfect  = flag.Bool("perfect", false, "perfect branch prediction and caches (limit study)")
 		bpredFlg = flag.String("bpred", "", "direction predictor, name[:params] (e.g. yags, value, gshare:4096,10)")
 		ipredFlg = flag.String("ipred", "", "indirect target predictor, name[:params] (e.g. cascaded)")
 		asJSON   = flag.Bool("json", false, "emit the run's full counter snapshot as JSON")
 		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
-		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional|functional-interp")
+		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional")
 		useOrc   = flag.Bool("oracle", false, "validate the run against the functional model (differential oracle)")
 		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
 		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")
@@ -137,6 +138,12 @@ func main() {
 	}
 
 	if *multi != "" {
+		if bad := singleProgramFlagsSet(); len(bad) > 0 {
+			for _, name := range bad {
+				fmt.Fprintf(os.Stderr, "slicesim: -%s does not apply to -multiprog\n", name)
+			}
+			exit(1)
+		}
 		runMulti(*multi, *slices, *warmup, *run, *bpredFlg, *ipredFlg,
 			harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}, *orcOut, *asJSON)
 		return
@@ -268,23 +275,52 @@ func main() {
 		fmt.Printf("prefetch   %d slice prefetches, %d main misses covered\n", s.SlicePrefetches, s.MissesCovered)
 	}
 	if *top > 0 {
-		fmt.Printf("\ntop %d PDE contributors:\n", *top)
+		// The problem-instruction characterization of §2.2 on this run: with
+		// the default machine and regions it is Table 2's row for w.
+		r := profile.Characterize(s, profile.DefaultOptions(region))
+		fmt.Printf("\n%s: %d problem loads (%.0f%% of mem ops, %.0f%% of misses); "+
+			"%d problem branches (%.0f%% of branches, %.0f%% of mispredictions)\n",
+			w.Name, r.MemSI, r.MemFrac*100, r.MissCoverage*100,
+			r.BrSI, r.BrFrac*100, r.MispredCoverage*100)
+		fmt.Printf("top %d PDE contributors:\n", *top)
 		for _, st := range profile.TopOffenders(s, *top) {
-			kind := "load"
+			kind := "load  "
+			rate := st.MissRate()
 			if st.IsBranch {
 				kind = "branch"
+				rate = st.MispredictRate()
 			}
-			fmt.Printf("  %#08x %-6s execs=%-8d misses=%-6d mispredicts=%-6d\n",
-				st.PC, kind, st.Execs, st.Misses, st.Mispredicts)
+			fmt.Printf("  %#08x %s execs=%-8d PDEs=%-6d rate=%.1f%%\n",
+				st.PC, kind, st.Execs, st.Misses+st.Mispredicts, rate*100)
 		}
 	}
 }
 
+// singleProgramOnly names the flags that only the single-program path
+// honours: the co-schedule machine is always 4-wide with real predictors
+// and caches, cannot be checkpointed (its warm region runs inline), and
+// has no trace, profile, or disassembly output.
+var singleProgramOnly = map[string]bool{
+	"wide8": true, "perfect": true, "trace": true, "trace-format": true, "trace-out": true,
+	"top": true, "disasm": true, "checkpoint-dir": true, "warm": true,
+}
+
+// singleProgramFlagsSet returns the single-program-only flags given on the
+// command line, in name order.
+func singleProgramFlagsSet() []string {
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		if singleProgramOnly[f.Name] {
+			set = append(set, f.Name)
+		}
+	})
+	return set
+}
+
 // runMulti is the -multiprog mode: co-schedule several workloads on one
-// core (multi-programmed SMT) and report per-program statistics.
-// Multi-programmed cores cannot be checkpointed, so the warm region runs
-// inline and -checkpoint-dir/-warm do not apply; when the oracle is on it
-// observes the warm region too.
+// core (multi-programmed SMT) and report per-program statistics. The warm
+// region runs inline; when the oracle is on it observes the warm region
+// too.
 func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSpec string, o harness.OracleOptions, orcOut string, asJSON bool) {
 	var group []*workloads.Workload
 	for _, n := range strings.Split(list, ",") {

@@ -232,18 +232,11 @@ func (b *Builder) Call(label string) {
 	b.Raw(isa.Inst{Op: isa.CALL, Rd: isa.RA})
 }
 
-// CallR emits an indirect call through ra, writing the return address to
-// isa.RA.
-func (b *Builder) CallR(ra isa.Reg) { b.Raw(isa.Inst{Op: isa.CALLR, Rd: isa.RA, Ra: ra}) }
-
 // Jmp emits an indirect jump through ra.
 func (b *Builder) Jmp(ra isa.Reg) { b.Raw(isa.Inst{Op: isa.JMP, Ra: ra}) }
 
 // Ret emits a return through isa.RA.
 func (b *Builder) Ret() { b.Raw(isa.Inst{Op: isa.RET, Ra: isa.RA}) }
-
-// RetVia emits a return through an explicit register.
-func (b *Builder) RetVia(ra isa.Reg) { b.Raw(isa.Inst{Op: isa.RET, Ra: ra}) }
 
 // Fork emits an explicit fork instruction for slice index idx.
 func (b *Builder) Fork(idx int) { b.Raw(isa.Inst{Op: isa.FORK, Imm: int32(idx)}) }

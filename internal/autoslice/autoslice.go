@@ -120,9 +120,6 @@ func (s traceState) Store(addr uint64, size int, v uint64) bool { return s.m.Wri
 // Len returns the trace length.
 func (t *Trace) Len() int { return len(t.entries) }
 
-// Instances returns the dynamic instance count of pc.
-func (t *Trace) Instances(pc uint64) int { return len(t.byPC[pc]) }
-
 // --- Problem-PC clustering ---
 
 // ClusterProblemPCs groups problem PCs whose dynamic instances interleave

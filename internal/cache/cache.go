@@ -91,9 +91,6 @@ func MustCache(name string, sizeBytes, ways, lineBytes int) *Cache {
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
 
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return 1 << c.lineShift }
-
 func (c *Cache) set(addr uint64) []line {
 	idx := (addr >> c.lineShift) & uint64(c.sets-1)
 	return c.lines[int(idx)*c.ways : (int(idx)+1)*c.ways]

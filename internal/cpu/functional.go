@@ -41,10 +41,9 @@ func (f funcCtx) Store(addr uint64, size int, v uint64) bool { return f.m.Write(
 
 // RunFunctional executes the image architecturally — no pipeline, no
 // caches, no speculation. It is the reference model the out-of-order core
-// must match instruction-for-instruction, and the engine behind the
-// problem-instruction profiler's oracle counts. It runs on the compiled
-// engine (isa/compiled); RunFunctionalInterp is the decode-dispatch
-// interpreter it is differentially tested against.
+// must match instruction-for-instruction. It runs on the compiled engine
+// (isa/compiled); RunFunctionalInterp is the decode-dispatch interpreter
+// it is differentially tested against.
 func RunFunctional(image *asm.Image, m *mem.Memory, entry uint64, maxInsts uint64) (FuncState, error) {
 	var st FuncState
 	ma := compiled.NewMachine(compiled.Cached(image), m, entry)
@@ -66,8 +65,8 @@ func RunFunctional(image *asm.Image, m *mem.Memory, entry uint64, maxInsts uint6
 // RunFunctionalInterp is RunFunctional on the original decode-dispatch
 // interpreter (isa.Execute against the image, one lookup per
 // instruction). It is retained as the differential reference for the
-// compiled engine — equivalence tests and the functional-interp warm mode
-// run on it — and as the baseline leg of BenchmarkFunctionalExec.
+// compiled engine — the functional warm path's architectural-state test
+// runs against it — and as the baseline leg of BenchmarkFunctionalExec.
 func RunFunctionalInterp(image *asm.Image, m *mem.Memory, entry uint64, maxInsts uint64) (FuncState, error) {
 	var st FuncState
 	st.PC = entry

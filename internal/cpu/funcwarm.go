@@ -12,38 +12,6 @@ import (
 	"repro/internal/slicehw"
 )
 
-// funcEngine is the execution seam of the functional warm loop: one
-// architectural instruction per Step, with a full isa.Outcome. Both the
-// compiled engine (compiled.Machine) and the decode-dispatch interpreter
-// (interpEngine) satisfy it, so the two warm modes share the entire
-// structure-touching loop and can be diffed checkpoint-for-checkpoint.
-type funcEngine interface {
-	PC() uint64
-	Step(out *isa.Outcome) (isa.Op, error)
-}
-
-// interpEngine adapts image.At + isa.Execute to the funcEngine seam. It
-// is the differential reference for the compiled engine's warm path.
-type interpEngine struct {
-	image *asm.Image
-	ctx   funcCtx
-	pc    uint64
-}
-
-func (e *interpEngine) PC() uint64 { return e.pc }
-
-func (e *interpEngine) Step(out *isa.Outcome) (isa.Op, error) {
-	in, ok := e.image.At(e.pc)
-	if !ok {
-		return isa.NOP, &compiled.OffImageError{PC: e.pc}
-	}
-	isa.Execute(in, e.pc, &e.ctx, out)
-	if !out.Halt {
-		e.pc = out.NextPC(e.pc)
-	}
-	return in.Op, nil
-}
-
 // FunctionalWarm fast-forwards through a warm region without the detailed
 // pipeline: it executes instructions architecturally (one per cycle, on
 // the compiled engine) and touch-warms the structures whose contents
@@ -70,19 +38,6 @@ func (e *interpEngine) Step(out *isa.Outcome) (isa.Op, error) {
 //   - No slices run, so the correlator and fork-confidence table start the
 //     measurement cold (Restore accepts the nil states).
 func FunctionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, maxInsts uint64, sliceTable *slicehw.Table) (*Checkpoint, error) {
-	return functionalWarm(cfg, image, memory, entry, maxInsts, sliceTable, false)
-}
-
-// FunctionalWarmInterp is FunctionalWarm on the decode-dispatch
-// interpreter instead of the compiled engine. Given identical inputs the
-// two must produce byte-identical checkpoints (see the equivalence test);
-// it exists as the always-available differential reference for the
-// compiled warm path (warm mode "functional-interp").
-func FunctionalWarmInterp(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, maxInsts uint64, sliceTable *slicehw.Table) (*Checkpoint, error) {
-	return functionalWarm(cfg, image, memory, entry, maxInsts, sliceTable, true)
-}
-
-func functionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, maxInsts uint64, sliceTable *slicehw.Table, interp bool) (*Checkpoint, error) {
 	// Build the core first: it owns the hierarchy/predictor geometry the
 	// checkpoint must match, and its Quiesce drains the write buffer and
 	// in-flight prefetches the touch-warming leaves behind.
@@ -92,17 +47,8 @@ func functionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 	}
 
 	t := c.main
-	var (
-		eng funcEngine
-		ma  *compiled.Machine
-	)
-	if interp {
-		eng = &interpEngine{image: image, ctx: funcCtx{regs: &t.Regs, m: memory}, pc: entry}
-	} else {
-		ma = compiled.NewMachine(compiled.Cached(image), memory, entry)
-		ma.SetRegs(&t.Regs)
-		eng = ma
-	}
+	ma := compiled.NewMachine(compiled.Cached(image), memory, entry)
+	ma.SetRegs(&t.Regs)
 
 	var (
 		now     uint64
@@ -111,10 +57,10 @@ func functionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 		out     isa.Outcome
 	)
 	for retired < maxInsts {
-		pc := eng.PC()
+		pc := ma.PC()
 		now++
 		c.hier.FetchAccess(pc, now)
-		op, err := eng.Step(&out)
+		op, err := ma.Step(&out)
 		if err != nil {
 			return nil, fmt.Errorf("cpu: functional warm fell off the image at %#x after %d instructions", pc, retired)
 		}
@@ -137,16 +83,12 @@ func functionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 		switch {
 		case op.IsCondBranch():
 			// Mirror the detailed retire path: value-observing predictors see
-			// the tested value first, then the direction update. The interp
-			// engine shares t.Regs; the compiled machine keeps its own file,
-			// so read the register back through it.
+			// the tested value first, then the direction update. The
+			// machine keeps its own register file, so read the register
+			// back through it.
 			if c.dirVal != nil {
 				if in, ok := image.At(pc); ok {
-					v := t.Regs[in.Ra]
-					if ma != nil {
-						v = ma.Reg(in.Ra)
-					}
-					c.dirVal.ObserveValue(pc, condOf(op), v)
+					c.dirVal.ObserveValue(pc, condOf(op), ma.Reg(in.Ra))
 				}
 			}
 			c.dir.Update(pc, t.Hist, out.Taken)
@@ -172,13 +114,11 @@ func functionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 		}
 	}
 
-	if ma != nil {
-		ma.CopyRegs(&t.Regs)
-	}
+	ma.CopyRegs(&t.Regs)
 	c.now = now
 	c.progs[0].halted = halted
 	c.S.MainRetired = retired
-	t.PC = eng.PC()
+	t.PC = ma.PC()
 	t.Fetching = !halted
 	// Checkpoint quiesces first, which lands the in-flight fills and
 	// prefetch arrivals the touch loop queued.

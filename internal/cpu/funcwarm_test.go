@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -179,12 +178,13 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 	}
 }
 
-// TestFunctionalWarmCompiledVsInterp holds the two warm engines to
-// byte-identical checkpoints over random progen programs: the compiled
-// engine's warm path (FunctionalWarm) against the decode-dispatch
-// reference (FunctionalWarmInterp), with maxInsts cutting some programs
-// mid-flight.
-func TestFunctionalWarmCompiledVsInterp(t *testing.T) {
+// TestFunctionalWarmArchStateMatchesInterp is the warm path's end-to-end
+// architectural reference: over random progen programs, with maxInsts
+// cutting some of them mid-flight, the checkpoint FunctionalWarm takes on
+// the compiled engine must hold exactly the PC, registers, halt state,
+// retired count, and memory that the decode-dispatch interpreter
+// (RunFunctionalInterp) reaches on a fresh copy of the same memory.
+func TestFunctionalWarmArchStateMatchesInterp(t *testing.T) {
 	cfg := Config4Wide()
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -192,18 +192,28 @@ func TestFunctionalWarmCompiledVsInterp(t *testing.T) {
 		for _, maxInsts := range []uint64{137, 1 << 20} {
 			mc := mem.New()
 			init(mc)
-			ckC, err := FunctionalWarm(cfg, im, mc, entry, maxInsts, nil)
+			ck, err := FunctionalWarm(cfg, im, mc, entry, maxInsts, nil)
 			if err != nil {
-				t.Fatalf("seed %d max %d: compiled: %v", seed, maxInsts, err)
+				t.Fatalf("seed %d max %d: warm: %v", seed, maxInsts, err)
 			}
 			mi := mem.New()
 			init(mi)
-			ckI, err := FunctionalWarmInterp(cfg, im, mi, entry, maxInsts, nil)
+			ref, err := RunFunctionalInterp(im, mi, entry, maxInsts)
 			if err != nil {
 				t.Fatalf("seed %d max %d: interp: %v", seed, maxInsts, err)
 			}
-			if !bytes.Equal(ckC.EncodeBinary(), ckI.EncodeBinary()) {
-				t.Errorf("seed %d max %d: compiled and interp warm checkpoints differ", seed, maxInsts)
+			if ck.PC != ref.PC {
+				t.Errorf("seed %d max %d: PC %#x, interp %#x", seed, maxInsts, ck.PC, ref.PC)
+			}
+			if ck.Regs != ref.Regs {
+				t.Errorf("seed %d max %d: registers differ:\n warm   %v\n interp %v", seed, maxInsts, ck.Regs, ref.Regs)
+			}
+			if ck.MainHalted != ref.Halted || ck.WarmRetired != ref.Retired {
+				t.Errorf("seed %d max %d: halted=%t retired=%d, interp halted=%t retired=%d",
+					seed, maxInsts, ck.MainHalted, ck.WarmRetired, ref.Halted, ref.Retired)
+			}
+			if !ck.Mem.Equal(mi.Snapshot()) {
+				t.Errorf("seed %d max %d: memory differs from the interpreter's", seed, maxInsts)
 			}
 		}
 	}

@@ -38,12 +38,6 @@ const (
 	// (cpu.FunctionalWarm). Much faster, but only statistically close to
 	// detailed warm — see DESIGN.md for the documented tolerance.
 	WarmFunctional WarmMode = "functional"
-	// WarmFunctionalInterp is WarmFunctional on the retained decode-
-	// dispatch interpreter (cpu.FunctionalWarmInterp). It exists as the
-	// differential reference for the compiled engine: given identical
-	// inputs the two modes must produce byte-identical checkpoints, and
-	// the CI oracle sweep runs a leg on each.
-	WarmFunctionalInterp WarmMode = "functional-interp"
 )
 
 // ParseWarmMode parses a -warm flag value.
@@ -53,11 +47,9 @@ func ParseWarmMode(s string) (WarmMode, error) {
 		return WarmDetailed, nil
 	case WarmFunctional:
 		return WarmFunctional, nil
-	case WarmFunctionalInterp:
-		return WarmFunctionalInterp, nil
 	}
-	return "", fmt.Errorf("unknown warm mode %q (want %q, %q, or %q)",
-		s, WarmDetailed, WarmFunctional, WarmFunctionalInterp)
+	return "", fmt.Errorf("unknown warm mode %q (want %q or %q)",
+		s, WarmDetailed, WarmFunctional)
 }
 
 // WarmKeyFor is the identity of one shareable warm prefix. Configurations
@@ -183,17 +175,11 @@ func (cp *Checkpointer) resolve(w *workloads.Workload, cfg cpu.Config, withSlice
 	return ck, WarmFromSim, err
 }
 
-// WarmedCore returns a fresh core restored to the end of the warm prefix,
-// ready to measure under cfg. Every call restores its own core; one
-// checkpoint serves any number of concurrent WarmedCore calls.
-func (cp *Checkpointer) WarmedCore(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (*cpu.Core, WarmSource, error) {
-	core, _, src, err := cp.WarmedCoreCkpt(w, cfg, withSlices, warm)
-	return core, src, err
-}
-
-// WarmedCoreCkpt is WarmedCore returning the warm checkpoint alongside the
-// restored core. The checkpoint is the shared cache entry — read-only — and
-// captures the core's exact architectural state at the start of the
+// WarmedCoreCkpt returns a fresh core restored to the end of the warm
+// prefix, ready to measure under cfg, along with the warm checkpoint.
+// Every call restores its own core; one checkpoint serves any number of
+// concurrent calls. The checkpoint is the shared cache entry — read-only —
+// and captures the core's exact architectural state at the start of the
 // measured region, which is what the differential oracle seeds from.
 func (cp *Checkpointer) WarmedCoreCkpt(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (*cpu.Core, *cpu.Checkpoint, WarmSource, error) {
 	var table *slicehw.Table
@@ -238,9 +224,6 @@ func (cp *Checkpointer) build(w *workloads.Workload, cfg cpu.Config, withSlices 
 		// core starts with a cold correlator (Restore accepts the nil
 		// states), which is part of the documented accuracy gap.
 		ck, err = cpu.FunctionalWarm(cfg, w.Image, w.NewMemory(), w.Entry, warm, nil)
-		return ck, err == nil, err
-	case WarmFunctionalInterp:
-		ck, err = cpu.FunctionalWarmInterp(cfg, w.Image, w.NewMemory(), w.Entry, warm, nil)
 		return ck, err == nil, err
 	}
 	var table *slicehw.Table

@@ -284,15 +284,16 @@ func TestFunctionalWarmWithinTolerance(t *testing.T) {
 func TestParseWarmMode(t *testing.T) {
 	for in, want := range map[string]WarmMode{
 		"": WarmDetailed, "detailed": WarmDetailed, "functional": WarmFunctional,
-		"functional-interp": WarmFunctionalInterp,
 	} {
 		got, err := ParseWarmMode(in)
 		if err != nil || got != want {
 			t.Errorf("ParseWarmMode(%q) = %q, %v", in, got, err)
 		}
 	}
-	if _, err := ParseWarmMode("magic"); err == nil {
-		t.Error("ParseWarmMode accepted garbage")
+	for _, bad := range []string{"magic", "functional-interp"} {
+		if _, err := ParseWarmMode(bad); err == nil {
+			t.Errorf("ParseWarmMode accepted %q", bad)
+		}
 	}
 }
 
@@ -312,7 +313,6 @@ func TestWarmKeySharing(t *testing.T) {
 		WarmKeyFor("vpr", true, 100, WarmDetailed, base),
 		WarmKeyFor("vpr", false, 101, WarmDetailed, base),
 		WarmKeyFor("vpr", false, 100, WarmFunctional, base),
-		WarmKeyFor("vpr", false, 100, WarmFunctionalInterp, base),
 		WarmKeyFor("vpr", false, 100, WarmDetailed, predsOff),
 		WarmKeyFor("vpr", false, 100, WarmDetailed, cpu.Config8Wide()),
 	}

@@ -211,7 +211,7 @@ func (e *Engine) RunValidated(spec RunSpec) (*RunResult, error) {
 //
 // Lock discipline: a caller that creates the memo entry simulates while
 // holding no lock and closes the entry's done channel when finished;
-// every other caller for the same key waits on that channel. RunAll's
+// every other caller for the same key waits on that channel. fanOut's
 // workers acquire their pool slot *before* calling Run, so an entry's
 // creator always holds a slot and makes progress — a waiter can never
 // starve the creator of the last slot.
@@ -282,24 +282,29 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 	return res, nil
 }
 
-// RunAll executes the specs over the worker pool and returns results in
-// input order. Duplicate specs within the batch (and against earlier
-// batches) are simulated once.
-func (e *Engine) RunAll(specs []RunSpec) ([]*RunResult, error) {
-	results := make([]*RunResult, len(specs))
-	errs := make([]error, len(specs))
+// fanOut calls f(0), …, f(n-1) over the engine's worker pool and waits for
+// all of them. Each worker takes its pool slot before calling f, the
+// discipline run's lock comment relies on.
+func (e *Engine) fanOut(n int, f func(i int)) {
 	sem := make(chan struct{}, e.jobs())
 	var wg sync.WaitGroup
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = e.Run(specs[i])
+			f(i)
 		}(i)
 	}
 	wg.Wait()
+}
+
+// RunAll executes the specs over the worker pool and returns results in
+// input order, or the first spec's error in input order. Duplicate specs
+// within the batch (and against earlier batches) are simulated once.
+func (e *Engine) RunAll(specs []RunSpec) ([]*RunResult, error) {
+	results, errs := e.runAllEach(specs, false)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -316,22 +321,13 @@ func (e *Engine) RunAll(specs []RunSpec) ([]*RunResult, error) {
 func (e *Engine) runAllEach(specs []RunSpec, validated bool) ([]*RunResult, []error) {
 	results := make([]*RunResult, len(specs))
 	errs := make([]error, len(specs))
-	sem := make(chan struct{}, e.jobs())
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if validated {
-				results[i], errs[i] = e.RunValidated(specs[i])
-			} else {
-				results[i], errs[i] = e.Run(specs[i])
-			}
-		}(i)
-	}
-	wg.Wait()
+	e.fanOut(len(specs), func(i int) {
+		if validated {
+			results[i], errs[i] = e.RunValidated(specs[i])
+		} else {
+			results[i], errs[i] = e.Run(specs[i])
+		}
+	})
 	return results, errs
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +90,29 @@ func TestEngineDeterministicAcrossJobs(t *testing.T) {
 		if serial[i] != parallel[i] {
 			t.Errorf("row %d differs: serial %+v parallel %+v", i, serial[i], parallel[i])
 		}
+	}
+}
+
+// TestFigureMPDeterministicAcrossJobs pins the shared fan-out on the
+// co-scheduled legs: the rows do not depend on the pool size, and the
+// engine counts each solo baseline and each co-scheduled leg as one
+// simulation.
+func TestFigureMPDeterministicAcrossJobs(t *testing.T) {
+	ws := pick(t, "crafty", "eon", "vortex")
+	groups := CoSchedules(ws)
+	var rows [2][]FigureMPRow
+	for i, jobs := range []int{1, 4} {
+		e := NewEngine(small, jobs)
+		rows[i] = e.FigureMP(ws)
+		if got, want := e.Stats().Misses, uint64(len(ws)+2*len(groups)); got != want {
+			t.Errorf("jobs=%d: %d simulations, want %d (one per solo baseline, two per co-schedule)", jobs, got, want)
+		}
+	}
+	if len(rows[0]) != len(groups) {
+		t.Fatalf("%d rows, want one per co-schedule (%d)", len(rows[0]), len(groups))
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("rows differ across pool sizes:\njobs=1 %+v\njobs=4 %+v", rows[0], rows[1])
 	}
 }
 

@@ -145,11 +145,6 @@ type AutoBuild struct {
 	Builts []*autoslice.Built
 }
 
-// FigureAuto runs the closed-loop pipeline for the given workloads.
-func FigureAuto(ws []*workloads.Workload, p Params) []FigureAutoRow {
-	return NewEngine(p, 0).FigureAuto(ws)
-}
-
 // FigureAuto runs the closed loop with default bounds and returns the
 // auto-vs-hand rows.
 func (e *Engine) FigureAuto(ws []*workloads.Workload) []FigureAutoRow {

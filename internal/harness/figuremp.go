@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cpu"
@@ -202,36 +201,12 @@ func mpRegions(p Params, group []*workloads.Workload) (warm, run uint64) {
 	return warm, run
 }
 
-// RunMP executes one co-scheduled leg through the engine. Co-schedules
-// are never memoized — no two share a warm prefix, and each leg is one
-// whole simulation — but they count in the engine stats like any other
-// miss. warm/run override the region lengths (zero derives them from the
-// engine params via mpRegions); validated forces the oracle on like
-// RunValidated.
-func (e *Engine) RunMP(group []*workloads.Workload, withSlices, validated bool, warm, run uint64) (*RunResult, error) {
-	o := e.Oracle
-	if validated {
-		o.Enabled = true
-	}
-	start := time.Now()
-	snap, err := RunMP(group, e.Params, withSlices, warm, run, o)
-	if err != nil {
-		return nil, err
-	}
-	res := &RunResult{Snap: snap, Wall: time.Since(start)}
-	e.noteMPRun(group, warm, run, res.Wall)
-	return res, nil
-}
-
 // FigureMP runs the multi-programmed contention experiment for the
 // engine's deterministic co-schedules of ws. Solo baselines come from the
 // memoized single-program runs the other figures share; the co-scheduled
-// legs (no checkpoint sharing) fan out over the engine's worker pool.
-func FigureMP(ws []*workloads.Workload, p Params) []FigureMPRow {
-	return NewEngine(p, 0).FigureMP(ws)
-}
-
-// FigureMP implements the driver on the engine.
+// legs fan out over the engine's worker pool. Co-schedules are never
+// memoized — no two share a warm prefix, and each leg is one whole
+// simulation — but they count in the engine stats like any other miss.
 func (e *Engine) FigureMP(ws []*workloads.Workload) []FigureMPRow {
 	groups := CoSchedules(ws)
 	if len(groups) == 0 {
@@ -251,40 +226,25 @@ func (e *Engine) FigureMP(ws []*workloads.Workload) []FigureMPRow {
 
 	// Co-scheduled legs: 2 per group (without, with slices), each its own
 	// whole simulation — no memo, no checkpoints — bounded by the pool.
-	type leg struct {
-		group []*workloads.Workload
-		snap  stats.Snapshot
-		err   error
-	}
-	legs := make([]leg, 2*len(groups))
-	sem := make(chan struct{}, e.jobs())
-	var wg sync.WaitGroup
-	for gi, g := range groups {
-		for s := 0; s < 2; s++ {
-			wg.Add(1)
-			go func(li int, g []*workloads.Workload, withSlices bool) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				res, err := e.RunMP(g, withSlices, false, 0, 0)
-				if err != nil {
-					legs[li] = leg{group: g, err: err}
-					return
-				}
-				legs[li] = leg{group: g, snap: res.Snap}
-			}(2*gi+s, g, s == 1)
+	legs := make([]stats.Snapshot, 2*len(groups))
+	errs := make([]error, len(legs))
+	e.fanOut(len(legs), func(li int) {
+		g := groups[li/2]
+		start := time.Now()
+		legs[li], errs[li] = RunMP(g, e.Params, li%2 == 1, 0, 0, e.Oracle)
+		if errs[li] == nil {
+			e.noteMPRun(g, time.Since(start))
 		}
-	}
-	wg.Wait()
-	for _, l := range legs {
-		if l.err != nil {
-			panic(l.err)
+	})
+	for _, err := range errs {
+		if err != nil {
+			panic(err)
 		}
 	}
 
 	rows := make([]FigureMPRow, 0, len(groups))
 	for gi, g := range groups {
-		base, sl := &legs[2*gi].snap, &legs[2*gi+1].snap
+		base, sl := &legs[2*gi], &legs[2*gi+1]
 		row := FigureMPRow{Schedule: scheduleName(g)}
 		for i, w := range g {
 			bs, ss := &base.Progs[i], &sl.Progs[i]
@@ -324,16 +284,10 @@ func (e *Engine) FigureMP(ws []*workloads.Workload) []FigureMPRow {
 }
 
 // noteMPRun folds one co-scheduled simulation into the engine counters:
-// it is a real simulation (never memoized), covering warm+run per program
-// (warm/run zero means the mpRegions-derived lengths).
-func (e *Engine) noteMPRun(g []*workloads.Workload, warm, run uint64, wall time.Duration) {
-	gw, gr := mpRegions(e.Params, g)
-	if warm == 0 {
-		warm = gw
-	}
-	if run == 0 {
-		run = gr
-	}
+// it is a real simulation (never memoized), covering the mpRegions-derived
+// warm+run per program.
+func (e *Engine) noteMPRun(g []*workloads.Workload, wall time.Duration) {
+	warm, run := mpRegions(e.Params, g)
 	insts := uint64(len(g)) * (warm + run)
 	e.mu.Lock()
 	e.st.Misses++

@@ -58,10 +58,6 @@ func (ma *Machine) Halted() bool { return ma.halted }
 // Mem returns the underlying memory.
 func (ma *Machine) Mem() *mem.Memory { return ma.pg.Mem() }
 
-// InvalidatePages drops cached page pointers. Call after writing the
-// Memory directly (not through this Machine's execution).
-func (ma *Machine) InvalidatePages() { ma.pg.Invalidate() }
-
 // Reg reads an architectural register; Zero reads 0.
 func (ma *Machine) Reg(r isa.Reg) uint64 { return ma.Regs[r] }
 

@@ -234,9 +234,6 @@ func NewFromSnapshot(s *Snapshot) *Memory {
 // Footprint returns the number of bytes of pages captured in the snapshot.
 func (s *Snapshot) Footprint() uint64 { return s.bytesMapped }
 
-// NumPages returns the number of captured pages.
-func (s *Snapshot) NumPages() int { return len(s.pages) }
-
 // AppendTo serializes the snapshot deterministically (page count, then
 // page-number/contents pairs in ascending page order) and returns the
 // extended buffer.

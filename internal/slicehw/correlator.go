@@ -74,17 +74,6 @@ type Pred struct {
 // Instance returns the slice activation that generated this prediction.
 func (p *Pred) Instance() *Instance { return p.inst }
 
-// IndexInInstance returns this prediction's allocation position within its
-// instance (debugging).
-func (p *Pred) IndexInInstance() int {
-	for i, e := range p.inst.entries {
-		if e == p {
-			return i
-		}
-	}
-	return -1
-}
-
 // Entries returns the instance's predictions in allocation order
 // (debugging).
 func (i *Instance) Entries() []*Pred { return i.entries }
@@ -671,17 +660,6 @@ func (c *Correlator) CommitKill(rec *KillRecord) {
 	}
 	c.unpinRecord(rec)
 	c.freeRecord(rec)
-}
-
-// LiveList returns the unfinished instances of s, oldest first (debugging).
-func (c *Correlator) LiveList(s *Slice) []*Instance {
-	var out []*Instance
-	for _, inst := range c.liveBySlice[s] {
-		if !inst.finished {
-			out = append(out, inst)
-		}
-	}
-	return out
 }
 
 // LiveInstances reports the unfinished instance count for slice s (tests

@@ -6,13 +6,13 @@ import (
 )
 
 // This file implements the uniform counter semantics every telemetry
-// struct shares: Zero, Add, and Sub walk a counter struct by reflection,
-// so a counter field added anywhere — including inside a nested struct or
-// a per-PC map — is automatically reset, merged, and delta'd without
-// touching any hand-maintained list. Identity fields — bools, strings,
-// and numeric fields tagged `stats:"id"` (e.g. Static.PC) — are never
-// summed or subtracted: merges keep the destination's value (adopting the
-// source's when unset) and deltas leave them intact.
+// struct shares: Zero and Add walk a counter struct by reflection, so a
+// counter field added anywhere — including inside a nested struct or a
+// per-PC map — is automatically reset and merged without touching any
+// hand-maintained list. Identity fields — bools, strings, and numeric
+// fields tagged `stats:"id"` (e.g. Static.PC) — are never summed: merges
+// keep the destination's value (adopting the source's when unset) and
+// resets leave them intact.
 
 // Zero resets every numeric counter reachable from ptr (a pointer to a
 // counter struct) in place. Maps are replaced with fresh empty maps.
@@ -55,14 +55,6 @@ func zeroValue(v reflect.Value) {
 // are deep-copied in; identity fields take src's value only when dst's is
 // the zero value (merging two halves of one run must not blank a PC).
 func Add(dst, src any) { addValue(elemOf("stats.Add", dst, src)) }
-
-// Sub subtracts src from dst field-wise (dst -= src), the delta of two
-// cumulative snapshots. Counters are monotone between snapshots of one
-// run, so the subtraction cannot underflow when used that way.
-func Sub(dst, src any) {
-	d, s := elemOf("stats.Sub", dst, src)
-	subValue(d, s)
-}
 
 func elemOf(op string, dst, src any) (reflect.Value, reflect.Value) {
 	d := mustPtrToStruct(op, dst)
@@ -156,85 +148,11 @@ func addValue(d, s reflect.Value) {
 	}
 }
 
-func subValue(d, s reflect.Value) {
-	switch d.Kind() {
-	case reflect.Struct:
-		for i := 0; i < d.NumField(); i++ {
-			f := d.Field(i)
-			if !f.CanSet() || isIdentity(d.Type().Field(i)) {
-				continue
-			}
-			subValue(f, s.Field(i))
-		}
-	case reflect.Map:
-		if s.IsNil() {
-			return
-		}
-		if d.IsNil() {
-			d.Set(reflect.MakeMap(d.Type()))
-		}
-		it := s.MapRange()
-		for it.Next() {
-			sv := it.Value()
-			dv := d.MapIndex(it.Key())
-			if !dv.IsValid() {
-				// The later snapshot lacks the key: synthesize a zero entry
-				// so the delta is well-defined (counters then go negative,
-				// flagging the inconsistency rather than hiding it).
-				dv = deepCopyValue(sv)
-				zeroFrom(dv)
-				d.SetMapIndex(it.Key(), dv)
-			}
-			if dv.Kind() == reflect.Pointer {
-				subValue(dv.Elem(), sv.Elem())
-			} else {
-				tmp := reflect.New(dv.Type()).Elem()
-				tmp.Set(dv)
-				subValue(tmp, sv)
-				d.SetMapIndex(it.Key(), tmp)
-			}
-		}
-	case reflect.Slice:
-		for i := 0; i < s.Len(); i++ {
-			if i >= d.Len() {
-				// As with maps: synthesize a zero element so the delta is
-				// well-defined and the inconsistency shows as negatives.
-				z := deepCopyValue(s.Index(i))
-				zeroFrom(z)
-				d.Set(reflect.Append(d, z))
-			}
-			subValue(d.Index(i), s.Index(i))
-		}
-	case reflect.Pointer:
-		if s.IsNil() {
-			return
-		}
-		if d.IsNil() {
-			d.Set(reflect.New(d.Type().Elem()))
-		}
-		subValue(d.Elem(), s.Elem())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		d.SetUint(d.Uint() - s.Uint())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		d.SetInt(d.Int() - s.Int())
-	case reflect.Float32, reflect.Float64:
-		d.SetFloat(d.Float() - s.Float())
-	}
-}
-
 // isIdentity reports whether a struct field carries identity, not a
 // count: it is tagged `stats:"id"` (Static.PC is the canonical example).
 // Bools and strings are identity by kind and handled in the leaf cases.
 func isIdentity(f reflect.StructField) bool {
 	return f.Tag.Get("stats") == "id"
-}
-
-func zeroFrom(v reflect.Value) {
-	if v.Kind() == reflect.Pointer {
-		zeroValue(v.Elem())
-		return
-	}
-	zeroValue(v)
 }
 
 // deepCopyValue returns an independent copy of v: maps and pointers are

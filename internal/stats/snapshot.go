@@ -10,7 +10,7 @@ import (
 // Snapshot aggregates every counter the simulated machine exposes — the
 // whole-run Sim counters, the memory hierarchy, each cache, the prefetch
 // buffer, the baseline predictors, and the slice correlator — into one
-// value with uniform Reset/Merge/Delta semantics. It is the unit of
+// value with uniform Reset/Add semantics. It is the unit of
 // machine-readable export: cmd/slicesim -json encodes one Snapshot, and
 // harness rows derive from it rather than poking component structs.
 type Snapshot struct {
@@ -32,17 +32,6 @@ type Snapshot struct {
 
 // Reset zeroes every counter in the snapshot.
 func (s *Snapshot) Reset() { Zero(s) }
-
-// Merge accumulates other into s field-wise (s += other).
-func (s *Snapshot) Merge(other *Snapshot) { Add(s, other) }
-
-// Delta returns a copy of s with since subtracted — the counters
-// accumulated between the two snapshots of one run.
-func (s *Snapshot) Delta(since *Snapshot) Snapshot {
-	d := s.Clone()
-	Sub(&d, since)
-	return d
-}
 
 // Clone returns an independent deep copy (the Sim.Static map is not
 // shared).

@@ -41,63 +41,34 @@ func TestZeroClearsEveryCounter(t *testing.T) {
 
 func TestMergeAccumulates(t *testing.T) {
 	a, b := sampleSnapshot(), sampleSnapshot()
-	a.Merge(b)
+	Add(a, b)
 	if a.Sim.Cycles != 200 || a.L1D.Hits != 50 || a.Corr.Generated != 24 {
-		t.Errorf("Merge did not double counters: cycles=%d l1dHits=%d gen=%d",
+		t.Errorf("Add did not double counters: cycles=%d l1dHits=%d gen=%d",
 			a.Sim.Cycles, a.L1D.Hits, a.Corr.Generated)
 	}
 	st := a.Sim.Static[0x40]
 	if st.Execs != 18 || st.Mispredicts != 6 {
-		t.Errorf("Merge did not sum per-PC counters: %+v", st)
+		t.Errorf("Add did not sum per-PC counters: %+v", st)
 	}
 	if st.PC != 0x40 {
-		t.Errorf("Merge corrupted the PC identity field: %#x", st.PC)
+		t.Errorf("Add corrupted the PC identity field: %#x", st.PC)
 	}
 	if !st.IsBranch {
-		t.Error("Merge dropped the IsBranch identity field")
+		t.Error("Add dropped the IsBranch identity field")
 	}
 	// The source must be untouched, including its map entries.
 	if b.Sim.Static[0x40].Execs != 9 {
-		t.Errorf("Merge mutated its source: %+v", b.Sim.Static[0x40])
+		t.Errorf("Add mutated its source: %+v", b.Sim.Static[0x40])
 	}
 }
 
 func TestMergeDeepCopiesMissingEntries(t *testing.T) {
 	a := &Snapshot{Sim: *New()}
 	b := sampleSnapshot()
-	a.Merge(b)
+	Add(a, b)
 	a.Sim.Static[0x40].Execs = 999
 	if b.Sim.Static[0x40].Execs != 9 {
-		t.Error("Merge aliased a map entry between snapshots")
-	}
-}
-
-func TestDeltaRoundTrip(t *testing.T) {
-	before := sampleSnapshot()
-	after := before.Clone()
-	after.Sim.Cycles += 11
-	after.Sim.ByPC(0x40).Execs += 4
-	after.Sim.ByPC(0x80).Execs = 2 // PC seen only after `before`
-	after.Bpred.YAGS.Lookups += 5
-
-	d := after.Delta(before)
-	if d.Sim.Cycles != 11 || d.Bpred.YAGS.Lookups != 5 {
-		t.Errorf("Delta wrong: cycles=%d lookups=%d", d.Sim.Cycles, d.Bpred.YAGS.Lookups)
-	}
-	if got := d.Sim.Static[0x40].Execs; got != 4 {
-		t.Errorf("per-PC delta = %d, want 4", got)
-	}
-	if got := d.Sim.Static[0x40].PC; got != 0x40 {
-		t.Errorf("Delta destroyed the PC identity field: %#x", got)
-	}
-	if got := d.Sim.Static[0x80].Execs; got != 2 {
-		t.Errorf("new-PC delta = %d, want 2", got)
-	}
-	// Delta + before must reproduce after.
-	sum := before.Clone()
-	sum.Merge(&d)
-	if sum.Sim.Cycles != after.Sim.Cycles || sum.Sim.Static[0x40].Execs != after.Sim.Static[0x40].Execs {
-		t.Errorf("before+delta != after: %d vs %d", sum.Sim.Cycles, after.Sim.Cycles)
+		t.Error("Add aliased a map entry between snapshots")
 	}
 }
 
