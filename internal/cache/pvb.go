@@ -8,17 +8,10 @@ import "fmt"
 // L1 so useless prefetches cannot evict useful L1 lines; L1 victims also
 // land here, giving a second chance before the L2.
 type PVB struct {
-	entries   []pvbEntry
+	entries   []line // tag is the line address
 	lineShift uint
 	clock     uint64
 	stats     Stats
-}
-
-type pvbEntry struct {
-	tag   uint64 // line address
-	valid bool
-	dirty bool
-	lru   uint64
 }
 
 // NewPVB builds a prefetch/victim buffer of n whole lines of lineBytes.
@@ -30,7 +23,7 @@ func NewPVB(n, lineBytes int) *PVB {
 	if err != nil {
 		panic(fmt.Sprintf("cache: NewPVB: %v", err))
 	}
-	return &PVB{entries: make([]pvbEntry, n), lineShift: shift}
+	return &PVB{entries: make([]line, n), lineShift: shift}
 }
 
 // Probe reports whether addr's line is buffered, without side effects.
@@ -52,7 +45,7 @@ func (b *PVB) Extract(addr uint64) (present, dirty bool) {
 	for i := range b.entries {
 		if b.entries[i].valid && b.entries[i].tag == tag {
 			dirty = b.entries[i].dirty
-			b.entries[i] = pvbEntry{}
+			b.entries[i] = line{}
 			b.stats.Hits++
 			return true, dirty
 		}
@@ -90,7 +83,7 @@ func (b *PVB) Insert(addr uint64, dirty bool) (victimAddr uint64, victimDirty, e
 			b.stats.Writebacks++
 		}
 	}
-	b.entries[vi] = pvbEntry{tag: tag, valid: true, dirty: dirty, lru: b.clock}
+	b.entries[vi] = line{tag: tag, valid: true, dirty: dirty, lru: b.clock}
 	return
 }
 

@@ -1,9 +1,9 @@
 package cache
 
 // Checkpointable state for the memory hierarchy. A warm checkpoint captures
-// the tag/LRU/dirty arrays of every cache level, the PVB, the stream
-// prefetcher's stream table, the line-origin attribution map, and the
-// memory-bus cursor. Transient machinery — in-flight fills (lineReady /
+// the valid lines (tag/LRU/dirty) of every cache level and the PVB, the
+// stream prefetcher's stream table, the line-origin attribution map, and
+// the memory-bus cursor. Transient machinery — in-flight fills (lineReady /
 // inflOrig), pending PVB arrivals, and the write buffer — is deliberately
 // absent: checkpoints are taken at a quiesced point where the CPU has
 // proven all of it empty (see Hierarchy.Quiesced / PruneFills).
@@ -14,63 +14,71 @@ package cache
 
 import "fmt"
 
-// LineState is one cache line's checkpointable state.
+// LineState is one valid line's checkpointable state. Index is the
+// line's slot in the array: set*ways+way in a cache, the entry in the PVB.
 type LineState struct {
+	Index uint32
 	Tag   uint64
-	Valid bool
 	Dirty bool
 	LRU   uint64
 }
 
-// CacheState is the checkpointable state of one cache level.
+// CacheState is the checkpointable state of one cache level or of the PVB:
+// the line count plus only the valid lines, in ascending index order. An
+// invalid line carries no state — lookups, fills and victim choice test
+// valid before anything else, and invalidation zeroes the line — so the
+// valid lines rebuild the whole array exactly.
 type CacheState struct {
-	Lines []LineState
-	Clock uint64
+	NumLines int
+	Lines    []LineState
+	Clock    uint64
 }
 
-// State captures the cache's tag/LRU state.
-func (c *Cache) State() CacheState {
-	s := CacheState{Lines: make([]LineState, len(c.lines)), Clock: c.clock}
-	for i, l := range c.lines {
-		s.Lines[i] = LineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, LRU: l.lru}
+// captureLines records ls's valid lines.
+func captureLines(ls []line, clock uint64) CacheState {
+	s := CacheState{NumLines: len(ls), Clock: clock}
+	for i, l := range ls {
+		if l.valid {
+			s.Lines = append(s.Lines, LineState{Index: uint32(i), Tag: l.tag, Dirty: l.dirty, LRU: l.lru})
+		}
 	}
 	return s
 }
 
+// restoreLines clears ls, then fills in s's valid lines.
+func restoreLines(ls []line, s CacheState, name string) error {
+	if s.NumLines != len(ls) {
+		return fmt.Errorf("%s: state has %d lines, array has %d", name, s.NumLines, len(ls))
+	}
+	clear(ls)
+	for _, l := range s.Lines {
+		if int(l.Index) >= len(ls) {
+			return fmt.Errorf("%s: state line %d out of range (%d lines)", name, l.Index, len(ls))
+		}
+		ls[l.Index] = line{tag: l.Tag, valid: true, dirty: l.Dirty, lru: l.LRU}
+	}
+	return nil
+}
+
+// State captures the cache's tag/LRU state.
+func (c *Cache) State() CacheState { return captureLines(c.lines, c.clock) }
+
 // SetState restores state captured from an identically configured cache.
 func (c *Cache) SetState(s CacheState) error {
-	if len(s.Lines) != len(c.lines) {
-		return fmt.Errorf("cache %s: state has %d lines, cache has %d", c.name, len(s.Lines), len(c.lines))
-	}
-	for i, l := range s.Lines {
-		c.lines[i] = line{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, lru: l.LRU}
+	if err := restoreLines(c.lines, s, "cache "+c.name); err != nil {
+		return err
 	}
 	c.clock = s.Clock
 	return nil
 }
 
-// PVBState is the checkpointable state of the prefetch/victim buffer.
-type PVBState struct {
-	Entries []LineState
-	Clock   uint64
-}
-
 // State captures the PVB contents.
-func (b *PVB) State() PVBState {
-	s := PVBState{Entries: make([]LineState, len(b.entries)), Clock: b.clock}
-	for i, e := range b.entries {
-		s.Entries[i] = LineState{Tag: e.tag, Valid: e.valid, Dirty: e.dirty, LRU: e.lru}
-	}
-	return s
-}
+func (b *PVB) State() CacheState { return captureLines(b.entries, b.clock) }
 
 // SetState restores state captured from an identically sized PVB.
-func (b *PVB) SetState(s PVBState) error {
-	if len(s.Entries) != len(b.entries) {
-		return fmt.Errorf("pvb: state has %d entries, buffer has %d", len(s.Entries), len(b.entries))
-	}
-	for i, e := range s.Entries {
-		b.entries[i] = pvbEntry{tag: e.Tag, valid: e.Valid, dirty: e.Dirty, lru: e.LRU}
+func (b *PVB) SetState(s CacheState) error {
+	if err := restoreLines(b.entries, s, "pvb"); err != nil {
+		return err
 	}
 	b.clock = s.Clock
 	return nil

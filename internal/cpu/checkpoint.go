@@ -28,11 +28,13 @@ import (
 //     reuse — Thread.reset does not clear them);
 //   - predictor tables: YAGS, the cascaded indirect predictor, and the
 //     fork-confidence table;
-//   - the memory hierarchy: L1I/L1D/L2/PVB tag+LRU arrays, the stream
+//   - the memory hierarchy: L1I/L1D/L2/PVB valid lines, the stream
 //     prefetcher's stream table, the line-origin attribution map, and the
 //     memory-bus cursor;
 //   - the prediction correlator (flattened; see slicehw.CorrState);
-//   - the memory image, as a copy-on-write page snapshot.
+//   - the memory image, as a copy-on-write page snapshot whose encoding
+//     lists only the pages that differ from the workload's pristine image
+//     (mem.Snapshot.AppendTo).
 //
 // What it deliberately omits:
 //   - all stats counters (the harness resets them at the measurement
@@ -74,17 +76,17 @@ type Checkpoint struct {
 	Conf []uint8
 
 	// Memory hierarchy.
-	L1D, L1I, L2 cache.CacheState
-	PVB          cache.PVBState
-	Pref         cache.StreamState
-	Hier         cache.HierState
+	L1D, L1I, L2, PVB cache.CacheState
+	Pref              cache.StreamState
+	Hier              cache.HierState
 
 	// Corr is the flattened prediction correlator; nil when the core had no
 	// slice hardware (or the checkpoint came from a functional warm, which
 	// models no slices).
 	Corr *slicehw.CorrState
 
-	// Mem is the copy-on-write memory snapshot.
+	// Mem is the copy-on-write memory snapshot. A decoded checkpoint holds
+	// it as an unresolved delta until Mem.Rebase resolves it.
 	Mem *mem.Snapshot
 }
 
@@ -229,6 +231,9 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 // slices, same order) the captured core ran with; pass nil for a core
 // without slice hardware.
 func Restore(cfg Config, image *asm.Image, ck *Checkpoint, sliceTable *slicehw.Table) (*Core, error) {
+	if !ck.Mem.Resolved() {
+		return nil, fmt.Errorf("cpu: restore: checkpoint memory is an unresolved delta (rebase it onto its workload image)")
+	}
 	memory := mem.NewFromSnapshot(ck.Mem)
 	// New validates its entry PC; a halted checkpoint's PC may legally sit
 	// off-image (fetch past a HALT never resumes), so construct with a

@@ -56,8 +56,7 @@ func (ck *Checkpoint) EncodeBinary() []byte {
 	encodeCacheState(&w, ck.L1D)
 	encodeCacheState(&w, ck.L1I)
 	encodeCacheState(&w, ck.L2)
-	encodeLines(&w, ck.PVB.Entries)
-	w.u64(ck.PVB.Clock)
+	encodeCacheState(&w, ck.PVB)
 
 	w.u64(uint64(len(ck.Pref.Streams)))
 	for _, s := range ck.Pref.Streams {
@@ -120,7 +119,13 @@ func (ck *Checkpoint) EncodeBinary() []byte {
 // DecodeCheckpoint parses a stream produced by EncodeBinary. Corrupt input
 // yields an error, never a panic or a silently wrong checkpoint (the
 // on-disk container's CRC catches flipped bits; this guards truncation and
-// structural nonsense).
+// structural nonsense). Every accepted stream is canonical: it re-encodes
+// to the same bytes.
+//
+// The memory comes back as the encoding holds it. A checkpoint whose
+// memory descends from a root image (every workload's does) decodes to an
+// unresolved delta; resolve it with ck.Mem.Rebase(root) before Restore,
+// which refuses an unresolved one.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	r := rbuf{b: b}
 	ck := &Checkpoint{}
@@ -160,8 +165,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	ck.L1D = decodeCacheState(&r)
 	ck.L1I = decodeCacheState(&r)
 	ck.L2 = decodeCacheState(&r)
-	ck.PVB.Entries = decodeLines(&r)
-	ck.PVB.Clock = r.u64()
+	ck.PVB = decodeCacheState(&r)
 
 	ns := r.count(25)
 	for i := uint64(0); i < ns && r.err == nil; i++ {
@@ -173,8 +177,12 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 
 	no := r.count(9)
 	ck.Hier.Origin = make(map[uint64]cache.Origin, no)
-	for i := uint64(0); i < no && r.err == nil; i++ {
+	for i, prev := uint64(0), uint64(0); i < no && r.err == nil; i++ {
 		k := r.u64()
+		if i > 0 && k <= prev && r.err == nil {
+			r.err = fmt.Errorf("cpu: corrupt checkpoint: origin line %#x out of order", k)
+		}
+		prev = k
 		ck.Hier.Origin[k] = cache.Origin(r.u8())
 	}
 	ck.Hier.MemFree = r.u64()
@@ -270,32 +278,33 @@ func decodePredSection(r *rbuf) PredState {
 	return PredState{Spec: string(spec), Blob: blob}
 }
 
+// encodeCacheState writes a cache level's line count and its valid
+// lines; decodeCacheState rejects line indices that are out of range or
+// not strictly ascending, so every accepted encoding is canonical.
 func encodeCacheState(w *wbuf, s cache.CacheState) {
-	encodeLines(w, s.Lines)
+	w.u64(uint64(s.NumLines))
+	w.u64(uint64(len(s.Lines)))
+	for _, l := range s.Lines {
+		w.u32(l.Index)
+		w.u64(l.Tag)
+		w.bool(l.Dirty)
+		w.u64(l.LRU)
+	}
 	w.u64(s.Clock)
 }
 
 func decodeCacheState(r *rbuf) cache.CacheState {
-	return cache.CacheState{Lines: decodeLines(r), Clock: r.u64()}
-}
-
-func encodeLines(w *wbuf, ls []cache.LineState) {
-	w.u64(uint64(len(ls)))
-	for _, l := range ls {
-		w.u64(l.Tag)
-		w.bool(l.Valid)
-		w.bool(l.Dirty)
-		w.u64(l.LRU)
-	}
-}
-
-func decodeLines(r *rbuf) []cache.LineState {
-	n := r.count(18)
-	var ls []cache.LineState
+	s := cache.CacheState{NumLines: int(r.u64())}
+	n := r.count(21)
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		ls = append(ls, cache.LineState{Tag: r.u64(), Valid: r.bool(), Dirty: r.bool(), LRU: r.u64()})
+		l := cache.LineState{Index: r.u32(), Tag: r.u64(), Dirty: r.bool(), LRU: r.u64()}
+		if r.err == nil && (uint64(l.Index) >= uint64(s.NumLines) || i > 0 && l.Index <= s.Lines[i-1].Index) {
+			r.err = fmt.Errorf("cpu: corrupt checkpoint: cache line index %d out of order or range", l.Index)
+		}
+		s.Lines = append(s.Lines, l)
 	}
-	return ls
+	s.Clock = r.u64()
+	return s
 }
 
 func encodeInts(w *wbuf, xs []int) {

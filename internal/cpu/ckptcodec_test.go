@@ -3,6 +3,7 @@ package cpu
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bpred"
@@ -11,17 +12,14 @@ import (
 
 // makeCheckpoint builds a real checkpoint from a short vpr warm (with
 // slices, so the correlator state is populated too).
-func makeCheckpoint(t *testing.T) *Checkpoint {
+func makeCheckpoint(t testing.TB) *Checkpoint {
 	t.Helper()
 	return makeCheckpointCfg(t, Config4Wide())
 }
 
-func makeCheckpointCfg(t *testing.T, cfg Config) *Checkpoint {
+func makeCheckpointCfg(t testing.TB, cfg Config) *Checkpoint {
 	t.Helper()
-	w, err := workloads.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := vpr(t)
 	c := MustNew(cfg.WarmConfig(), w.Image, w.NewMemory(), w.Entry, w.SliceTable())
 	c.Run(20_000)
 	ck, err := c.Checkpoint()
@@ -31,18 +29,39 @@ func makeCheckpointCfg(t *testing.T, cfg Config) *Checkpoint {
 	return ck
 }
 
-// TestCodecRoundTrip: encode → decode must reproduce the checkpoint
-// exactly, and re-encoding the decoded copy must be byte-identical (the
-// encoding is deterministic, which the disk cache's CRC and the CI
-// zero-miss assertion both rely on).
-func TestCodecRoundTrip(t *testing.T) {
-	ck := makeCheckpoint(t)
-	enc := ck.EncodeBinary()
+func vpr(t testing.TB) *workloads.Workload {
+	t.Helper()
+	w, err := workloads.ByName("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
+// decodeRebased decodes enc and resolves its memory against w's image,
+// as the on-disk store does.
+func decodeRebased(t *testing.T, w *workloads.Workload, enc []byte) *Checkpoint {
+	t.Helper()
 	dec, err := DecodeCheckpoint(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	if dec.Mem, err = dec.Mem.Rebase(w.MemImage()); err != nil {
+		t.Fatalf("rebase: %v", err)
+	}
+	return dec
+}
+
+// TestCodecRoundTrip: encode → decode → rebase must reproduce the
+// checkpoint exactly, and re-encoding the decoded copy must be
+// byte-identical (the encoding is deterministic, which the disk cache's CRC
+// and the CI zero-miss assertion both rely on).
+func TestCodecRoundTrip(t *testing.T) {
+	w := vpr(t)
+	ck := makeCheckpoint(t)
+	enc := ck.EncodeBinary()
+
+	dec := decodeRebased(t, w, enc)
 	if !ck.Mem.Equal(dec.Mem) {
 		t.Error("memory snapshot did not round-trip")
 	}
@@ -65,18 +84,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecRestoredCoreMatches: a core restored from the decoded bytes
-// must measure identically to one restored from the original checkpoint.
+// TestCodecRestoredCoreMatches: a core restored from the decoded, rebased
+// bytes must measure identically to one restored from the original
+// checkpoint.
 func TestCodecRestoredCoreMatches(t *testing.T) {
-	w, err := workloads.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := vpr(t)
 	ck := makeCheckpoint(t)
-	dec, err := DecodeCheckpoint(ck.EncodeBinary())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := decodeRebased(t, w, ck.EncodeBinary())
 	cfg := Config4Wide()
 	run := func(ck *Checkpoint) any {
 		c, err := Restore(cfg, w.Image, ck, w.SliceTable())
@@ -88,6 +102,64 @@ func TestCodecRestoredCoreMatches(t *testing.T) {
 	}
 	if !reflect.DeepEqual(run(ck), run(dec)) {
 		t.Error("decoded checkpoint measures differently than the original")
+	}
+}
+
+// TestRestoreRejectsUnresolvedMemory: a decoded checkpoint whose memory was
+// never rebased holds only the pages warm-up changed; Restore must refuse
+// it rather than build a core over a partial image.
+func TestRestoreRejectsUnresolvedMemory(t *testing.T) {
+	w := vpr(t)
+	dec, err := DecodeCheckpoint(makeCheckpoint(t).EncodeBinary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Mem.Resolved() {
+		t.Fatal("a workload checkpoint decoded to a resolved memory; want a delta over the workload image")
+	}
+	if _, err := Restore(Config4Wide(), w.Image, dec, w.SliceTable()); err == nil ||
+		!strings.Contains(err.Error(), "unresolved") {
+		t.Errorf("Restore of an unresolved delta: err = %v, want an unresolved-memory error", err)
+	}
+}
+
+// TestCodecWarmCheckpointsEveryWorkload: for functional and detailed warm
+// checkpoints of every workload, encode(ck) == encode(Rebase(Decode(
+// encode(ck)))), and rebasing onto another workload's image fails.
+func TestCodecWarmCheckpointsEveryWorkload(t *testing.T) {
+	const warm = 5_000
+	all := workloads.All()
+	for i, w := range all {
+		other := all[(i+1)%len(all)]
+		t.Run(w.Name, func(t *testing.T) {
+			cfg := Config4Wide()
+			fck, err := FunctionalWarm(cfg, w.Image, w.NewMemory(), w.Entry, warm, nil)
+			if err != nil {
+				t.Fatalf("functional warm: %v", err)
+			}
+			c := MustNew(cfg.WarmConfig(), w.Image, w.NewMemory(), w.Entry, w.SliceTable())
+			c.Run(warm)
+			dck, err := c.Checkpoint()
+			if err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			for _, ck := range []struct {
+				kind string
+				ck   *Checkpoint
+			}{{"functional", fck}, {"detailed", dck}} {
+				enc := ck.ck.EncodeBinary()
+				if got := decodeRebased(t, w, enc).EncodeBinary(); !bytes.Equal(got, enc) {
+					t.Errorf("%s: encode(rebase(decode(enc))) differs from enc", ck.kind)
+				}
+				dec, err := DecodeCheckpoint(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dec.Mem.Rebase(other.MemImage()); err == nil {
+					t.Errorf("%s: rebase onto %s's image succeeded", ck.kind, other.Name)
+				}
+			}
+		})
 	}
 }
 
@@ -117,15 +189,13 @@ func TestCodecTruncation(t *testing.T) {
 // predictor must round-trip byte-identically — this is what lets a new
 // predictor land without touching the codec.
 func TestCodecRoundTripEveryPredictor(t *testing.T) {
+	w := vpr(t)
 	for _, name := range bpred.DirNames() {
 		cfg := Config4Wide()
 		cfg.BPred = name
 		ck := makeCheckpointCfg(t, cfg)
 		enc := ck.EncodeBinary()
-		dec, err := DecodeCheckpoint(enc)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
+		dec := decodeRebased(t, w, enc)
 		if dec.Dir.Spec != ck.Dir.Spec || !bytes.Equal(dec.Dir.Blob, ck.Dir.Blob) {
 			t.Errorf("%s: direction predictor section did not round-trip", name)
 		}
@@ -156,4 +226,32 @@ func TestCodecPredictorSectionCorruption(t *testing.T) {
 			t.Fatalf("flipped byte at offset %d (section %d..%d) not detected", off, start, end)
 		}
 	}
+}
+
+// FuzzDecodeCheckpoint: no input makes decode or rebase panic, and every
+// input the decoder accepts is canonical — it re-encodes to itself. Seeded
+// with a real vpr encoding plus truncated and bit-flipped variants.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	root := vpr(f).MemImage()
+	enc := makeCheckpoint(f).EncodeBinary()
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add(enc[:len(enc)-1])
+	for _, off := range []int{0, 9, len(enc) / 3, len(enc) - 4097, len(enc) - 1} {
+		bad := append([]byte(nil), enc...)
+		bad[off] ^= 0x10
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ck, err := DecodeCheckpoint(b)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(ck.EncodeBinary(), b) {
+			t.Fatal("an accepted encoding does not re-encode to itself")
+		}
+		if m, err := ck.Mem.Rebase(root); err == nil && !m.Resolved() {
+			t.Fatal("rebase succeeded but left the memory unresolved")
+		}
+	})
 }

@@ -152,7 +152,7 @@ func (cp *Checkpointer) Warm(w *workloads.Workload, cfg cpu.Config, withSlices b
 // resolve serves one warm prefix from the on-disk store, or simulates it
 // and persists the result. Warm calls it once per key.
 func (cp *Checkpointer) resolve(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64, key string) (*cpu.Checkpoint, WarmSource, error) {
-	if ck, n := cp.diskLoad(key); ck != nil {
+	if ck, n := cp.diskLoad(key, w); ck != nil {
 		cp.mu.Lock()
 		cp.st.WarmHits++
 		cp.st.DiskLoads++
@@ -270,7 +270,9 @@ const ckptMagic = "SPECSLCK"
 //
 // v2: the hand-coded YAGS/cascaded predictor tables were replaced by
 // opaque self-describing predictor sections (spec + SaveState blob).
-const ckptSchemaVersion = 2
+// v3: memory is a delta over the workload's pristine image, named by its
+// SHA-256, and each cache level lists only its valid lines.
+const ckptSchemaVersion = 3
 
 func ckptPath(dir, key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -281,11 +283,12 @@ func warnf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "harness: WARNING: "+format+"\n", args...)
 }
 
-// diskLoad returns the stored checkpoint for key, or nil (with a warning
-// for anything other than a simple absence). n is the file size on
-// success. A corrupt entry is left in place: the rebuild that follows
-// replaces it.
-func (cp *Checkpointer) diskLoad(key string) (ck *cpu.Checkpoint, n int) {
+// diskLoad returns the stored checkpoint for key, its memory rebased onto
+// w's pristine image, or nil (with a warning for anything other than a
+// simple absence). n is the file size on success. A corrupt entry, or one
+// encoded over a different image, is left in place: the rebuild that
+// follows replaces it.
+func (cp *Checkpointer) diskLoad(key string, w *workloads.Workload) (ck *cpu.Checkpoint, n int) {
 	if cp.Dir == "" {
 		return nil, 0
 	}
@@ -300,6 +303,9 @@ func (cp *Checkpointer) diskLoad(key string) (ck *cpu.Checkpoint, n int) {
 	payload, err := parseCkptFile(b, key)
 	if err == nil {
 		ck, err = cpu.DecodeCheckpoint(payload)
+	}
+	if err == nil {
+		ck.Mem, err = ck.Mem.Rebase(w.MemImage())
 	}
 	if err != nil {
 		warnf("ignoring checkpoint %s: %v", filepath.Base(path), err)
@@ -357,16 +363,7 @@ func (cp *Checkpointer) diskStore(key string, ck *cpu.Checkpoint) int {
 		warnf("checkpoint store: %v", err)
 		return 0
 	}
-	payload := ck.EncodeBinary()
-	b := make([]byte, 0, len(ckptMagic)+8+len(key)+12+len(payload))
-	b = append(b, ckptMagic...)
-	b = binary.LittleEndian.AppendUint32(b, ckptSchemaVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
-	b = append(b, key...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
-	b = append(b, payload...)
-
+	b := ckptFile(key, ck.EncodeBinary())
 	path := ckptPath(cp.Dir, key)
 	f, err := os.CreateTemp(cp.Dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -389,4 +386,16 @@ func (cp *Checkpointer) diskStore(key string, ck *cpu.Checkpoint) int {
 		return 0
 	}
 	return len(b)
+}
+
+// ckptFile wraps an encoded checkpoint in the store's container.
+func ckptFile(key string, payload []byte) []byte {
+	b := make([]byte, 0, len(ckptMagic)+8+len(key)+12+len(payload))
+	b = append(b, ckptMagic...)
+	b = binary.LittleEndian.AppendUint32(b, ckptSchemaVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	return append(b, payload...)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -150,6 +151,85 @@ func TestCheckpointDiskCorruption(t *testing.T) {
 	if st := third.Stats(); st.DiskLoads != 1 {
 		t.Errorf("rewritten entry not loadable (DiskLoads=%d)", st.DiskLoads)
 	}
+}
+
+// TestCheckpointStoreRejectsStaleEntries: an entry written under the
+// previous schema, and a current-schema entry with a valid CRC whose memory
+// was encoded over another image, must each be warned about, ignored and
+// rebuilt — never restored.
+func TestCheckpointStoreRejectsStaleEntries(t *testing.T) {
+	w, other := pick(t, "vpr")[0], pick(t, "gzip")[0]
+	cfg := cpu.Config4Wide()
+	const warm = 22_500
+	key := WarmKeyFor(w.Name, false, warm, WarmDetailed, cfg)
+	ref, _, err := NewCheckpointer("", WarmDetailed).Warm(w, cfg, false, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := ref.EncodeBinary()
+
+	schema2 := ckptFile(key, payload)
+	binary.LittleEndian.PutUint32(schema2[len(ckptMagic):], 2)
+
+	// The memory section closes the payload and opens with its root digest.
+	foreign := append([]byte(nil), payload...)
+	sum := other.MemImage().Digest()
+	copy(foreign[len(foreign)-len(ref.Mem.AppendTo(nil)):], sum[:])
+
+	for _, tc := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"schema-2", "schema version 2", schema2},
+		{"foreign-root", "encoded over root", ckptFile(key, foreign)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(ckptPath(dir, key), tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cp := NewCheckpointer(dir, WarmDetailed)
+			var ck *cpu.Checkpoint
+			var src WarmSource
+			warning := captureStderr(t, func() {
+				ck, src, err = cp.Warm(w, cfg, false, warm)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(warning, "ignoring checkpoint") || !strings.Contains(warning, tc.want) {
+				t.Errorf("warning %q does not name the stale entry (want %q)", warning, tc.want)
+			}
+			if st := cp.Stats(); src != WarmFromSim || st.DiskLoads != 0 || st.WarmMisses != 1 || st.DiskStores != 1 {
+				t.Errorf("stale entry: src=%s stats=%+v, want a rebuild that rewrites the entry", src, st)
+			}
+			if !bytes.Equal(ck.EncodeBinary(), payload) {
+				t.Error("rebuilt checkpoint differs from the reference")
+			}
+			if _, src, err := NewCheckpointer(dir, WarmDetailed).Warm(w, cfg, false, warm); err != nil || src != WarmFromDisk {
+				t.Errorf("rewritten entry: src=%s err=%v, want a disk load", src, err)
+			}
+		})
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected and returns what it wrote.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = saved }()
+	f()
+	b, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestConcurrentStoreWritersAgree: independent Checkpointers (standing in

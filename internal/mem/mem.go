@@ -9,11 +9,7 @@
 // self-terminate.
 package mem
 
-import (
-	"encoding/binary"
-	"errors"
-	"sort"
-)
+import "encoding/binary"
 
 // PageSize is the size of one memory page in bytes.
 const PageSize = 4096
@@ -33,6 +29,9 @@ type Memory struct {
 	// gen counts ownership epochs: Snapshot bumps it, which tells every
 	// Pager that cached page pointers (and their writability) are stale.
 	gen uint64
+	// root is the pristine image this memory descends from (see
+	// NewFromImage); nil for a memory built from scratch.
+	root *Snapshot
 }
 
 // New returns an empty memory.
@@ -185,105 +184,4 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 		out[i], _ = m.Byte(addr + uint64(i))
 	}
 	return out
-}
-
-// Snapshot is an immutable copy-on-write image of a Memory at one instant.
-// Its pages are shared — never mutated — by every Memory derived from it
-// via NewFromSnapshot, and by the Memory that produced it (which turns
-// copy-on-write from the moment of the snapshot). That makes a Snapshot
-// safe to restore from concurrently.
-type Snapshot struct {
-	pages       map[uint64]*[PageSize]byte
-	bytesMapped uint64
-}
-
-// Snapshot captures the current contents. The receiver keeps working but
-// copies any snapshotted page before its next write, so the returned image
-// stays frozen. Cost is O(pages) pointer copies, not O(bytes).
-func (m *Memory) Snapshot() *Snapshot {
-	s := &Snapshot{
-		pages:       make(map[uint64]*[PageSize]byte, len(m.pages)),
-		bytesMapped: m.bytesMapped,
-	}
-	m.gen++
-	if m.shared == nil {
-		m.shared = make(map[uint64]struct{}, len(m.pages))
-	}
-	for pn, p := range m.pages {
-		s.pages[pn] = p
-		m.shared[pn] = struct{}{}
-	}
-	return s
-}
-
-// NewFromSnapshot returns a Memory whose initial contents are the
-// snapshot's, sharing its pages copy-on-write. Restoring is O(pages).
-func NewFromSnapshot(s *Snapshot) *Memory {
-	m := &Memory{
-		pages:       make(map[uint64]*[PageSize]byte, len(s.pages)),
-		bytesMapped: s.bytesMapped,
-		shared:      make(map[uint64]struct{}, len(s.pages)),
-	}
-	for pn, p := range s.pages {
-		m.pages[pn] = p
-		m.shared[pn] = struct{}{}
-	}
-	return m
-}
-
-// Footprint returns the number of bytes of pages captured in the snapshot.
-func (s *Snapshot) Footprint() uint64 { return s.bytesMapped }
-
-// AppendTo serializes the snapshot deterministically (page count, then
-// page-number/contents pairs in ascending page order) and returns the
-// extended buffer.
-func (s *Snapshot) AppendTo(b []byte) []byte {
-	pns := make([]uint64, 0, len(s.pages))
-	for pn := range s.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(pns)))
-	for _, pn := range pns {
-		b = binary.LittleEndian.AppendUint64(b, pn)
-		b = append(b, s.pages[pn][:]...)
-	}
-	return b
-}
-
-// DecodeSnapshot parses a snapshot serialized by AppendTo and returns the
-// unconsumed remainder of b.
-func DecodeSnapshot(b []byte) (*Snapshot, []byte, error) {
-	if len(b) < 8 {
-		return nil, nil, errors.New("mem: truncated snapshot header")
-	}
-	n := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	s := &Snapshot{pages: make(map[uint64]*[PageSize]byte, n)}
-	for i := uint64(0); i < n; i++ {
-		if len(b) < 8+PageSize {
-			return nil, nil, errors.New("mem: truncated snapshot page")
-		}
-		pn := binary.LittleEndian.Uint64(b)
-		p := new([PageSize]byte)
-		copy(p[:], b[8:8+PageSize])
-		s.pages[pn] = p
-		b = b[8+PageSize:]
-		s.bytesMapped += PageSize
-	}
-	return s, b, nil
-}
-
-// Equal reports whether two snapshots capture identical contents.
-func (s *Snapshot) Equal(o *Snapshot) bool {
-	if len(s.pages) != len(o.pages) {
-		return false
-	}
-	for pn, p := range s.pages {
-		q, ok := o.pages[pn]
-		if !ok || *p != *q {
-			return false
-		}
-	}
-	return true
 }

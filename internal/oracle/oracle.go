@@ -78,7 +78,7 @@ type Divergence struct {
 	AbsIndex uint64 `json:"abs_index"`
 	Cycle    uint64 `json:"cycle"`
 	PC       uint64 `json:"pc"`
-	// Kind is one of "pc", "reg", "store", "ctrl", "fault", "halt",
+	// Kind is one of "seed", "pc", "reg", "store", "ctrl", "fault", "halt",
 	// "off-image", "invariant", "final-regs".
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
@@ -169,17 +169,31 @@ func New(image *asm.Image, m *mem.Memory, entry uint64, opt Options) *Oracle {
 // the quiesce point the pipeline is drained, so ck's registers, PC, and
 // memory snapshot are exactly architectural. This makes checkpointed and
 // functionally warmed runs validatable without replaying the warm-up.
+//
+// A checkpoint whose memory is an unresolved delta (decoded but never
+// rebased onto its workload image) cannot seed the model: the oracle
+// records a "seed" divergence and checks nothing, so Err fails instead of
+// lockstepping against a partial image.
 func FromCheckpoint(image *asm.Image, ck *cpu.Checkpoint, opt Options) *Oracle {
+	seeded := ck.Mem.Resolved()
+	m := mem.New()
+	if seeded {
+		m = mem.NewFromSnapshot(ck.Mem)
+	}
 	o := &Oracle{
 		opt:    opt,
 		image:  image,
-		ma:     compiled.NewMachine(compiled.Cached(image), mem.NewFromSnapshot(ck.Mem), ck.PC),
+		ma:     compiled.NewMachine(compiled.Cached(image), m, ck.PC),
 		halted: ck.MainHalted,
 		base:   ck.WarmRetired,
 	}
 	regs := ck.Regs
 	o.ma.SetRegs(&regs)
 	o.init()
+	if !seeded {
+		o.stopped = true
+		o.reportAt(nil, 0, "seed", "checkpoint memory is an unresolved delta; rebase it onto its workload image", nil)
+	}
 	return o
 }
 

@@ -373,3 +373,50 @@ func TestOracleFromCheckpointHalted(t *testing.T) {
 		t.Fatalf("AbsIndex = %d, want %d (checkpoint base)", divs[0].AbsIndex, ck.WarmRetired)
 	}
 }
+
+// TestOracleFromUnresolvedCheckpoint: a decoded checkpoint whose memory
+// was never rebased holds only the pages that changed since the program's
+// image. Seeding from it must record a "seed" divergence and fail Err,
+// not lockstep against a partial image; once rebased, the same checkpoint
+// seeds a clean lockstep run.
+func TestOracleFromUnresolvedCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	im, entry, init := progen.Program(rng)
+	m := mem.New()
+	init(m)
+	root := m.Snapshot()
+	core := cpu.MustNew(cpu.Config4Wide(), im, mem.NewFromImage(root), entry, nil)
+	core.Run(300)
+	ck, err := core.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := cpu.DecodeCheckpoint(ck.EncodeBinary())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	o := oracle.FromCheckpoint(im, dec, oracle.Options{Workload: "progen"})
+	divs := o.Divergences()
+	if len(divs) != 1 || divs[0].Kind != "seed" || o.Err() == nil {
+		t.Fatalf("divergences = %v, want one seed report", divs)
+	}
+	o.OnRetire(&cpu.DynInst{PC: dec.PC})
+	if len(o.Divergences()) != 1 {
+		t.Errorf("an unseeded oracle kept diffing: %v", o.Divergences())
+	}
+
+	if dec.Mem, err = dec.Mem.Rebase(root); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cpu.Restore(cpu.Config4Wide(), im, dec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o = oracle.FromCheckpoint(im, dec, oracle.Options{})
+	o.Attach(r)
+	r.Run(1 << 40)
+	if err := o.VerifyFinal(r); err != nil {
+		t.Fatalf("rebased checkpoint: %v", err)
+	}
+}

@@ -69,11 +69,18 @@ type Workload struct {
 	memImage  *mem.Snapshot
 }
 
-// NewMemory returns a freshly initialized memory for one run. InitMem runs
-// once per Workload; every call then returns a copy-on-write clone of that
-// image, so a run copies only the pages it writes and concurrent runs
-// share the rest.
+// NewMemory returns a freshly initialized memory for one run: a
+// copy-on-write clone of MemImage, which is also its root (see
+// mem.NewFromImage), so a run copies only the pages it writes, concurrent
+// runs share the rest, and a checkpoint of the run encodes only the pages
+// warm-up changed.
 func (w *Workload) NewMemory() *mem.Memory {
+	return mem.NewFromImage(w.MemImage())
+}
+
+// MemImage returns the pristine initial memory image. InitMem runs once
+// per Workload to build it; the image is never written afterwards.
+func (w *Workload) MemImage() *mem.Snapshot {
 	w.memOnce.Do(func() {
 		m := mem.New()
 		if w.InitMem != nil {
@@ -81,7 +88,7 @@ func (w *Workload) NewMemory() *mem.Memory {
 		}
 		w.memImage = m.Snapshot()
 	})
-	return mem.NewFromSnapshot(w.memImage)
+	return w.memImage
 }
 
 // SliceTable returns the front-end slice/PGI table for this workload,
