@@ -22,9 +22,8 @@
 //
 // -json runs every experiment (including figurepred, figureauto, and
 // figuremp) and emits one machine-readable document (schema
-// specslice-experiments/6)
-// containing all tables and figures, for bench trajectories and plotting
-// scripts.
+// specslice-experiments/7) containing all tables and figures, for plotting
+// scripts and output comparisons.
 //
 // -bpred and -ipred swap the direction / indirect predictor of every
 // driver-built baseline configuration (registry spec, e.g. -bpred
@@ -200,9 +199,7 @@ func main() {
 			exit(1)
 		}
 		if *verbose {
-			st := e.Stats()
-			fmt.Fprintf(os.Stderr, "engine: %d simulations, %d memo hits, %d insts simulated, %s sim time\n",
-				st.Misses, st.Hits, st.SimInsts, st.SimWall.Round(time.Millisecond))
+			printSummary(e)
 		}
 		return
 	}

@@ -194,13 +194,10 @@ func main() {
 	// configuration, the machine quiesces, and the measurement core is
 	// restored from the snapshot with zeroed counters. With -checkpoint-dir
 	// the snapshot persists, so re-running with different measurement-only
-	// flags (-perfect, -trace, -top) skips the warm-up simulation.
-	cp := harness.NewCheckpointer(*ckDir, warmMode)
-	core, ck, warmSrc, err := cp.WarmedCoreCkpt(w, cfg, useSlices, warm)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
+	// flags (-perfect, -trace, -top) skips the warm-up simulation. The
+	// measured region runs through the engine's own RunOnce, so the oracle,
+	// invariant and MaxCycles checks are the ones every experiment gets.
+	var tracer stats.Tracer
 	if *trace {
 		sink, cleanup, err := openTracer(*traceFmt, *traceOut)
 		if err != nil {
@@ -208,37 +205,19 @@ func main() {
 			exit(1)
 		}
 		defer cleanup()
-		core.SetTracer(sink)
+		tracer = sink
 	}
-	var orc *oracle.Oracle
+	cp := harness.NewCheckpointer(*ckDir, warmMode)
+	o := harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}
+	core, warmSrc, err := harness.RunOnce(cp, w, cfg, useSlices, warm, region, o, nil, tracer)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "slicesim:", err)
+		writeOracleReport(*orcOut, err)
+		exit(1)
+	}
+	s := core.S
 	if *useOrc {
-		// The oracle's functional model starts from the same warm checkpoint
-		// the measurement core restored from, so it validates the measured
-		// region regardless of how the warm-up was produced.
-		orc = oracle.FromCheckpoint(w.Image, ck, oracle.Options{
-			Workload: w.Name,
-			WarmKey:  harness.WarmKeyFor(w.Name, useSlices, warm, warmMode, cfg),
-			Every:    *orcEvery,
-		})
-		orc.Attach(core)
-	}
-	s := core.Run(region)
-	if s.CycleGuardHits > 0 {
-		fmt.Fprintf(os.Stderr,
-			"slicesim: WARNING: run hit the MaxCycles guard after %d cycles — results cover a truncated region\n",
-			s.Cycles)
-	}
-	if orc != nil {
-		if err := core.CheckInvariants(); err != nil {
-			fmt.Fprintf(os.Stderr, "slicesim: oracle: %v\n", err)
-			exit(1)
-		}
-		if err := orc.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "slicesim: %v\n", err)
-			writeOracleReport(*orcOut, err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "slicesim: oracle: %d retirements validated, no divergence\n", orc.Retired())
+		fmt.Fprintf(os.Stderr, "slicesim: oracle: %d retirements validated, no divergence\n", s.MainRetired)
 	}
 
 	if *asJSON {

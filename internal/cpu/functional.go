@@ -65,8 +65,8 @@ func RunFunctional(image *asm.Image, m *mem.Memory, entry uint64, maxInsts uint6
 // RunFunctionalInterp is RunFunctional on the original decode-dispatch
 // interpreter (isa.Execute against the image, one lookup per
 // instruction). It is retained as the differential reference for the
-// compiled engine — the functional warm path's architectural-state test
-// runs against it — and as the baseline leg of BenchmarkFunctionalExec.
+// compiled engine: the functional warm path's architectural-state test
+// runs against it.
 func RunFunctionalInterp(image *asm.Image, m *mem.Memory, entry uint64, maxInsts uint64) (FuncState, error) {
 	var st FuncState
 	st.PC = entry

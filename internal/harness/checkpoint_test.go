@@ -20,9 +20,9 @@ import (
 func measureVia(t *testing.T, cp *Checkpointer, workload string, cfg cpu.Config, withSlices bool, warm, run uint64) stats.Snapshot {
 	t.Helper()
 	w := pick(t, workload)[0]
-	core, _, err := runOnce(cp, w, cfg, withSlices, warm, run, OracleOptions{}, nil)
+	core, _, err := RunOnce(cp, w, cfg, withSlices, warm, run, OracleOptions{}, nil, nil)
 	if err != nil {
-		t.Fatalf("runOnce: %v", err)
+		t.Fatalf("RunOnce: %v", err)
 	}
 	return core.Snapshot()
 }
@@ -312,7 +312,7 @@ func TestConcurrentRestoresShareOneCheckpoint(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			core, _, err := runOnce(cp, w, cfg, true, warm, run, OracleOptions{}, nil)
+			core, _, err := RunOnce(cp, w, cfg, true, warm, run, OracleOptions{}, nil, nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -255,18 +254,11 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 		}
 	}
 	start := time.Now()
-	core, warmSrc, err := runOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, set)
+	core, warmSrc, err := RunOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, set, nil)
 	if err != nil {
 		return fail(err)
 	}
 	res := &RunResult{Snap: core.Snapshot(), Wall: time.Since(start)}
-	if n := res.Snap.Sim.CycleGuardHits; n > 0 {
-		// A truncated region silently skews every table row derived from
-		// it; make the truncation visible.
-		fmt.Fprintf(os.Stderr,
-			"harness: WARNING: %s (%s, slices=%t) hit the MaxCycles guard — results cover a truncated region\n",
-			spec.Workload, spec.Cfg.Name, spec.WithSlices)
-	}
 	en.res = res
 	close(en.done)
 

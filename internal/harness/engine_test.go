@@ -189,7 +189,7 @@ func TestRunSpecKey(t *testing.T) {
 // --- golden output ---
 
 // The golden files under testdata were generated by the pre-engine serial
-// drivers (one runOnce per table cell, in row order). The engine rewrite
+// drivers (one RunOnce per table cell, in row order). The engine rewrite
 // must reproduce them byte for byte: memoization and parallel scheduling
 // may change only wall time, never output. Regenerate with -update after
 // an intentional simulator change.

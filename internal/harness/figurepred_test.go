@@ -81,7 +81,7 @@ func TestOracleEveryPredictor(t *testing.T) {
 		cfg := cpu.Config4Wide()
 		cfg.BPred = name
 		cp := NewCheckpointer("", WarmDetailed)
-		if _, _, err := runOnce(cp, w, cfg, false, 10_000, 20_000, OracleOptions{Enabled: true}, nil); err != nil {
+		if _, _, err := RunOnce(cp, w, cfg, false, 10_000, 20_000, OracleOptions{Enabled: true}, nil, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/oracle"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -68,7 +69,8 @@ func (p Params) regions(w *workloads.Workload) (warm, run uint64) {
 	return
 }
 
-// runOnce produces one measured simulation: the warm prefix comes from the
+// RunOnce produces one measured simulation, the sequence behind every
+// engine run and every slicesim run: the warm prefix comes from the
 // checkpointer (simulated at most once per shareable prefix), the
 // measurement region runs on a core restored from it. Restoring a
 // detailed-warm checkpoint is behavior-identical to warming straight
@@ -76,16 +78,20 @@ func (p Params) regions(w *workloads.Workload) (warm, run uint64) {
 // snapshots. Each call restores a private core over copy-on-write memory,
 // so concurrent calls are independent; the engine relies on this to
 // parallelize.
-// When o.Oracle is set, the differential oracle is seeded from the same
+// When tr is non-nil it is attached to the restored core, so it observes
+// the measured region only; tracing never changes the run's counters.
+// When o.Enabled is set, the differential oracle is seeded from the same
 // warm checkpoint the core restores from and attached for the measured
-// region; any divergence (or invariant violation) fails the run with a
-// *oracle.DivergenceError.
+// region; any divergence (or invariant violation) fails the run with an
+// error wrapping *oracle.DivergenceError.
 // When set is non-nil the measurement runs with that slice set's image and
 // table instead of the workload's hand-built slices: the warm prefix is
 // the plain baseline one (the warm region never executes slice code, and
 // the candidate hardware starting cold at the measurement boundary is the
 // conservative choice when deciding whether to accept an auto slice).
-func runOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices bool, warm, run uint64, o OracleOptions, set *SliceSet) (*cpu.Core, WarmSource, error) {
+// A region truncated by the MaxCycles guard is returned with a warning:
+// it would silently skew every number derived from it.
+func RunOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices bool, warm, run uint64, o OracleOptions, set *SliceSet, tr stats.Tracer) (*cpu.Core, WarmSource, error) {
 	image := w.Image
 	var core *cpu.Core
 	var ck *cpu.Checkpoint
@@ -100,6 +106,9 @@ func runOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices
 	if err != nil {
 		return nil, src, err
 	}
+	if tr != nil {
+		core.SetTracer(tr)
+	}
 	var orc *oracle.Oracle
 	if o.Enabled {
 		orc = oracle.FromCheckpoint(image, ck, oracle.Options{
@@ -109,7 +118,11 @@ func runOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices
 		})
 		orc.Attach(core)
 	}
-	core.Run(run)
+	s := core.Run(run)
+	if s.CycleGuardHits > 0 {
+		warnf("%s (%s, slices=%t) hit the MaxCycles guard after %d cycles — results cover a truncated region",
+			w.Name, cfg.Name, withSlices, s.Cycles)
+	}
 	if orc != nil {
 		// One final structural sweep at the region boundary, so short runs
 		// that never crossed a sweep period are still checked.

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -160,5 +163,37 @@ func TestParamsRegions(t *testing.T) {
 	warm, run = Params{Scale: 0.001}.regions(w)
 	if warm < 10_000 || run < 20_000 {
 		t.Errorf("floors not applied: %d/%d", warm, run)
+	}
+}
+
+// TestRunOnceTracerOnlyObserves: a tracer attached through RunOnce sees
+// the restored core's measured region — forks and the prediction
+// lifecycle included — without changing a single counter of it.
+func TestRunOnceTracerOnlyObserves(t *testing.T) {
+	w := pick(t, "vpr")[0]
+	cfg := cpu.Config4Wide()
+	warm, run := small.regions(w)
+	cp := NewCheckpointer("", WarmDetailed)
+
+	plain, _, err := RunOnce(cp, w, cfg, true, warm, run, OracleOptions{}, nil, nil)
+	if err != nil {
+		t.Fatalf("RunOnce: %v", err)
+	}
+	seen := map[stats.EventKind]int{}
+	tr := stats.FuncTracer(func(ev stats.Event) { seen[ev.Kind]++ })
+	traced, src, err := RunOnce(cp, w, cfg, true, warm, run, OracleOptions{}, nil, tr)
+	if err != nil {
+		t.Fatalf("RunOnce with tracer: %v", err)
+	}
+	if src != WarmFromMemo {
+		t.Errorf("traced run warmed from %s, want a restore of the shared checkpoint", src)
+	}
+	if a, b := plain.Snapshot(), traced.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("tracing changed the measured snapshot:\n plain  %+v\n traced %+v", a.Sim, b.Sim)
+	}
+	for _, k := range []stats.EventKind{stats.EvFork, stats.EvPredAlloc, stats.EvPredGenerate, stats.EvPredBind} {
+		if seen[k] == 0 {
+			t.Errorf("tracer received no %q events (saw %v)", k, seen)
+		}
 	}
 }
