@@ -1,119 +1,30 @@
 package bpred
 
-// Deterministic little-endian blob codec for predictor warm state.
-// Every SaveState blob ends in a CRC32 trailer over the payload, so a
-// single flipped byte anywhere in a stored predictor section is caught
-// by LoadState itself — the checkpoint container does not need to know
-// any predictor's layout to validate it.
+// Every SaveState blob is a wire stream sealed with a CRC32 trailer
+// (wire.Writer.Seal), so a single flipped byte anywhere in a stored
+// predictor section is caught by LoadState itself — the checkpoint
+// container does not need to know any predictor's layout to validate it.
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/wire"
 )
 
-type blobW struct{ b []byte }
-
-func (w *blobW) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *blobW) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *blobW) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-
-func (w *blobW) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// finish appends the CRC trailer and returns the completed blob.
-func (w *blobW) finish() []byte {
-	return binary.LittleEndian.AppendUint32(w.b, crc32.ChecksumIEEE(w.b))
-}
-
-var errBlobTruncated = errors.New("truncated state blob")
-
-// openBlob validates the CRC trailer and returns a reader over the
+// openBlob checks a blob's CRC trailer and returns a reader over its
 // payload. kind labels errors ("yags", "value", ...).
-func openBlob(kind string, b []byte) (*blobR, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("bpred: %s: %w", kind, errBlobTruncated)
+func openBlob(kind string, b []byte) (*wire.Reader, error) {
+	r, err := wire.Open(b)
+	if err != nil {
+		return nil, fmt.Errorf("bpred: %s: state blob: %w", kind, err)
 	}
-	payload := b[:len(b)-4]
-	want := binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("bpred: %s: state blob CRC mismatch (corrupt)", kind)
-	}
-	return &blobR{b: payload, kind: kind}, nil
+	return r, nil
 }
 
-type blobR struct {
-	b    []byte
-	kind string
-	err  error
-}
-
-func (r *blobR) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("bpred: %s: %w", r.kind, errBlobTruncated)
-	}
-	r.b = nil
-}
-
-func (r *blobR) u8() uint8 {
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *blobR) u16() uint16 {
-	if len(r.b) < 2 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
-}
-
-func (r *blobR) u64() uint64 {
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *blobR) bool() bool { return r.u8() != 0 }
-
-// count reads a length prefix and bounds it by the bytes that could
-// possibly remain (minSize bytes per element), so a corrupt length
-// cannot drive a huge allocation.
-func (r *blobR) count(minSize int) int {
-	n := r.u64()
-	if r.err == nil && minSize > 0 && n > uint64(len(r.b)/minSize) {
-		r.fail()
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// done fails if any read ran short or payload bytes remain.
-func (r *blobR) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("bpred: %s: %d trailing bytes in state blob", r.kind, len(r.b))
+// closeBlob fails if any read of the blob went wrong or bytes remain.
+func closeBlob(kind string, r *wire.Reader) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("bpred: %s: state blob: %w", kind, err)
 	}
 	return nil
 }

@@ -151,18 +151,6 @@ func TestYAGSUnbiasedBranchIsHard(t *testing.T) {
 	}
 }
 
-func TestOracle(t *testing.T) {
-	o := &Oracle{}
-	o.Outcome = true
-	if !o.Predict(1, 2) {
-		t.Error("oracle ignored primed outcome")
-	}
-	o.Outcome = false
-	if o.Predict(1, 2) {
-		t.Error("oracle ignored primed outcome")
-	}
-}
-
 func TestCascadedMonomorphic(t *testing.T) {
 	c := DefaultCascaded()
 	pc := uint64(0x8000)

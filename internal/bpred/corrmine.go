@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // CorrMine is the sparse correlation-mining baseline (Zouzias et al.,
@@ -164,23 +165,23 @@ func (m *CorrMine) Counters() (string, any) { return "Bpred.CorrMine", &m.Stats 
 
 // SaveState implements Predictor.
 func (m *CorrMine) SaveState() []byte {
-	var w blobW
-	w.u64(uint64(len(m.ring)))
-	w.u64(uint64(m.head))
+	var w wire.Writer
+	w.U64(uint64(len(m.ring)))
+	w.U64(uint64(m.head))
 	for _, ev := range m.ring {
-		w.u64(ev.pc)
-		w.bool(ev.taken)
+		w.U64(ev.pc)
+		w.Bool(ev.taken)
 	}
-	w.u64(uint64(len(m.entries)))
+	w.U64(uint64(len(m.entries)))
 	for _, e := range m.entries {
-		w.u64(e.pc)
-		w.u8(e.bias)
-		w.bool(e.agree != nil)
+		w.U64(e.pc)
+		w.U8(e.bias)
+		w.Bool(e.agree != nil)
 		for _, a := range e.agree {
-			w.u8(a)
+			w.U8(a)
 		}
 	}
-	return w.finish()
+	return w.Seal()
 }
 
 // LoadState implements Predictor.
@@ -189,36 +190,32 @@ func (m *CorrMine) LoadState(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if n := r.u64(); n != uint64(len(m.ring)) {
-		return fmt.Errorf("corrmine: state has %d ring slots, predictor %d", n, len(m.ring))
-	}
-	h := r.u64()
+	r.Expect(uint64(len(m.ring)), "ring slots")
+	h := r.U64()
 	if h >= uint64(len(m.ring)) {
 		return fmt.Errorf("corrmine: ring head %d out of range", h)
 	}
 	m.head = int(h)
 	for i := range m.ring {
-		m.ring[i] = corrEvent{pc: r.u64(), taken: r.bool()}
+		m.ring[i] = corrEvent{pc: r.U64(), taken: r.Bool()}
 	}
-	if n := r.u64(); n != uint64(len(m.entries)) {
-		return fmt.Errorf("corrmine: state has %d entries, predictor %d", n, len(m.entries))
-	}
+	r.Expect(uint64(len(m.entries)), "entries")
 	for i := range m.entries {
 		e := &m.entries[i]
-		e.pc = r.u64()
-		e.bias = r.u8()
-		if r.bool() {
+		e.pc = r.U64()
+		e.bias = r.U8()
+		if r.Bool() {
 			if e.agree == nil {
 				e.agree = make([]uint8, m.positions)
 			}
 			for j := range e.agree {
-				e.agree[j] = r.u8()
+				e.agree[j] = r.U8()
 			}
 		} else {
 			e.agree = nil
 		}
 	}
-	return r.done()
+	return closeBlob("corrmine", r)
 }
 
 func init() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // Bimodal is a PC-indexed table of 2-bit counters.
@@ -50,12 +51,12 @@ func (b *Bimodal) Counters() (string, any) { return "Bpred.Dir", &b.Stats }
 
 // SaveState implements Predictor.
 func (b *Bimodal) SaveState() []byte {
-	var w blobW
-	w.u64(uint64(len(b.table)))
+	var w wire.Writer
+	w.U64(uint64(len(b.table)))
 	for _, c := range b.table {
-		w.u8(uint8(c))
+		w.U8(uint8(c))
 	}
-	return w.finish()
+	return w.Seal()
 }
 
 // LoadState implements Predictor.
@@ -64,13 +65,11 @@ func (b *Bimodal) LoadState(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if n := r.u64(); n != uint64(len(b.table)) {
-		return fmt.Errorf("bimodal: state has %d entries, predictor %d", n, len(b.table))
-	}
+	r.Expect(uint64(len(b.table)), "entries")
 	for i := range b.table {
-		b.table[i] = ctr(r.u8())
+		b.table[i] = ctr(r.U8())
 	}
-	return r.done()
+	return closeBlob("bimodal", r)
 }
 
 // GShare xors global history into the index.
@@ -122,13 +121,13 @@ func (g *GShare) Counters() (string, any) { return "Bpred.Dir", &g.Stats }
 
 // SaveState implements Predictor.
 func (g *GShare) SaveState() []byte {
-	var w blobW
-	w.u64(uint64(len(g.table)))
-	w.u64(uint64(g.histBits))
+	var w wire.Writer
+	w.U64(uint64(len(g.table)))
+	w.U64(uint64(g.histBits))
 	for _, c := range g.table {
-		w.u8(uint8(c))
+		w.U8(uint8(c))
 	}
-	return w.finish()
+	return w.Seal()
 }
 
 // LoadState implements Predictor.
@@ -137,47 +136,10 @@ func (g *GShare) LoadState(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if n, h := r.u64(), r.u64(); n != uint64(len(g.table)) || h != uint64(g.histBits) {
-		return fmt.Errorf("gshare: state geometry %d/%d does not match predictor %d/%d",
-			n, h, len(g.table), g.histBits)
-	}
+	r.Expect(uint64(len(g.table)), "entries")
+	r.Expect(uint64(g.histBits), "history bits")
 	for i := range g.table {
-		g.table[i] = ctr(r.u8())
+		g.table[i] = ctr(r.U8())
 	}
-	return r.done()
-}
-
-// Oracle is the perfect direction predictor used by the limit studies: the
-// CPU primes it with the actual outcome before asking. It keeps no state
-// and no counters.
-type Oracle struct{ Outcome bool }
-
-// Predict implements DirPredictor by returning the primed outcome.
-func (o *Oracle) Predict(_, _ uint64) bool { return o.Outcome }
-
-// Update implements DirPredictor as a no-op.
-func (o *Oracle) Update(_, _ uint64, _ bool) {}
-
-// PrimeOutcome implements OutcomePrimed.
-func (o *Oracle) PrimeOutcome(taken bool) { o.Outcome = taken }
-
-// Spec implements Predictor.
-func (o *Oracle) Spec() string { return "oracle" }
-
-// Counters implements Predictor.
-func (o *Oracle) Counters() (string, any) { return "", nil }
-
-// SaveState implements Predictor: an oracle has no warm state.
-func (o *Oracle) SaveState() []byte {
-	var w blobW
-	return w.finish()
-}
-
-// LoadState implements Predictor.
-func (o *Oracle) LoadState(blob []byte) error {
-	r, err := openBlob("oracle", blob)
-	if err != nil {
-		return err
-	}
-	return r.done()
+	return closeBlob("gshare", r)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // Cascaded implements the cascading indirect branch target predictor of
@@ -103,18 +104,18 @@ func (c *Cascaded) Counters() (string, any) { return "Bpred.Indirect", &c.Stats 
 
 // SaveState implements Predictor.
 func (c *Cascaded) SaveState() []byte {
-	var w blobW
-	w.u64(uint64(len(c.stage1)))
+	var w wire.Writer
+	w.U64(uint64(len(c.stage1)))
 	for _, t := range c.stage1 {
-		w.u64(t)
+		w.U64(t)
 	}
-	w.u64(uint64(len(c.stage2)))
+	w.U64(uint64(len(c.stage2)))
 	for _, e := range c.stage2 {
-		w.u16(e.tag)
-		w.u64(e.target)
-		w.bool(e.valid)
+		w.U16(e.tag)
+		w.U64(e.target)
+		w.Bool(e.valid)
 	}
-	return w.finish()
+	return w.Seal()
 }
 
 // LoadState implements Predictor.
@@ -123,19 +124,15 @@ func (c *Cascaded) LoadState(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if n := r.u64(); n != uint64(len(c.stage1)) {
-		return fmt.Errorf("cascaded: state has %d stage-1 entries, predictor %d", n, len(c.stage1))
-	}
+	r.Expect(uint64(len(c.stage1)), "stage-1 entries")
 	for i := range c.stage1 {
-		c.stage1[i] = r.u64()
+		c.stage1[i] = r.U64()
 	}
-	if n := r.u64(); n != uint64(len(c.stage2)) {
-		return fmt.Errorf("cascaded: state has %d stage-2 entries, predictor %d", n, len(c.stage2))
-	}
+	r.Expect(uint64(len(c.stage2)), "stage-2 entries")
 	for i := range c.stage2 {
-		c.stage2[i] = casEntry{tag: r.u16(), target: r.u64(), valid: r.bool()}
+		c.stage2[i] = casEntry{tag: r.U16(), target: r.U64(), valid: r.Bool()}
 	}
-	return r.done()
+	return closeBlob("cascaded", r)
 }
 
 // PushPath mixes a resolved indirect target into a path history register.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // ValuePred is the value-prediction baseline for the problem-branch
@@ -170,29 +171,29 @@ func (v *ValuePred) Counters() (string, any) { return "Bpred.Value", &v.Stats }
 
 // SaveState implements Predictor.
 func (v *ValuePred) SaveState() []byte {
-	var w blobW
-	w.u64(uint64(len(v.entries)))
+	var w wire.Writer
+	w.U64(uint64(len(v.entries)))
 	for _, e := range v.entries {
-		w.u64(e.pc)
-		w.u8(uint8(e.cond))
-		w.u64(e.last)
-		w.u64(e.stride)
-		w.u8(uint8(e.strideConf))
-		w.u8(uint8(e.conf))
-		w.u64(e.sig)
+		w.U64(e.pc)
+		w.U8(uint8(e.cond))
+		w.U64(e.last)
+		w.U64(e.stride)
+		w.U8(uint8(e.strideConf))
+		w.U8(uint8(e.conf))
+		w.U64(e.sig)
 	}
-	w.u64(uint64(len(v.ctx)))
+	w.U64(uint64(len(v.ctx)))
 	for _, ce := range v.ctx {
-		w.u16(ce.tag)
-		w.u64(ce.val)
-		w.u8(uint8(ce.conf))
-		w.bool(ce.valid)
+		w.U16(ce.tag)
+		w.U64(ce.val)
+		w.U8(uint8(ce.conf))
+		w.Bool(ce.valid)
 	}
-	w.u64(uint64(len(v.fb.table)))
+	w.U64(uint64(len(v.fb.table)))
 	for _, c := range v.fb.table {
-		w.u8(uint8(c))
+		w.U8(uint8(c))
 	}
-	return w.finish()
+	return w.Seal()
 }
 
 // LoadState implements Predictor.
@@ -201,33 +202,27 @@ func (v *ValuePred) LoadState(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if n := r.u64(); n != uint64(len(v.entries)) {
-		return fmt.Errorf("value: state has %d entries, predictor %d", n, len(v.entries))
-	}
+	r.Expect(uint64(len(v.entries)), "entries")
 	for i := range v.entries {
 		v.entries[i] = valEntry{
-			pc:         r.u64(),
-			cond:       Cond(r.u8()),
-			last:       r.u64(),
-			stride:     r.u64(),
-			strideConf: ctr(r.u8()),
-			conf:       ctr(r.u8()),
-			sig:        r.u64(),
+			pc:         r.U64(),
+			cond:       Cond(r.U8()),
+			last:       r.U64(),
+			stride:     r.U64(),
+			strideConf: ctr(r.U8()),
+			conf:       ctr(r.U8()),
+			sig:        r.U64(),
 		}
 	}
-	if n := r.u64(); n != uint64(len(v.ctx)) {
-		return fmt.Errorf("value: state has %d context entries, predictor %d", n, len(v.ctx))
-	}
+	r.Expect(uint64(len(v.ctx)), "context entries")
 	for i := range v.ctx {
-		v.ctx[i] = ctxEntry{tag: r.u16(), val: r.u64(), conf: ctr(r.u8()), valid: r.bool()}
+		v.ctx[i] = ctxEntry{tag: r.U16(), val: r.U64(), conf: ctr(r.U8()), valid: r.Bool()}
 	}
-	if n := r.u64(); n != uint64(len(v.fb.table)) {
-		return fmt.Errorf("value: state has %d fallback entries, predictor %d", n, len(v.fb.table))
-	}
+	r.Expect(uint64(len(v.fb.table)), "fallback entries")
 	for i := range v.fb.table {
-		v.fb.table[i] = ctr(r.u8())
+		v.fb.table[i] = ctr(r.U8())
 	}
-	return r.done()
+	return closeBlob("value", r)
 }
 
 func init() {

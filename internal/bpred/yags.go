@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // YAGS (Eden & Mudge, MICRO-31) splits a choice bimodal table from two
@@ -129,22 +130,22 @@ func (y *YAGS) Counters() (string, any) { return "Bpred.YAGS", &y.Stats }
 
 // SaveState implements Predictor.
 func (y *YAGS) SaveState() []byte {
-	var w blobW
-	w.u64(uint64(len(y.choice)))
+	var w wire.Writer
+	w.U64(uint64(len(y.choice)))
 	for _, c := range y.choice {
-		w.u8(uint8(c))
+		w.U8(uint8(c))
 	}
 	saveYAGSEntries := func(entries []yagsEntry) {
-		w.u64(uint64(len(entries)))
+		w.U64(uint64(len(entries)))
 		for _, e := range entries {
-			w.u16(e.tag)
-			w.u8(uint8(e.c))
-			w.bool(e.valid)
+			w.U16(e.tag)
+			w.U8(uint8(e.c))
+			w.Bool(e.valid)
 		}
 	}
 	saveYAGSEntries(y.t)
 	saveYAGSEntries(y.nt)
-	return w.finish()
+	return w.Seal()
 }
 
 // LoadState implements Predictor.
@@ -153,26 +154,15 @@ func (y *YAGS) LoadState(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if n := r.u64(); n != uint64(len(y.choice)) {
-		return fmt.Errorf("yags: state has %d choice entries, predictor %d", n, len(y.choice))
-	}
+	r.Expect(uint64(len(y.choice)), "choice entries")
 	for i := range y.choice {
-		y.choice[i] = ctr(r.u8())
+		y.choice[i] = ctr(r.U8())
 	}
-	loadYAGSEntries := func(entries []yagsEntry) error {
-		if n := r.u64(); n != uint64(len(entries)) {
-			return fmt.Errorf("yags: state has %d cache entries, predictor %d", n, len(entries))
-		}
+	for _, entries := range [][]yagsEntry{y.t, y.nt} {
+		r.Expect(uint64(len(entries)), "cache entries")
 		for i := range entries {
-			entries[i] = yagsEntry{tag: r.u16(), c: ctr(r.u8()), valid: r.bool()}
+			entries[i] = yagsEntry{tag: r.U16(), c: ctr(r.U8()), valid: r.Bool()}
 		}
-		return nil
 	}
-	if err := loadYAGSEntries(y.t); err != nil {
-		return err
-	}
-	if err := loadYAGSEntries(y.nt); err != nil {
-		return err
-	}
-	return r.done()
+	return closeBlob("yags", r)
 }

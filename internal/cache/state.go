@@ -3,16 +3,23 @@ package cache
 // Checkpointable state for the memory hierarchy. A warm checkpoint captures
 // the valid lines (tag/LRU/dirty) of every cache level and the PVB, the
 // stream prefetcher's stream table, the line-origin attribution map, and
-// the memory-bus cursor. Transient machinery — in-flight fills (lineReady /
-// inflOrig), pending PVB arrivals, and the write buffer — is deliberately
-// absent: checkpoints are taken at a quiesced point where the CPU has
-// proven all of it empty (see Hierarchy.Quiesced / PruneFills).
+// the memory-bus cursor — together one HierState, which this package
+// alone encodes and decodes. Transient machinery — in-flight fills
+// (lineReady / inflOrig), pending PVB arrivals, and the write buffer — is
+// deliberately absent: checkpoints are taken at a quiesced point where the
+// CPU has proven all of it empty (see Hierarchy.Quiesced / PruneFills).
 //
 // Every State method deep-copies out and every SetState method deep-copies
 // in: one checkpoint may be restored into many cores concurrently, so no
 // restored core may alias checkpoint-owned slices or maps.
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"sort"
+
+	"repro/internal/wire"
+)
 
 // LineState is one valid line's checkpointable state. Index is the
 // line's slot in the array: set*ways+way in a cache, the entry in the PVB.
@@ -121,31 +128,117 @@ func (p *StreamPrefetcher) SetState(s StreamState) error {
 	return nil
 }
 
-// HierState is the hierarchy-level checkpointable state beyond the caches
-// themselves: non-demand line attribution and the memory-bus cursor
-// (MemFree is an absolute cycle; checkpoints preserve the cycle counter).
+// HierState is the whole hierarchy's checkpointable state: every cache
+// level, the PVB, the stream prefetcher, non-demand line attribution and
+// the memory-bus cursor (MemFree is an absolute cycle; checkpoints
+// preserve the cycle counter).
 type HierState struct {
-	Origin  map[uint64]Origin
-	MemFree uint64
+	L1D, L1I, L2, PVB CacheState
+	Pref              StreamState
+	Origin            map[uint64]Origin
+	MemFree           uint64
 }
 
-// State captures hierarchy-level state. It must be called only after
-// PruneFills proved the hierarchy quiescent.
+// State captures the hierarchy. It must be called only after PruneFills
+// proved the hierarchy quiescent.
 func (h *Hierarchy) State() HierState {
-	s := HierState{Origin: make(map[uint64]Origin, len(h.origin)), MemFree: h.memFree}
+	s := HierState{
+		L1D: h.L1D.State(), L1I: h.L1I.State(), L2: h.L2.State(), PVB: h.PVB.State(),
+		Pref:    h.Pref.State(),
+		Origin:  make(map[uint64]Origin, len(h.origin)),
+		MemFree: h.memFree,
+	}
 	for k, v := range h.origin {
 		s.Origin[k] = v
 	}
 	return s
 }
 
-// SetState restores hierarchy-level state.
-func (h *Hierarchy) SetState(s HierState) {
+// SetState restores state captured from an identically configured
+// hierarchy.
+func (h *Hierarchy) SetState(s HierState) error {
+	if err := errors.Join(h.L1D.SetState(s.L1D), h.L1I.SetState(s.L1I), h.L2.SetState(s.L2),
+		h.PVB.SetState(s.PVB), h.Pref.SetState(s.Pref)); err != nil {
+		return err
+	}
 	h.origin = make(map[uint64]Origin, len(s.Origin))
 	for k, v := range s.Origin {
 		h.origin[k] = v
 	}
 	h.memFree = s.MemFree
+	return nil
+}
+
+// Encode writes s deterministically: the four line arrays, the stream
+// table, the origin map in ascending line order, and the bus cursor.
+func (s *HierState) Encode(w *wire.Writer) {
+	for _, c := range []*CacheState{&s.L1D, &s.L1I, &s.L2, &s.PVB} {
+		w.U64(uint64(c.NumLines))
+		w.U64(uint64(len(c.Lines)))
+		for _, l := range c.Lines {
+			w.U32(l.Index)
+			w.U64(l.Tag)
+			w.Bool(l.Dirty)
+			w.U64(l.LRU)
+		}
+		w.U64(c.Clock)
+	}
+	w.U64(uint64(len(s.Pref.Streams)))
+	for _, st := range s.Pref.Streams {
+		w.Bool(st.Valid)
+		w.U64(st.NextLine)
+		w.U64(uint64(st.Dir))
+		w.U64(st.LastUse)
+	}
+	w.U64(s.Pref.Clock)
+	lines := make([]uint64, 0, len(s.Origin))
+	for k := range s.Origin {
+		lines = append(lines, k)
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	w.U64(uint64(len(lines)))
+	for _, k := range lines {
+		w.U64(k)
+		w.U8(uint8(s.Origin[k]))
+	}
+	w.U64(s.MemFree)
+}
+
+// DecodeHierState reads what Encode wrote; errors latch in r. It rejects
+// line indices that are out of range or not strictly ascending and origin
+// lines that are not strictly ascending, so every accepted encoding is
+// canonical.
+func DecodeHierState(r *wire.Reader) HierState {
+	var s HierState
+	for _, c := range []*CacheState{&s.L1D, &s.L1I, &s.L2, &s.PVB} {
+		c.NumLines = int(r.U64())
+		for i, n := 0, r.Count(21); i < n && r.Err() == nil; i++ {
+			l := LineState{Index: r.U32(), Tag: r.U64(), Dirty: r.Bool(), LRU: r.U64()}
+			if r.Err() == nil && (uint64(l.Index) >= uint64(c.NumLines) || i > 0 && l.Index <= c.Lines[i-1].Index) {
+				r.Fail(fmt.Errorf("cache: line index %d out of order or range", l.Index))
+			}
+			c.Lines = append(c.Lines, l)
+		}
+		c.Clock = r.U64()
+	}
+	for i, n := 0, r.Count(25); i < n && r.Err() == nil; i++ {
+		s.Pref.Streams = append(s.Pref.Streams, StreamEntry{
+			Valid: r.Bool(), NextLine: r.U64(), Dir: int64(r.U64()), LastUse: r.U64(),
+		})
+	}
+	s.Pref.Clock = r.U64()
+	n := r.Count(9)
+	s.Origin = make(map[uint64]Origin, n)
+	for i, prev := 0, uint64(0); i < n && r.Err() == nil; i++ {
+		k := r.U64()
+		if i > 0 && k <= prev && r.Err() == nil {
+			r.Fail(fmt.Errorf("cache: origin line %#x out of order", k))
+		}
+		prev = k
+		s.Origin[k] = Origin(r.U8())
+	}
+	s.MemFree = r.U64()
+	return s
 }
 
 // Quiesced reports whether no background machinery is in flight at cycle

@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestCacheStateValidLinesOnly: State lists only valid lines, and a cache
@@ -78,5 +82,113 @@ func TestCacheSetStateRejectsBadState(t *testing.T) {
 	st = CacheState{NumLines: len(c.lines), Lines: []LineState{{Index: uint32(len(c.lines))}}}
 	if err := c.SetState(st); err == nil {
 		t.Error("out-of-range line index accepted")
+	}
+}
+
+// warmHierarchy runs demand scans (which start prefetch streams), random
+// demand and helper loads, stores and instruction fetches through a fresh
+// hierarchy, then drains it to a quiesced point as a checkpoint would.
+func warmHierarchy(t *testing.T) *Hierarchy {
+	t.Helper()
+	h := NewHierarchy(DefaultParams())
+	rng := rand.New(rand.NewSource(5))
+	now := uint64(0)
+	for i := 0; i < 6000; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			h.Access(0x400000+uint64(i)*64, false, KindDemand, now)
+		case 1:
+			h.Access(uint64(rng.Intn(1<<22)), rng.Intn(3) == 0, KindDemand, now)
+		case 2:
+			h.Access(uint64(rng.Intn(1<<22)), false, KindHelper, now)
+		default:
+			h.StoreRetire(uint64(rng.Intn(1<<20)), now)
+			h.FetchAccess(0x10000+uint64(rng.Intn(1<<16)), now)
+		}
+		now += 3
+		h.Tick(now)
+	}
+	for !h.Quiesced(now) {
+		now++
+		h.Tick(now)
+	}
+	if err := h.PruneFills(now); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func encodeHier(s HierState) []byte {
+	var w wire.Writer
+	s.Encode(&w)
+	return w.Bytes()
+}
+
+func decodeHier(b []byte) (HierState, error) {
+	r := wire.NewReader(b)
+	s := DecodeHierState(r)
+	return s, r.Done()
+}
+
+// TestHierStateCodecRoundTrip: a warmed hierarchy's state decodes to
+// itself, re-encodes to the same bytes, and restores into a fresh
+// hierarchy that captures the same state; every strict prefix of the
+// encoding is an error.
+func TestHierStateCodecRoundTrip(t *testing.T) {
+	st := warmHierarchy(t).State()
+	if len(st.L1D.Lines) == 0 || len(st.PVB.Lines) == 0 || len(st.Origin) < 2 || st.MemFree == 0 {
+		t.Fatalf("warm-up left too little state to test: %d L1D lines, %d PVB lines, %d origins, MemFree %d",
+			len(st.L1D.Lines), len(st.PVB.Lines), len(st.Origin), st.MemFree)
+	}
+	enc := encodeHier(st)
+	dec, err := decodeHier(enc)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(dec, st) {
+		t.Fatal("decoded state differs from the captured one")
+	}
+	if !bytes.Equal(encodeHier(dec), enc) {
+		t.Error("re-encoding changed the bytes")
+	}
+	h := NewHierarchy(DefaultParams())
+	if err := h.SetState(dec); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !reflect.DeepEqual(h.State(), st) {
+		t.Error("restored hierarchy captures a different state")
+	}
+	for n := 0; n < len(enc); n += 1 + n/64 {
+		if _, err := decodeHier(enc[:n]); err == nil {
+			t.Fatalf("%d-byte prefix of %d accepted", n, len(enc))
+		}
+	}
+}
+
+// TestHierStateCodecRejectsCorruption: a line index out of range or out of
+// order, a dirty flag other than 0 or 1, and origin lines out of order are
+// errors, so every accepted encoding is canonical.
+func TestHierStateCodecRejectsCorruption(t *testing.T) {
+	st := warmHierarchy(t).State()
+	enc := encodeHier(st)
+	// L1D leads: line count, listed-line count, then 21-byte lines
+	// (index u32, tag u64, dirty u8, LRU u64).
+	const line0, lineSize = 16, 21
+	last := line0 + lineSize*(len(st.L1D.Lines)-1)
+	origin0 := len(enc) - 8 - 9*len(st.Origin)
+	for _, tc := range []struct {
+		name string
+		bad  func(b []byte)
+	}{
+		{"index out of range", func(b []byte) { binary.LittleEndian.PutUint32(b[last:], uint32(st.L1D.NumLines)) }},
+		{"index repeated", func(b []byte) { copy(b[line0+lineSize:line0+lineSize+4], b[line0:line0+4]) }},
+		{"dirty byte 2", func(b []byte) { b[line0+12] = 2 }},
+		{"origin repeated", func(b []byte) { copy(b[origin0+9:origin0+17], b[origin0:origin0+8]) }},
+	} {
+		bad := append([]byte(nil), enc...)
+		tc.bad(bad)
+		if _, err := decodeHier(bad); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -34,7 +34,7 @@ import (
 //   - the prediction correlator (flattened; see slicehw.CorrState);
 //   - the memory image, as a copy-on-write page snapshot whose encoding
 //     lists only the pages that differ from the workload's pristine image
-//     (mem.Snapshot.AppendTo).
+//     (mem.Snapshot.Encode).
 //
 // What it deliberately omits:
 //   - all stats counters (the harness resets them at the measurement
@@ -75,10 +75,9 @@ type Checkpoint struct {
 	// hardware.
 	Conf []uint8
 
-	// Memory hierarchy.
-	L1D, L1I, L2, PVB cache.CacheState
-	Pref              cache.StreamState
-	Hier              cache.HierState
+	// Hier is the whole memory hierarchy: caches, PVB, stream prefetcher,
+	// line origins and the memory-bus cursor.
+	Hier cache.HierState
 
 	// Corr is the flattened prediction correlator; nil when the core had no
 	// slice hardware (or the checkpoint came from a functional warm, which
@@ -200,11 +199,6 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 		ICStallUntil: c.main.icStallUntil,
 		Dir:          capturePred(c.dir),
 		Indirect:     capturePred(c.indirect),
-		L1D:          c.hier.L1D.State(),
-		L1I:          c.hier.L1I.State(),
-		L2:           c.hier.L2.State(),
-		PVB:          c.hier.PVB.State(),
-		Pref:         c.hier.Pref.State(),
 		Hier:         c.hier.State(),
 		Mem:          p.mem.Snapshot(),
 	}
@@ -291,22 +285,9 @@ func Restore(cfg Config, image *asm.Image, ck *Checkpoint, sliceTable *slicehw.T
 		copy(conf.table, ck.Conf)
 	}
 
-	if err := c.hier.L1D.SetState(ck.L1D); err != nil {
+	if err := c.hier.SetState(ck.Hier); err != nil {
 		return nil, err
 	}
-	if err := c.hier.L1I.SetState(ck.L1I); err != nil {
-		return nil, err
-	}
-	if err := c.hier.L2.SetState(ck.L2); err != nil {
-		return nil, err
-	}
-	if err := c.hier.PVB.SetState(ck.PVB); err != nil {
-		return nil, err
-	}
-	if err := c.hier.Pref.SetState(ck.Pref); err != nil {
-		return nil, err
-	}
-	c.hier.SetState(ck.Hier)
 
 	if ck.Corr != nil {
 		corr := c.progs[0].corr

@@ -59,16 +59,6 @@ type Core struct {
 	// the drain must still not fetch).
 	draining bool
 
-	// DebugWrongOverride, when non-nil, is called at retire for every
-	// branch whose slice-provided override was wrong (debugging aid).
-	DebugWrongOverride func(di *DynInst)
-	// DebugRetireBranch, when non-nil, is called as each conditional
-	// branch retires (debugging aid).
-	DebugRetireBranch func(di *DynInst)
-	// DebugLookup, when non-nil, is called at fetch right after each
-	// correlator lookup, while the thread's speculative registers still
-	// hold the branch's own iteration state (debugging aid).
-	DebugLookup func(di *DynInst)
 	// RetireObserver, when non-nil, receives every main-thread instruction
 	// in retirement (program) order — the architecturally committed
 	// stream. In multi-programmed mode all programs' retirements arrive
@@ -190,8 +180,8 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	c.registry.Register("L1I", c.hier.L1I.Counters())
 	c.registry.Register("L2", c.hier.L2.Counters())
 	c.registry.Register("PVB", c.hier.PVB.Counters())
-	// Each predictor names its own Snapshot section; an Oracle-style
-	// predictor with no counters returns ("", nil) and registers nothing.
+	// Each predictor names its own Snapshot section; a predictor with no
+	// counters returns ("", nil) and registers nothing.
 	if field, ptr := c.dir.Counters(); field != "" {
 		c.registry.Register(field, ptr)
 	}

@@ -405,9 +405,6 @@ func (c *Core) predictCtrl(t *Thread, di *DynInst) uint64 {
 				di.UsedPred = pr
 				di.UsedOverride = override
 				pred = dir
-				if c.DebugLookup != nil {
-					c.DebugLookup(di)
-				}
 			}
 		default:
 			// Helper threads use static prediction: backward taken,

@@ -170,10 +170,10 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 	if ck.Now != now {
 		t.Errorf("checkpoint Now = %d, replica says %d", ck.Now, now)
 	}
-	if !reflect.DeepEqual(ck.L1D, h.L1D.State()) {
+	if !reflect.DeepEqual(ck.Hier.L1D, h.L1D.State()) {
 		t.Error("L1D state diverges from the cycle-major replica")
 	}
-	if !reflect.DeepEqual(ck.L2, h.L2.State()) {
+	if !reflect.DeepEqual(ck.Hier.L2, h.L2.State()) {
 		t.Error("L2 state diverges from the cycle-major replica")
 	}
 }

@@ -94,9 +94,6 @@ func (c *Core) retireInst(di *DynInst) {
 		}
 
 	case in.IsCondBranch():
-		if c.DebugRetireBranch != nil {
-			c.DebugRetireBranch(di)
-		}
 		st.IsBranch = true
 		p.S.Branches++
 		if di.Out.Taken {
@@ -126,9 +123,6 @@ func (c *Core) retireInst(di *DynInst) {
 				p.S.PredsCorrect++
 			} else {
 				p.S.PredsIncorrect++
-				if c.DebugWrongOverride != nil {
-					c.DebugWrongOverride(di)
-				}
 			}
 		}
 		if di.UsedPred != nil && !di.UsedOverride {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/slicehw"
+	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -175,24 +175,17 @@ func (cp *Checkpointer) resolve(w *workloads.Workload, cfg cpu.Config, withSlice
 	return ck, WarmFromSim, err
 }
 
-// WarmedCoreCkpt returns a fresh core restored to the end of the warm
-// prefix, ready to measure under cfg, along with the warm checkpoint.
-// Every call restores its own core; one checkpoint serves any number of
-// concurrent calls. The checkpoint is the shared cache entry — read-only —
-// and captures the core's exact architectural state at the start of the
+// WarmedCoreCkptAt returns a fresh core restored to the end of the warm
+// prefix into image with slice table table (nil: no slice hardware), ready
+// to measure under cfg, along with the warm checkpoint. Every call
+// restores its own core; one checkpoint serves any number of concurrent
+// calls. The checkpoint is the shared cache entry — read-only — and
+// captures the core's exact architectural state at the start of the
 // measured region, which is what the differential oracle seeds from.
-func (cp *Checkpointer) WarmedCoreCkpt(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (*cpu.Core, *cpu.Checkpoint, WarmSource, error) {
-	var table *slicehw.Table
-	if withSlices {
-		table = w.SliceTable()
-	}
-	return cp.WarmedCoreCkptAt(w, cfg, withSlices, warm, w.Image, table)
-}
-
-// WarmedCoreCkptAt is WarmedCoreCkpt restoring into an explicit image and
-// slice table instead of the workload's own. The warm prefix is still the
-// workload's (keyed by withSlices): the checkpoint's PC and memory state
-// lie entirely inside the main program, so any image that embeds the main
+//
+// The warm prefix is always the workload's own (keyed by withSlices), but
+// image and table need not be: the checkpoint's PC and memory state lie
+// entirely inside the main program, so any image that embeds the main
 // program accepts the restore — this is how automatically constructed
 // slice candidates get measured from a shared baseline warm prefix while
 // their own confidence/correlator hardware starts cold at the boundary.
@@ -315,38 +308,31 @@ func (cp *Checkpointer) diskLoad(key string, w *workloads.Workload) (ck *cpu.Che
 }
 
 func parseCkptFile(b []byte, key string) ([]byte, error) {
-	if len(b) < len(ckptMagic)+8 {
+	r := wire.NewReader(b)
+	magic, version, keyLen := r.Raw(len(ckptMagic)), r.U32(), r.U32()
+	switch {
+	case r.Err() != nil:
 		return nil, fmt.Errorf("truncated header")
-	}
-	if string(b[:len(ckptMagic)]) != ckptMagic {
+	case string(magic) != ckptMagic:
 		return nil, fmt.Errorf("bad magic")
+	case version != ckptSchemaVersion:
+		return nil, fmt.Errorf("schema version %d, want %d (stale cache)", version, ckptSchemaVersion)
 	}
-	b = b[len(ckptMagic):]
-	if v := binary.LittleEndian.Uint32(b); v != ckptSchemaVersion {
-		return nil, fmt.Errorf("schema version %d, want %d (stale cache)", v, ckptSchemaVersion)
-	}
-	keyLen := binary.LittleEndian.Uint32(b[4:])
-	b = b[8:]
-	if uint64(keyLen) > uint64(len(b)) {
-		return nil, fmt.Errorf("truncated key")
-	}
-	if string(b[:keyLen]) != key {
+	k := r.Raw(int(keyLen))
+	crc, payLen := r.U32(), r.U64()
+	switch {
+	case r.Err() != nil:
+		return nil, fmt.Errorf("truncated key or payload header")
+	case string(k) != key:
 		return nil, fmt.Errorf("key mismatch (stale or colliding entry)")
+	case payLen != uint64(r.Len()):
+		return nil, fmt.Errorf("payload length %d, have %d bytes", payLen, r.Len())
 	}
-	b = b[keyLen:]
-	if len(b) < 12 {
-		return nil, fmt.Errorf("truncated payload header")
-	}
-	crc := binary.LittleEndian.Uint32(b)
-	payLen := binary.LittleEndian.Uint64(b[4:])
-	b = b[12:]
-	if payLen != uint64(len(b)) {
-		return nil, fmt.Errorf("payload length %d, have %d bytes", payLen, len(b))
-	}
-	if got := crc32.ChecksumIEEE(b); got != crc {
+	payload := r.Raw(r.Len())
+	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, fmt.Errorf("payload CRC mismatch (corrupt entry)")
 	}
-	return b, nil
+	return payload, nil
 }
 
 // diskStore writes the checkpoint for key; best-effort (a failure warns and
@@ -390,12 +376,13 @@ func (cp *Checkpointer) diskStore(key string, ck *cpu.Checkpoint) int {
 
 // ckptFile wraps an encoded checkpoint in the store's container.
 func ckptFile(key string, payload []byte) []byte {
-	b := make([]byte, 0, len(ckptMagic)+8+len(key)+12+len(payload))
-	b = append(b, ckptMagic...)
-	b = binary.LittleEndian.AppendUint32(b, ckptSchemaVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
-	b = append(b, key...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
-	return append(b, payload...)
+	var w wire.Writer
+	w.Raw([]byte(ckptMagic))
+	w.U32(ckptSchemaVersion)
+	w.U32(uint32(len(key)))
+	w.Raw([]byte(key))
+	w.U32(crc32.ChecksumIEEE(payload))
+	w.U64(uint64(len(payload)))
+	w.Raw(payload)
+	return w.Bytes()
 }

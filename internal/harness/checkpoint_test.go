@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // measureVia runs one measurement through cp and returns its snapshot.
@@ -174,7 +175,9 @@ func TestCheckpointStoreRejectsStaleEntries(t *testing.T) {
 	// The memory section closes the payload and opens with its root digest.
 	foreign := append([]byte(nil), payload...)
 	sum := other.MemImage().Digest()
-	copy(foreign[len(foreign)-len(ref.Mem.AppendTo(nil)):], sum[:])
+	var memSection wire.Writer
+	ref.Mem.Encode(&memSection)
+	copy(foreign[len(foreign)-len(memSection.Bytes()):], sum[:])
 
 	for _, tc := range []struct {
 		name, want string

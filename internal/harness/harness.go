@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/oracle"
+	"repro/internal/slicehw"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -93,16 +94,14 @@ func (p Params) regions(w *workloads.Workload) (warm, run uint64) {
 // it would silently skew every number derived from it.
 func RunOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices bool, warm, run uint64, o OracleOptions, set *SliceSet, tr stats.Tracer) (*cpu.Core, WarmSource, error) {
 	image := w.Image
-	var core *cpu.Core
-	var ck *cpu.Checkpoint
-	var src WarmSource
-	var err error
-	if set != nil {
-		image = set.Image
-		core, ck, src, err = cp.WarmedCoreCkptAt(w, cfg, withSlices, warm, set.Image, set.Table)
-	} else {
-		core, ck, src, err = cp.WarmedCoreCkpt(w, cfg, withSlices, warm)
+	var table *slicehw.Table
+	switch {
+	case set != nil:
+		image, table = set.Image, set.Table
+	case withSlices:
+		table = w.SliceTable()
 	}
+	core, ck, src, err := cp.WarmedCoreCkptAt(w, cfg, withSlices, warm, image, table)
 	if err != nil {
 		return nil, src, err
 	}

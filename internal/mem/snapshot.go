@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // Snapshot is an immutable copy-on-write image of a Memory at one instant.
@@ -16,7 +18,7 @@ import (
 // safe to restore from concurrently.
 //
 // A snapshot may descend from a root: the pristine image its memory was
-// cloned from with NewFromImage (a workload's initial memory). AppendTo
+// cloned from with NewFromImage (a workload's initial memory). Encode
 // then encodes only the pages that differ from the root, and
 // DecodeSnapshot returns such an encoding as an unresolved delta: it holds
 // only those pages until Rebase overlays them on the root, and
@@ -137,14 +139,14 @@ func (s *Snapshot) sortedPages(keep func(pn uint64, p *[PageSize]byte) bool) []u
 	return pns
 }
 
-// AppendTo serializes the snapshot deterministically and returns the
-// extended buffer: the root's digest (all zeros without a root), the total
-// page count, then the number of listed pages and their page-number/
-// contents pairs in ascending page order. Only pages whose bytes differ
-// from the root's are listed — a page still shared with the root is
-// skipped without a compare — so the encoding depends on the contents
-// alone. (A memory never unmaps a page, so every root page is present.)
-func (s *Snapshot) AppendTo(b []byte) []byte {
+// Encode writes the snapshot deterministically: the root's digest (all
+// zeros without a root), the total page count, then the number of listed
+// pages and their page-number/contents pairs in ascending page order.
+// Only pages whose bytes differ from the root's are listed — a page still
+// shared with the root is skipped without a compare — so the encoding
+// depends on the contents alone. (A memory never unmaps a page, so every
+// root page is present.)
+func (s *Snapshot) Encode(w *wire.Writer) {
 	var keep func(pn uint64, p *[PageSize]byte) bool
 	if root := s.root; root != nil && !s.delta {
 		keep = func(pn uint64, p *[PageSize]byte) bool {
@@ -154,62 +156,51 @@ func (s *Snapshot) AppendTo(b []byte) []byte {
 	}
 	pns := s.sortedPages(keep)
 	sum := s.rootDigest()
-	b = append(b, sum[:]...)
+	w.Raw(sum[:])
 	total := uint64(len(s.pages))
 	if s.delta {
 		total = s.total
 	}
-	b = binary.LittleEndian.AppendUint64(b, total)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(pns)))
+	w.U64(total)
+	w.U64(uint64(len(pns)))
 	for _, pn := range pns {
-		b = binary.LittleEndian.AppendUint64(b, pn)
-		b = append(b, s.pages[pn][:]...)
+		w.U64(pn)
+		w.Raw(s.pages[pn][:])
 	}
-	return b
 }
 
-// DecodeSnapshot parses a snapshot serialized by AppendTo and returns the
-// unconsumed remainder of b. Under an all-zero root digest the result is
-// self-contained; otherwise it is an unresolved delta for Rebase. Page
-// numbers must be strictly ascending, so every accepted encoding is the
-// one AppendTo would write.
-func DecodeSnapshot(b []byte) (*Snapshot, []byte, error) {
-	if len(b) < sha256.Size+16 {
-		return nil, nil, errors.New("mem: truncated snapshot header")
-	}
+// DecodeSnapshot reads a snapshot Encode wrote; errors latch in r. Under
+// an all-zero root digest the result is self-contained; otherwise it is an
+// unresolved delta for Rebase. Page numbers must be strictly ascending, so
+// every accepted encoding is the one Encode would write.
+func DecodeSnapshot(r *wire.Reader) *Snapshot {
 	s := &Snapshot{}
-	copy(s.rootSum[:], b)
-	total := binary.LittleEndian.Uint64(b[sha256.Size:])
-	n := binary.LittleEndian.Uint64(b[sha256.Size+8:])
-	b = b[sha256.Size+16:]
-	if n > total {
-		return nil, nil, fmt.Errorf("mem: snapshot lists %d pages of %d", n, total)
-	}
-	if n > uint64(len(b))/(8+PageSize) {
-		return nil, nil, errors.New("mem: truncated snapshot page")
+	copy(s.rootSum[:], r.Raw(sha256.Size))
+	total := r.U64()
+	n := r.Count(8 + PageSize)
+	if r.Err() == nil && uint64(n) > total {
+		r.Fail(fmt.Errorf("mem: snapshot lists %d pages of %d", n, total))
 	}
 	s.pages = make(map[uint64]*[PageSize]byte, n)
-	var prev uint64
-	for i := uint64(0); i < n; i++ {
-		pn := binary.LittleEndian.Uint64(b)
+	for i, prev := 0, uint64(0); i < n && r.Err() == nil; i++ {
+		pn := r.U64()
 		if i > 0 && pn <= prev {
-			return nil, nil, fmt.Errorf("mem: snapshot page %#x out of order", pn)
+			r.Fail(fmt.Errorf("mem: snapshot page %#x out of order", pn))
 		}
 		prev = pn
 		p := new([PageSize]byte)
-		copy(p[:], b[8:8+PageSize])
+		copy(p[:], r.Raw(PageSize))
 		s.pages[pn] = p
-		b = b[8+PageSize:]
 	}
 	if s.rootSum == ([sha256.Size]byte{}) {
-		if n != total {
-			return nil, nil, fmt.Errorf("mem: self-contained snapshot lists %d pages of %d", n, total)
+		if r.Err() == nil && uint64(n) != total {
+			r.Fail(fmt.Errorf("mem: self-contained snapshot lists %d pages of %d", n, total))
 		}
 	} else {
 		s.delta, s.total = true, total
 	}
 	s.bytesMapped = total * PageSize
-	return s, b, nil
+	return s
 }
 
 // Rebase resolves s against root, the image it was encoded over. It checks

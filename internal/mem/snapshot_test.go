@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // newRoot builds a small pristine image of three pages.
@@ -15,15 +17,26 @@ func newRoot(seed byte) *Snapshot {
 	return m.Snapshot()
 }
 
-// decodeAll decodes b, requiring that it consumes every byte.
+// encode returns s's encoding.
+func encode(s *Snapshot) []byte {
+	var w wire.Writer
+	s.Encode(&w)
+	return w.Bytes()
+}
+
+// decode decodes b, requiring that it consumes every byte.
+func decode(b []byte) (*Snapshot, error) {
+	r := wire.NewReader(b)
+	s := DecodeSnapshot(r)
+	return s, r.Done()
+}
+
+// decodeAll is decode that fails the test on an error.
 func decodeAll(t *testing.T, b []byte) *Snapshot {
 	t.Helper()
-	s, rest, err := DecodeSnapshot(b)
+	s, err := decode(b)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("decode left %d bytes", len(rest))
 	}
 	return s
 }
@@ -40,7 +53,7 @@ func TestSnapshotDeltaOverRoot(t *testing.T) {
 	m.WriteU64(0x90000, 0xbeef)             // map a new page
 	m.WriteU64(0x30000, m.ReadU64(0x30000)) // copy on write, same bytes
 	s := m.Snapshot()
-	enc := s.AppendTo(nil)
+	enc := encode(s)
 	if n := listedPages(enc); n != 2 {
 		t.Fatalf("encoding lists %d pages, want 2 (one changed, one new)", n)
 	}
@@ -49,7 +62,7 @@ func TestSnapshotDeltaOverRoot(t *testing.T) {
 	if dec.Resolved() {
 		t.Fatal("a rooted encoding decoded as resolved")
 	}
-	if !bytes.Equal(dec.AppendTo(nil), enc) {
+	if !bytes.Equal(encode(dec), enc) {
 		t.Error("re-encoding the unresolved delta changed the bytes")
 	}
 	r, err := dec.Rebase(root)
@@ -59,7 +72,7 @@ func TestSnapshotDeltaOverRoot(t *testing.T) {
 	if !r.Equal(s) || r.Footprint() != s.Footprint() {
 		t.Error("rebased snapshot differs from the original")
 	}
-	if !bytes.Equal(r.AppendTo(nil), enc) {
+	if !bytes.Equal(encode(r), enc) {
 		t.Error("re-encoding the rebased snapshot changed the bytes")
 	}
 	if got := NewFromSnapshot(r).ReadU64(0x20008); got != 0xfeed {
@@ -74,11 +87,11 @@ func TestSnapshotPristineRewriteNotSerialized(t *testing.T) {
 	m := NewFromImage(root)
 	old := m.ReadU64(0x10000)
 	m.WriteU64(0x10000, ^old)
-	if n := listedPages(m.Snapshot().AppendTo(nil)); n != 1 {
+	if n := listedPages(encode(m.Snapshot())); n != 1 {
 		t.Fatalf("changed page: encoding lists %d pages, want 1", n)
 	}
 	m.WriteU64(0x10000, old)
-	if n := listedPages(m.Snapshot().AppendTo(nil)); n != 0 {
+	if n := listedPages(encode(m.Snapshot())); n != 0 {
 		t.Errorf("page rewritten to its pristine bytes: encoding lists %d pages, want 0", n)
 	}
 }
@@ -89,7 +102,7 @@ func TestSnapshotRebaseWrongRoot(t *testing.T) {
 	root := newRoot(1)
 	m := NewFromImage(root)
 	m.WriteU64(0x10000, 7)
-	enc := m.Snapshot().AppendTo(nil)
+	enc := encode(m.Snapshot())
 	dec := decodeAll(t, enc)
 	if _, err := dec.Rebase(newRoot(2)); err == nil {
 		t.Error("rebase onto a different image succeeded")
@@ -110,7 +123,7 @@ func TestSnapshotRebaseWrongRoot(t *testing.T) {
 // root supplies is rejected.
 func TestSnapshotRebasePageCount(t *testing.T) {
 	root := newRoot(1)
-	enc := NewFromImage(root).Snapshot().AppendTo(nil)
+	enc := encode(NewFromImage(root).Snapshot())
 	binary.LittleEndian.PutUint64(enc[32:], 4) // claims one page more than the root has
 	if _, err := decodeAll(t, enc).Rebase(root); err == nil {
 		t.Error("rebase accepted a page count the root cannot supply")
@@ -124,7 +137,7 @@ func TestSnapshotRootlessRoundTrip(t *testing.T) {
 	m.WriteU64(0x10000, 1)
 	m.WriteU64(0x50000, 2)
 	s := m.Snapshot()
-	enc := s.AppendTo(nil)
+	enc := encode(s)
 	if !bytes.Equal(enc[:32], make([]byte, 32)) {
 		t.Error("root-less encoding has a non-zero root digest")
 	}
@@ -150,28 +163,28 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 	m := New()
 	m.WriteU64(0x10000, 1)
 	m.WriteU64(0x20000, 2)
-	enc := m.Snapshot().AppendTo(nil)
+	enc := encode(m.Snapshot())
 	first, second := 48, 48+8+PageSize
 
 	swapped := append([]byte(nil), enc...)
 	copy(swapped[first:first+8], enc[second:second+8])
 	copy(swapped[second:second+8], enc[first:first+8])
-	if _, _, err := DecodeSnapshot(swapped); err == nil {
+	if _, err := decode(swapped); err == nil {
 		t.Error("descending page numbers accepted")
 	}
 	dup := append([]byte(nil), enc...)
 	copy(dup[second:second+8], enc[first:first+8])
-	if _, _, err := DecodeSnapshot(dup); err == nil {
+	if _, err := decode(dup); err == nil {
 		t.Error("repeated page number accepted")
 	}
 	over := append([]byte(nil), enc...)
 	binary.LittleEndian.PutUint64(over[32:], 1)
-	if _, _, err := DecodeSnapshot(over); err == nil {
+	if _, err := decode(over); err == nil {
 		t.Error("more listed pages than the total accepted")
 	}
 	short := append([]byte(nil), enc...)
 	binary.LittleEndian.PutUint64(short[32:], 3)
-	if _, _, err := DecodeSnapshot(short); err == nil {
+	if _, err := decode(short); err == nil {
 		t.Error("self-contained snapshot missing a page accepted")
 	}
 }
@@ -180,7 +193,7 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 // zeros for every page the root supplies, so it panics instead.
 func TestNewFromSnapshotRefusesDelta(t *testing.T) {
 	root := newRoot(1)
-	dec := decodeAll(t, NewFromImage(root).Snapshot().AppendTo(nil))
+	dec := decodeAll(t, encode(NewFromImage(root).Snapshot()))
 	defer func() {
 		if recover() == nil {
 			t.Error("NewFromSnapshot accepted an unresolved delta")

@@ -23,6 +23,8 @@ package slicehw
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // PredSnap is one serialized prediction entry. Inst indexes CorrState.Insts.
@@ -247,4 +249,88 @@ func (c *Correlator) SetState(st *CorrState, table *Table) error {
 		c.liveBySlice[slices[ls.Slice]] = live
 	}
 	return nil
+}
+
+// Encode writes the flattened correlator in its own order: the ID
+// cursor, then predictions, instances, queues and live lists, each behind
+// a count.
+func (st *CorrState) Encode(w *wire.Writer) {
+	w.U64(st.NextID)
+	w.U64(uint64(len(st.Preds)))
+	for _, p := range st.Preds {
+		w.U64(p.BranchPC)
+		w.Bool(p.Filled)
+		w.Bool(p.Dir)
+		w.Bool(p.Used)
+		w.Bool(p.UsedDir)
+		w.Bool(p.Killed)
+		w.U64(uint64(p.Inst))
+	}
+	w.U64(uint64(len(st.Insts)))
+	for _, in := range st.Insts {
+		w.U64(in.ID)
+		w.U64(uint64(in.Slice))
+		w.U64(uint64(in.SkipLoopKill))
+		w.U64(uint64(in.SkipSliceKill))
+		w.Bool(in.Finished)
+		encodeInts(w, in.Entries)
+	}
+	w.U64(uint64(len(st.Queues)))
+	for _, q := range st.Queues {
+		w.U64(q.BranchPC)
+		encodeInts(w, q.Entries)
+	}
+	w.U64(uint64(len(st.Live)))
+	for _, l := range st.Live {
+		w.U64(uint64(l.Slice))
+		encodeInts(w, l.Insts)
+	}
+}
+
+// DecodeCorrState reads what Encode wrote; errors latch in r. Indices
+// are range-checked against the slice table by SetState, not here.
+func DecodeCorrState(r *wire.Reader) *CorrState {
+	st := &CorrState{NextID: r.U64()}
+	for i, n := 0, r.Count(21); i < n && r.Err() == nil; i++ {
+		st.Preds = append(st.Preds, PredSnap{
+			BranchPC: r.U64(), Filled: r.Bool(), Dir: r.Bool(),
+			Used: r.Bool(), UsedDir: r.Bool(), Killed: r.Bool(),
+			Inst: int(r.U64()),
+		})
+	}
+	for i, n := 0, r.Count(41); i < n && r.Err() == nil; i++ {
+		in := InstSnap{
+			ID: r.U64(), Slice: int(r.U64()),
+			SkipLoopKill: int(r.U64()), SkipSliceKill: int(r.U64()),
+			Finished: r.Bool(),
+		}
+		in.Entries = decodeInts(r)
+		st.Insts = append(st.Insts, in)
+	}
+	for i, n := 0, r.Count(16); i < n && r.Err() == nil; i++ {
+		q := QueueSnap{BranchPC: r.U64()}
+		q.Entries = decodeInts(r)
+		st.Queues = append(st.Queues, q)
+	}
+	for i, n := 0, r.Count(16); i < n && r.Err() == nil; i++ {
+		l := LiveSnap{Slice: int(r.U64())}
+		l.Insts = decodeInts(r)
+		st.Live = append(st.Live, l)
+	}
+	return st
+}
+
+func encodeInts(w *wire.Writer, xs []int) {
+	w.U64(uint64(len(xs)))
+	for _, x := range xs {
+		w.U64(uint64(x))
+	}
+}
+
+func decodeInts(r *wire.Reader) []int {
+	var xs []int
+	for i, n := 0, r.Count(8); i < n && r.Err() == nil; i++ {
+		xs = append(xs, int(r.U64()))
+	}
+	return xs
 }
