@@ -42,15 +42,13 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"time"
 
-	"repro/internal/bpred"
+	"repro/internal/cli"
 	"repro/internal/harness"
 	"repro/internal/oracle"
 	"repro/internal/workloads"
@@ -64,35 +62,6 @@ func printSummary(e *harness.Engine) {
 	ck := st.Checkpoints
 	fmt.Fprintf(os.Stderr, "warm:   %d hits, %d misses, %d restores, disk %d loads / %d stores (%d bytes)\n",
 		ck.WarmHits, ck.WarmMisses, ck.Restores, ck.DiskLoads, ck.DiskStores, ck.DiskBytes)
-}
-
-// stopProfile flushes and closes the -cpuprofile output; it is a no-op
-// until startCPUProfile succeeds.
-var stopProfile = func() {}
-
-// startCPUProfile starts a CPU profile written to path (-cpuprofile).
-func startCPUProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	stopProfile = func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-		}
-	}
-	return nil
-}
-
-// exit flushes a running CPU profile, then exits with code.
-func exit(code int) {
-	stopProfile()
-	os.Exit(code)
 }
 
 func main() {
@@ -113,24 +82,9 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
-	if *cpuProf != "" {
-		if err := startCPUProfile(*cpuProf); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			exit(1)
-		}
-		defer stopProfile()
-	}
-
-	// Resolve the predictor specs up front so a typo fails with the
-	// registry's name listing instead of deep inside a parallel batch.
-	if _, err := bpred.NewDir(*bpredFlg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
-	if _, err := bpred.NewIndirect(*ipredFlg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
+	cli.StartCPUProfile("experiments", *cpuProf)
+	defer cli.StopCPUProfile()
+	cli.CheckPredictors(*bpredFlg, *ipredFlg)
 
 	// The experiment drivers panic on run errors (mustRunAll); turn an
 	// oracle divergence back into a report plus a nonzero exit instead of
@@ -146,20 +100,14 @@ func main() {
 			panic(r)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		if *orcOut != "" {
-			if werr := os.WriteFile(*orcOut, de.WriteReport(), 0o644); werr != nil {
-				fmt.Fprintln(os.Stderr, "experiments: oracle report:", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "experiments: oracle report written to %s\n", *orcOut)
-			}
-		}
-		exit(1)
+		cli.WriteOracleReport("experiments", *orcOut, err)
+		cli.Exit(1)
 	}()
 
 	warmMode, err := harness.ParseWarmMode(*warmFlg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		cli.Exit(1)
 	}
 
 	ws := workloads.All()
@@ -167,7 +115,7 @@ func main() {
 		w, err := workloads.ByName(*only)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			cli.Exit(1)
 		}
 		ws = []*workloads.Workload{w}
 	}
@@ -191,13 +139,7 @@ func main() {
 	}
 
 	if *asJSON {
-		doc := e.Export(ws)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
+		cli.PrintJSON(e.Export(ws))
 		if *verbose {
 			printSummary(e)
 		}
@@ -250,7 +192,7 @@ func main() {
 	case "all", "table1", "table2", "figure1", "table3", "figure11", "table4", "figurepred", "figureauto", "figuremp":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		exit(1)
+		cli.Exit(1)
 	}
 
 	if *verbose {

@@ -30,65 +30,19 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime/pprof"
 	"strings"
 
-	"repro/internal/bpred"
+	"repro/internal/cli"
 	"repro/internal/cpu"
 	"repro/internal/harness"
-	"repro/internal/oracle"
 	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
-
-// writeOracleReport dumps the divergence list as JSON for CI artifacts.
-func writeOracleReport(path string, err error) {
-	var de *oracle.DivergenceError
-	if path == "" || !errors.As(err, &de) {
-		return
-	}
-	if werr := os.WriteFile(path, de.WriteReport(), 0o644); werr != nil {
-		fmt.Fprintln(os.Stderr, "slicesim: oracle report:", werr)
-	} else {
-		fmt.Fprintf(os.Stderr, "slicesim: oracle report written to %s\n", path)
-	}
-}
-
-// stopProfile flushes and closes the -cpuprofile output; it is a no-op
-// until startCPUProfile succeeds.
-var stopProfile = func() {}
-
-// startCPUProfile starts a CPU profile written to path (-cpuprofile).
-func startCPUProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	stopProfile = func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-		}
-	}
-	return nil
-}
-
-// exit flushes a running CPU profile, then exits with code.
-func exit(code int) {
-	stopProfile()
-	os.Exit(code)
-}
 
 func main() {
 	var (
@@ -116,18 +70,13 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
-	if *cpuProf != "" {
-		if err := startCPUProfile(*cpuProf); err != nil {
-			fmt.Fprintln(os.Stderr, "slicesim:", err)
-			exit(1)
-		}
-		defer stopProfile()
-	}
+	cli.StartCPUProfile("slicesim", *cpuProf)
+	defer cli.StopCPUProfile()
 
 	warmMode, err := harness.ParseWarmMode(*warmFlg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		cli.Exit(1)
 	}
 
 	if *list {
@@ -142,7 +91,7 @@ func main() {
 			for _, name := range bad {
 				fmt.Fprintf(os.Stderr, "slicesim: -%s does not apply to -multiprog\n", name)
 			}
-			exit(1)
+			cli.Exit(1)
 		}
 		runMulti(*multi, *slices, *warmup, *run, *bpredFlg, *ipredFlg,
 			harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}, *orcOut, *asJSON)
@@ -152,7 +101,7 @@ func main() {
 	w, err := workloads.ByName(*name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		cli.Exit(1)
 	}
 
 	if *disasm {
@@ -171,16 +120,7 @@ func main() {
 		cfg.Perfect = cpu.Perfect{AllBranches: true, AllLoads: true}
 	}
 	cfg.BPred, cfg.IndirectPred = *bpredFlg, *ipredFlg
-	// Resolve the predictor specs up front so a typo fails with the
-	// registry's name listing instead of deep inside warm-up.
-	if _, err := bpred.NewDir(cfg.BPred); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
-	if _, err := bpred.NewIndirect(cfg.IndirectPred); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
+	cli.CheckPredictors(cfg.BPred, cfg.IndirectPred)
 	warm, region := w.SuggestedWarmup, w.SuggestedRun
 	if *warmup > 0 {
 		warm = *warmup
@@ -202,7 +142,7 @@ func main() {
 		sink, cleanup, err := openTracer(*traceFmt, *traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			cli.Exit(1)
 		}
 		defer cleanup()
 		tracer = sink
@@ -212,8 +152,8 @@ func main() {
 	core, warmSrc, err := harness.RunOnce(cp, w, cfg, useSlices, warm, region, o, nil, tracer)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slicesim:", err)
-		writeOracleReport(*orcOut, err)
-		exit(1)
+		cli.WriteOracleReport("slicesim", *orcOut, err)
+		cli.Exit(1)
 	}
 	s := core.S
 	if *useOrc {
@@ -229,12 +169,7 @@ func main() {
 			"warmFrom": warmSrc,
 			"snapshot": &snap,
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
+		cli.PrintJSON(out)
 		return
 	}
 
@@ -306,7 +241,7 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 		w, err := workloads.ByName(strings.TrimSpace(n))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			cli.Exit(1)
 		}
 		group = append(group, w)
 	}
@@ -314,8 +249,8 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 	snap, err := harness.RunMP(group, p, withSlices, warm, run, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slicesim:", err)
-		writeOracleReport(orcOut, err)
-		exit(1)
+		cli.WriteOracleReport("slicesim", orcOut, err)
+		cli.Exit(1)
 	}
 	if o.Enabled {
 		fmt.Fprintln(os.Stderr, "slicesim: oracle: all programs validated, no divergence")
@@ -332,12 +267,7 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 			"slices":   withSlices,
 			"snapshot": &snap,
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
+		cli.PrintJSON(out)
 		return
 	}
 

@@ -55,102 +55,27 @@ func optimize(slots []slot) []slot {
 	return slots
 }
 
-// evalALU computes the result of a pure ALU instruction over known operand
-// values, mirroring isa.Execute.
-func evalALU(op isa.Op, a, b uint64, imm int32) (uint64, bool) {
-	im := int64(imm)
-	switch op {
-	case isa.ADD:
-		return a + b, true
-	case isa.SUB:
-		return a - b, true
-	case isa.MUL:
-		return a * b, true
-	case isa.DIV:
-		if b == 0 {
-			return 0, true
-		}
-		return uint64(int64(a) / int64(b)), true
-	case isa.AND:
-		return a & b, true
-	case isa.OR:
-		return a | b, true
-	case isa.XOR:
-		return a ^ b, true
-	case isa.SLL:
-		return a << (b & 63), true
-	case isa.SRL:
-		return a >> (b & 63), true
-	case isa.SRA:
-		return uint64(int64(a) >> (b & 63)), true
-	case isa.CMPEQ:
-		return b2u(a == b), true
-	case isa.CMPLT:
-		return b2u(int64(a) < int64(b)), true
-	case isa.CMPLE:
-		return b2u(int64(a) <= int64(b)), true
-	case isa.CMPULT:
-		return b2u(a < b), true
-	case isa.CMPULE:
-		return b2u(a <= b), true
-	case isa.S4ADD:
-		return a*4 + b, true
-	case isa.S8ADD:
-		return a*8 + b, true
-	case isa.ADDI:
-		return a + uint64(im), true
-	case isa.ANDI:
-		return a & uint64(im), true
-	case isa.ORI:
-		return a | uint64(im), true
-	case isa.XORI:
-		return a ^ uint64(im), true
-	case isa.SLLI:
-		return a << (uint64(im) & 63), true
-	case isa.SRLI:
-		return a >> (uint64(im) & 63), true
-	case isa.SRAI:
-		return uint64(int64(a) >> (uint64(im) & 63)), true
-	case isa.CMPEQI:
-		return b2u(a == uint64(im)), true
-	case isa.CMPLTI:
-		return b2u(int64(a) < im), true
-	case isa.CMPLEI:
-		return b2u(int64(a) <= im), true
-	case isa.CMPULTI:
-		return b2u(a < uint64(im)), true
-	case isa.LDI:
-		return uint64(im), true
-	case isa.LDIH:
-		return a + uint64(im)<<16, true
-	}
-	return 0, false
-}
+// knownRegs is the isa.State constant folding evaluates over: a register
+// reads its known value (an unknown one reads 0, so callers first check
+// the sources they rely on), and writes are discarded — Execute reports
+// the written value in its Outcome. Only register-only instructions run
+// on it, so memory always faults.
+type knownRegs func(isa.Reg) (uint64, bool)
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
+func (k knownRegs) Reg(r isa.Reg) uint64          { v, _ := k(r); return v }
+func (knownRegs) SetReg(isa.Reg, uint64)          {}
+func (knownRegs) Load(uint64, int) (uint64, bool) { return 0, false }
+func (knownRegs) Store(uint64, int, uint64) bool  { return false }
 
-// cmovFires reports whether the conditional move op moves for guard value a.
-func cmovFires(op isa.Op, a uint64) bool {
-	switch op {
-	case isa.CMOVEQ:
-		return a == 0
-	case isa.CMOVNE:
-		return a != 0
-	case isa.CMOVLT:
-		return int64(a) < 0
-	case isa.CMOVGE:
-		return int64(a) >= 0
-	case isa.CMOVGT:
-		return int64(a) > 0
-	case isa.CMOVLE:
-		return int64(a) <= 0
-	}
-	return false
+// execKnown executes in through isa.Execute over the known registers and
+// returns the value it writes, if it writes one. It executes a copy whose
+// destination is never Zero: Execute discards a write to Zero, but a fold
+// needs the value either way.
+func execKnown(in isa.Inst, known func(isa.Reg) (uint64, bool)) (uint64, bool) {
+	in.Rd = isa.AT
+	var o isa.Outcome
+	isa.Execute(&in, 0, knownRegs(known), &o)
+	return o.Value, o.WroteReg
 }
 
 // constValue computes the instruction's result when all of its source
@@ -159,12 +84,12 @@ func constValue(in *isa.Inst, known func(isa.Reg) (uint64, bool)) (uint64, bool)
 	if in.IsMem() || in.IsCtrl() || (in.Op >= isa.CMOVEQ && in.Op <= isa.CMOVLE) {
 		return 0, false
 	}
-	a, aok := known(in.Ra)
-	b, bok := known(in.Rb)
+	_, aok := known(in.Ra)
+	_, bok := known(in.Rb)
 	if !aok || !bok {
 		return 0, false
 	}
-	return evalALU(in.Op, a, b, in.Imm)
+	return execKnown(*in, known)
 }
 
 // simplify rewrites one instruction given the known constants: strength
@@ -246,8 +171,8 @@ func constFold(slots []slot) []slot {
 		in := s.in
 		if in.Op >= isa.CMOVEQ && in.Op <= isa.CMOVLE {
 			// A known guard resolves the conditional move statically.
-			if a, ok := known(in.Ra); ok {
-				if !cmovFires(in.Op, a) {
+			if _, ok := known(in.Ra); ok {
+				if _, moves := execKnown(in, known); !moves {
 					continue // rd keeps its old value: a no-op
 				}
 				in = movInst(in.Rd, in.Rb)

@@ -1,6 +1,8 @@
 package autoslice
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
@@ -73,6 +75,99 @@ func TestConstFoldResolvesCMOV(t *testing.T) {
 	})
 	if len(out) != 1 {
 		t.Errorf("non-firing CMOV survived: %v", out)
+	}
+}
+
+// regFile is a plain register file, the state the reference isa.Execute
+// runs against.
+type regFile [isa.NumRegs]uint64
+
+func (f *regFile) Reg(r isa.Reg) uint64 { return f[r] }
+func (f *regFile) SetReg(r isa.Reg, v uint64) {
+	if r != isa.Zero {
+		f[r] = v
+	}
+}
+func (f *regFile) Load(uint64, int) (uint64, bool) { return 0, false }
+func (f *regFile) Store(uint64, int, uint64) bool  { return false }
+
+// execRef runs in through isa.Execute with r1 = a and r2 = b, writing to
+// r3 whatever in's destination, and reports what it wrote.
+func execRef(in isa.Inst, a, b uint64) (uint64, bool) {
+	var f regFile
+	f[1], f[2] = a, b
+	in.Rd = 3
+	var o isa.Outcome
+	isa.Execute(&in, 0, &f, &o)
+	return o.Value, o.WroteReg
+}
+
+// Every opcode constValue folds computes what isa.Execute computes, also
+// when the destination is Zero (Execute then writes nothing, but a fold
+// still needs the value); no other opcode folds.
+func TestConstValueMatchesExecute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edges := []uint64{0, 1, 63, 64, 1 << 63, math.MaxUint64}
+	for op := isa.NOP; op <= isa.HALT; op++ {
+		folds := op >= isa.ADD && op <= isa.LDIH
+		for i := 0; i < 256; i++ {
+			a, b, imm := rng.Uint64(), rng.Uint64(), int32(rng.Uint32())
+			if i < len(edges)*len(edges) {
+				a, b, imm = edges[i/len(edges)], edges[i%len(edges)], int32(i-18)
+			}
+			known := func(r isa.Reg) (uint64, bool) {
+				switch r {
+				case isa.Zero:
+					return 0, true
+				case 1:
+					return a, true
+				case 2:
+					return b, true
+				}
+				return 0, false
+			}
+			for _, rd := range []isa.Reg{isa.Zero, 3} {
+				in := isa.Inst{Op: op, Rd: rd, Ra: 1, Rb: 2, Imm: imm}
+				got, ok := constValue(&in, known)
+				if ok != folds {
+					t.Fatalf("%v: folds = %t, want %t", &in, ok, folds)
+				}
+				if !folds {
+					continue
+				}
+				if want, wrote := execRef(in, a, b); !wrote || got != want {
+					t.Fatalf("%v with r1=%#x r2=%#x: folded %#x, Execute gives %#x (wrote %t)",
+						&in, a, b, got, want, wrote)
+				}
+			}
+		}
+	}
+}
+
+// A conditional move with a known guard resolves as isa.Execute decides:
+// a firing move becomes a plain move of its source, a non-firing one
+// disappears.
+func TestConstFoldCMOVMatchesExecute(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	guards := []int32{0, 1, -1, math.MaxInt32, math.MinInt32}
+	for i := 0; i < 32; i++ {
+		guards = append(guards, int32(rng.Uint32()))
+	}
+	for op := isa.CMOVEQ; op <= isa.CMOVLE; op++ {
+		for _, g := range guards {
+			for _, rd := range []isa.Reg{isa.Zero, 4} {
+				out := constFold([]slot{imm(isa.LDI, 1, 0, g), alu(op, rd, 1, 2)})
+				_, fires := execRef(isa.Inst{Op: op, Ra: 1, Rb: 2}, uint64(int64(g)), rng.Uint64())
+				if moved := len(out) == 2; moved != fires {
+					t.Fatalf("%v r%d, r1=%d: folded to %d slots, Execute fires = %t", op, rd, g, len(out), fires)
+				}
+				if fires {
+					if in := out[1].in; in != movInst(rd, 2) {
+						t.Errorf("%v r%d, r1=%d became %v, want a move of r2", op, rd, g, &in)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -413,3 +413,106 @@ func TestHotLoopFitsInL1(t *testing.T) {
 		}
 	}
 }
+
+// All memory traffic shares one bus: back-to-back transfers arrive
+// MemOccupancy apart whether a demand miss, a hardware prefetch or an
+// I-cache miss started them.
+func TestHierarchyOneBus(t *testing.T) {
+	p := DefaultParams()
+	h := NewHierarchy(p)
+	now := uint64(100)
+	// A demand miss on an odd L1 line of an L2 line: its next-line
+	// prefetch misses the L2 too, so it queues right behind.
+	a := uint64(0x100040)
+	r := h.Access(a, false, KindDemand, now)
+	first := now + r.Latency
+	if want := now + p.LatL1 + p.LatL2 + p.LatMem; first != want {
+		t.Fatalf("idle-bus demand arrives at %d, want %d", first, want)
+	}
+	if h.Stats.PrefetchIssued != 1 {
+		t.Fatalf("PrefetchIssued = %d, want 1", h.Stats.PrefetchIssued)
+	}
+	// A demand touch merges with the in-flight prefetch and sees when it
+	// arrives.
+	r = h.Access(a+uint64(p.L1Line), false, KindDemand, now+1)
+	if r.Level != LevelMerged {
+		t.Fatalf("touch of in-flight prefetch level = %v", r.Level)
+	}
+	if got, want := now+1+r.Latency, first+p.MemOccupancy; got != want {
+		t.Errorf("prefetch arrives at %d, want %d", got, want)
+	}
+	if got, want := now+2+h.FetchAccess(0x900000, now+2), first+2*p.MemOccupancy; got != want {
+		t.Errorf("I-cache fill arrives at %d, want %d", got, want)
+	}
+	// An even L1 line: the next-line prefetch hits the L2, off the bus.
+	r = h.Access(0x200000, false, KindDemand, now+3)
+	if got, want := now+3+r.Latency, first+3*p.MemOccupancy; got != want {
+		t.Errorf("queued demand arrives at %d, want %d", got, want)
+	}
+}
+
+// A hardware prefetch that needs the memory bus is dropped once the bus
+// queue is LatMem deep; demand misses always queue.
+func TestHierarchyPrefetchBandwidthGate(t *testing.T) {
+	p := DefaultParams()
+	// Each miss below adds two transfers, so the queue deepens in steps
+	// of 2*MemOccupancy from LatL1+LatL2+MemOccupancy; this LatMem lies on
+	// that ladder, so one miss finds the queue exactly LatMem deep.
+	p.LatMem = p.LatL1 + p.LatL2 + p.MemOccupancy + 2*p.MemOccupancy*11
+	h := NewHierarchy(p)
+	now := uint64(1000)
+	var issued, dropped int
+	sawEdge := false
+	for i := uint64(0); i < 40; i++ {
+		before := h.Stats.PrefetchIssued
+		// Odd L1 lines far apart: each demand's next-line prefetch needs
+		// memory, and no stream forms.
+		r := h.Access(0x400040+i<<16, false, KindDemand, now)
+		// The demand's transfer holds the bus until MemOccupancy after
+		// it starts, LatMem before it arrives.
+		depth := r.Latency - p.LatMem + p.MemOccupancy
+		sawEdge = sawEdge || depth == p.LatMem
+		if got, want := h.Stats.PrefetchIssued-before, depth < p.LatMem; (got == 1) != want || got > 1 {
+			t.Fatalf("miss %d: bus %d cycles deep, %d prefetches issued", i, depth, got)
+		}
+		if h.Stats.PrefetchIssued > before {
+			issued++
+		} else {
+			dropped++
+		}
+	}
+	if issued == 0 || dropped == 0 || !sawEdge {
+		t.Errorf("issued %d, dropped %d, queue exactly LatMem deep %t: the gate was not exercised",
+			issued, dropped, sawEdge)
+	}
+}
+
+// A demand miss that merges with an in-flight hardware prefetch credits
+// the prefetcher once, and the line the demand promoted into the L1 is
+// not credited again when the prefetch arrives.
+func TestHierarchyHWPrefetchMergedCoverage(t *testing.T) {
+	p := DefaultParams()
+	h := NewHierarchy(p)
+	r := h.Access(0x340040, false, KindDemand, 100)
+	pf := uint64(0x340080)
+	m := h.Access(pf, false, KindDemand, 110)
+	if m.Level != LevelMerged || !m.HWPrefCovered || m.HelperCovered {
+		t.Fatalf("merged prefetch touch = %+v", m)
+	}
+	if h.Stats.PrefetchUseful != 1 {
+		t.Fatalf("PrefetchUseful = %d, want 1", h.Stats.PrefetchUseful)
+	}
+	end := 110 + m.Latency + r.Latency
+	for now := uint64(110); now <= end; now++ {
+		h.Tick(now)
+	}
+	if h.PVB.Probe(pf) || !h.L1D.Probe(pf) {
+		t.Error("merged prefetch must stay in the L1, not land in the PVB")
+	}
+	if again := h.Access(pf, false, KindDemand, end+1); again.HWPrefCovered || again.Level != LevelL1 {
+		t.Errorf("second touch = %+v", again)
+	}
+	if h.Stats.PrefetchUseful != 1 {
+		t.Errorf("PrefetchUseful = %d after second touch, want 1", h.Stats.PrefetchUseful)
+	}
+}

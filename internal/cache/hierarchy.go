@@ -110,11 +110,17 @@ func DefaultParams() Params {
 // established name.
 type HierStats = stats.HierStats
 
+// fill is one in-flight L1 fill (an MSHR entry): the cycle its data
+// arrives and the agent that started it.
+type fill struct {
+	ready uint64
+	orig  Origin
+}
+
+// pendingFill is a hardware prefetch headed for the PVB.
 type pendingFill struct {
 	line  uint64
 	ready uint64
-	orig  Origin
-	dirty bool
 }
 
 // Hierarchy ties the caches, buffers, prefetcher, and bus together and is
@@ -127,10 +133,10 @@ type Hierarchy struct {
 	PVB  *PVB
 	Pref *StreamPrefetcher
 
-	// lineReady tracks in-flight L1 fills (MSHR merging): line address →
-	// cycle the data arrives. Entries are pruned lazily.
-	lineReady map[uint64]uint64
-	inflOrig  map[uint64]Origin
+	// fills tracks in-flight L1 fills by line address (MSHR merging).
+	// Entries are pruned lazily: by an L1 hit once the data has arrived,
+	// by the PVB arrival of a prefetch, and by PruneFills.
+	fills map[uint64]fill
 	// origin of lines currently resident in L1 or PVB that were brought
 	// by a non-demand agent and not yet touched by demand.
 	origin map[uint64]Origin
@@ -148,15 +154,14 @@ type Hierarchy struct {
 // NewHierarchy builds the memory system.
 func NewHierarchy(p Params) *Hierarchy {
 	return &Hierarchy{
-		P:         p,
-		L1D:       MustCache("L1D", p.L1Bytes, p.L1Ways, p.L1Line),
-		L1I:       MustCache("L1I", p.ICBytes, p.ICWays, p.ICLine),
-		L2:        MustCache("L2", p.L2Bytes, p.L2Ways, p.L2Line),
-		PVB:       NewPVB(p.PVBEntries, p.L1Line),
-		Pref:      NewStreamPrefetcher(p.Streams, p.PrefetchDepth),
-		lineReady: make(map[uint64]uint64),
-		inflOrig:  make(map[uint64]Origin),
-		origin:    make(map[uint64]Origin),
+		P:      p,
+		L1D:    MustCache("L1D", p.L1Bytes, p.L1Ways, p.L1Line),
+		L1I:    MustCache("L1I", p.ICBytes, p.ICWays, p.ICLine),
+		L2:     MustCache("L2", p.L2Bytes, p.L2Ways, p.L2Line),
+		PVB:    NewPVB(p.PVBEntries, p.L1Line),
+		Pref:   NewStreamPrefetcher(p.Streams, p.PrefetchDepth),
+		fills:  make(map[uint64]fill),
+		origin: make(map[uint64]Origin),
 	}
 }
 
@@ -185,26 +190,44 @@ func (h *Hierarchy) writebackToL2(line uint64) {
 	}
 }
 
-// consumeOrigin checks attribution on a demand touch of line.
+// consumeOrigin checks attribution on a demand touch of a resident line.
 func (h *Hierarchy) consumeOrigin(line uint64, r *Result, now uint64) {
-	switch h.origin[line] {
-	case OriginHelper:
-		r.HelperCovered = true
-		h.Stats.HelperCovered++
+	if h.credit(line, h.origin[line], r, now) {
 		delete(h.origin, line)
-		h.emitCover(line, "helper", now)
-	case OriginHWPrefetch:
-		r.HWPrefCovered = true
-		h.Stats.PrefetchUseful++
-		delete(h.origin, line)
-		h.emitCover(line, "hw", now)
 	}
 }
 
-func (h *Hierarchy) emitCover(line uint64, by string, now uint64) {
-	if h.Tracer != nil {
-		h.Tracer.Emit(stats.Event{Cycle: now, Kind: stats.EvCacheCover, Addr: line, Level: by})
+// credit records a demand touch of a line that agent by brought in — the
+// "miss covered" event of Table 4 — and reports whether by was a
+// prefetching agent, i.e. whether anything was credited.
+func (h *Hierarchy) credit(line uint64, by Origin, r *Result, now uint64) bool {
+	var name string
+	switch by {
+	case OriginHelper:
+		r.HelperCovered = true
+		h.Stats.HelperCovered++
+		name = "helper"
+	case OriginHWPrefetch:
+		r.HWPrefCovered = true
+		h.Stats.PrefetchUseful++
+		name = "hw"
+	default:
+		return false
 	}
+	if h.Tracer != nil {
+		h.Tracer.Emit(stats.Event{Cycle: now, Kind: stats.EvCacheCover, Addr: line, Level: name})
+	}
+	return true
+}
+
+// memTransfer schedules one line transfer on the memory bus: it starts no
+// earlier than cycle earliest, queues behind the transfer in progress,
+// holds the bus MemOccupancy cycles, and its data arrives LatMem after it
+// starts. It returns the arrival cycle.
+func (h *Hierarchy) memTransfer(earliest uint64) uint64 {
+	start := max(earliest, h.memFree)
+	h.memFree = start + h.P.MemOccupancy
+	return start + h.P.LatMem
 }
 
 func (h *Hierarchy) emitFill(line uint64, from string, orig Origin, now uint64) {
@@ -237,13 +260,12 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 
 	if h.L1D.Access(addr, write) {
 		// L1 hit; may still be waiting on an in-flight fill of this line.
-		if ready, ok := h.lineReady[line]; ok {
-			if ready > now+h.P.LatL1 {
-				r.Latency = ready - now
+		if f, ok := h.fills[line]; ok {
+			if f.ready > now+h.P.LatL1 {
+				r.Latency = f.ready - now
 				r.Level = LevelMerged
 			} else {
-				delete(h.lineReady, line)
-				delete(h.inflOrig, line)
+				delete(h.fills, line)
 			}
 		}
 		if kind == KindDemand {
@@ -262,25 +284,14 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 	}
 
 	// Merge with an in-flight fill of the same line.
-	if ready, ok := h.lineReady[line]; ok {
+	if f, ok := h.fills[line]; ok {
 		r.Level = LevelMerged
-		if ready < now+h.P.LatL1 {
-			ready = now + h.P.LatL1
-		}
-		r.Latency = ready - now
+		r.Latency = max(f.ready, now+h.P.LatL1) - now
 		if kind == KindDemand {
 			// Attribute partial coverage to whoever started the fill.
-			switch h.inflOrig[line] {
-			case OriginHelper:
-				r.HelperCovered = true
-				h.Stats.HelperCovered++
-				h.inflOrig[line] = OriginDemand
-				h.emitCover(line, "helper", now)
-			case OriginHWPrefetch:
-				r.HWPrefCovered = true
-				h.Stats.PrefetchUseful++
-				h.inflOrig[line] = OriginDemand
-				h.emitCover(line, "hw", now)
+			if h.credit(line, f.orig, &r, now) {
+				f.orig = OriginDemand
+				h.fills[line] = f
 			}
 			h.Stats.DemandStalls++
 		}
@@ -310,23 +321,15 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 		r.Level = LevelL2
 		r.Latency = h.P.LatL1 + h.P.LatL2
 		h.fillL1(line, write, orig)
-		h.lineReady[line] = now + r.Latency
-		h.inflOrig[line] = orig
+		h.fills[line] = fill{ready: now + r.Latency, orig: orig}
 		h.emitFill(line, "l2", orig, now)
 	} else {
-		// Memory, behind the bus.
-		start := now + h.P.LatL1 + h.P.LatL2
-		if h.memFree > start {
-			start = h.memFree
-		}
-		h.memFree = start + h.P.MemOccupancy
-		ready := start + h.P.LatMem
+		ready := h.memTransfer(now + h.P.LatL1 + h.P.LatL2)
 		r.Level = LevelMem
 		r.Latency = ready - now
 		h.L2.Fill(addr, false)
 		h.fillL1(line, write, orig)
-		h.lineReady[line] = ready
-		h.inflOrig[line] = orig
+		h.fills[line] = fill{ready: ready, orig: orig}
 		h.emitFill(line, "mem", orig, now)
 	}
 	if kind == KindDemand {
@@ -345,7 +348,7 @@ func (h *Hierarchy) launchPrefetches(missLine uint64, now uint64) {
 		if h.L1D.Probe(cand) || h.PVB.Probe(cand) {
 			continue
 		}
-		if _, busy := h.lineReady[cand]; busy {
+		if _, busy := h.fills[cand]; busy {
 			continue
 		}
 		var ready uint64
@@ -358,18 +361,12 @@ func (h *Hierarchy) launchPrefetches(missLine uint64, now uint64) {
 			if h.memFree > now && h.memFree-now >= h.P.LatMem {
 				continue
 			}
-			start := now + h.P.LatL1 + h.P.LatL2
-			if h.memFree > start {
-				start = h.memFree
-			}
-			h.memFree = start + h.P.MemOccupancy
-			ready = start + h.P.LatMem
+			ready = h.memTransfer(now + h.P.LatL1 + h.P.LatL2)
 			h.L2.Fill(cand, false)
 		}
 		h.Stats.PrefetchIssued++
-		h.lineReady[cand] = ready
-		h.inflOrig[cand] = OriginHWPrefetch
-		h.pendingPVB = append(h.pendingPVB, pendingFill{line: cand, ready: ready, orig: OriginHWPrefetch})
+		h.fills[cand] = fill{ready: ready, orig: OriginHWPrefetch}
+		h.pendingPVB = append(h.pendingPVB, pendingFill{line: cand, ready: ready})
 		h.emitFill(cand, "pvb", OriginHWPrefetch, now)
 	}
 }
@@ -407,12 +404,7 @@ func (h *Hierarchy) FetchAccess(pc uint64, now uint64) uint64 {
 		return h.P.LatL2
 	}
 	h.L2.Fill(pc, false)
-	start := now
-	if h.memFree > start {
-		start = h.memFree
-	}
-	h.memFree = start + h.P.MemOccupancy
-	return start + h.P.LatMem - now
+	return h.memTransfer(now) - now
 }
 
 // Tick advances background machinery once per cycle: prefetch arrivals move
@@ -429,23 +421,26 @@ func (h *Hierarchy) Tick(now uint64) {
 			if h.L1D.Probe(pf.line) {
 				continue
 			}
-			vAddr, vDirty, ev := h.PVB.Insert(pf.line, pf.dirty)
+			vAddr, vDirty, ev := h.PVB.Insert(pf.line, false)
 			if ev {
 				delete(h.origin, vAddr)
 				if vDirty {
 					h.writebackToL2(vAddr)
 				}
 			}
-			if h.inflOrig[pf.line] == pf.orig {
-				h.origin[pf.line] = pf.orig
+			// The prefetcher keeps the credit only while the fill is still
+			// its own: a demand merge (which took the credit) or a newer
+			// fill of the line may have replaced it.
+			if h.fills[pf.line].orig == OriginHWPrefetch {
+				h.origin[pf.line] = OriginHWPrefetch
 			}
-			delete(h.lineReady, pf.line)
-			delete(h.inflOrig, pf.line)
+			delete(h.fills, pf.line)
 		}
 		h.pendingPVB = kept
 	}
 
-	// Drain one write-buffer entry per cycle when the bus is free.
+	// Drain one write-buffer entry per cycle when the bus is free (so its
+	// memory transfer starts now).
 	if len(h.writeBuf) > 0 && h.memFree <= now {
 		line := h.writeBuf[0]
 		h.writeBuf = h.writeBuf[1:]
@@ -456,7 +451,7 @@ func (h *Hierarchy) Tick(now uint64) {
 			} else {
 				if !h.L2.Access(line, false) {
 					h.L2.Fill(line, false)
-					h.memFree = now + h.P.MemOccupancy
+					h.memTransfer(now)
 				}
 				h.fillL1(line, true, OriginNone)
 			}

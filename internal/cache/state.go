@@ -5,7 +5,7 @@ package cache
 // stream prefetcher's stream table, the line-origin attribution map, and
 // the memory-bus cursor — together one HierState, which this package
 // alone encodes and decodes. Transient machinery — in-flight fills
-// (lineReady / inflOrig), pending PVB arrivals, and the write buffer — is
+// (the fills map), pending PVB arrivals, and the write buffer — is
 // deliberately absent: checkpoints are taken at a quiesced point where the
 // CPU has proven all of it empty (see Hierarchy.Quiesced / PruneFills).
 //
@@ -248,26 +248,25 @@ func (h *Hierarchy) Quiesced(now uint64) bool {
 	if len(h.pendingPVB) != 0 || len(h.writeBuf) != 0 {
 		return false
 	}
-	for _, ready := range h.lineReady {
-		if ready > now {
+	for _, f := range h.fills {
+		if f.ready > now {
 			return false
 		}
 	}
 	return true
 }
 
-// PruneFills drops expired in-flight fill tracking. lineReady entries are
+// PruneFills drops expired in-flight fill tracking. Fill entries are
 // normally pruned lazily on the next touch of the line; a checkpoint must
 // prune them eagerly instead, because a stale entry would turn a future
 // re-miss of that line into a bogus merge. It fails if any fill is still
 // genuinely in flight.
 func (h *Hierarchy) PruneFills(now uint64) error {
-	for line, ready := range h.lineReady {
-		if ready > now {
-			return fmt.Errorf("cache: line %#x still in flight (ready %d > now %d)", line, ready, now)
+	for line, f := range h.fills {
+		if f.ready > now {
+			return fmt.Errorf("cache: line %#x still in flight (ready %d > now %d)", line, f.ready, now)
 		}
-		delete(h.lineReady, line)
-		delete(h.inflOrig, line)
+		delete(h.fills, line)
 	}
 	return nil
 }

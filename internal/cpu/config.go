@@ -74,13 +74,6 @@ type Config struct {
 	// share of in-flight instructions before losing priority).
 	MainFetchWeight float64
 
-	// ProgFetchWeights, when non-nil, sets a per-program ICOUNT fairness
-	// weight for multi-programmed cores (index-aligned with NewMulti's
-	// specs; missing or non-positive entries fall back to
-	// MainFetchWeight). A program with twice the weight holds twice the
-	// in-flight share before losing fetch priority.
-	ProgFetchWeights []float64
-
 	// HelperWindowCap bounds how many window entries all helper threads
 	// may hold together, so slices whose loads sit waiting on memory
 	// cannot starve the main thread of window space.
@@ -131,14 +124,6 @@ type Config struct {
 
 	// MaxCycles is a runaway guard for Run.
 	MaxCycles uint64
-}
-
-// progWeight returns program i's ICOUNT fairness weight.
-func (c *Config) progWeight(i int) float64 {
-	if i < len(c.ProgFetchWeights) && c.ProgFetchWeights[i] > 0 {
-		return c.ProgFetchWeights[i]
-	}
-	return c.MainFetchWeight
 }
 
 // Config4Wide returns the paper's 4-wide machine (Table 1).

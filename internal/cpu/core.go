@@ -94,9 +94,8 @@ func New(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, sliceTa
 // MaxPrograms). Main threads occupy the first len(specs) thread contexts
 // in spec order; the remaining contexts are helper slots shared by every
 // program's slices. Each program gets its own memory view, slice
-// hardware, and stats; the fetch policy arbitrates among the mains with
-// per-program ICOUNT weights (Config.ProgFetchWeights, defaulting to
-// MainFetchWeight).
+// hardware, and stats; the fetch policy arbitrates among the mains, each
+// weighted by MainFetchWeight.
 func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	if len(specs) < 1 {
 		return nil, fmt.Errorf("cpu: need at least one program")
@@ -146,7 +145,6 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 			index:    i,
 			image:    sp.Image,
 			mem:      sp.Mem,
-			weight:   cfg.progWeight(i),
 			physBase: uint64(i) * (progPhysStride + progPhysSkew),
 			predSalt: uint64(i) * progSaltStride,
 			S:        stats.New(),
@@ -383,6 +381,11 @@ func (c *Core) stepCycle() {
 	c.reapHelpers()
 }
 
+// sharesWindow reports whether t's instructions occupy the shared window:
+// a main thread's always, a helper's unless slice resources are dedicated
+// (§6.3).
+func (c *Core) sharesWindow(t *Thread) bool { return t.IsMain || !c.Cfg.DedicatedSliceResources }
+
 // dispatchStage moves fetched instructions into the window once they have
 // traversed the front end (FrontLatency cycles) and space exists.
 func (c *Core) dispatchStage() {
@@ -391,8 +394,7 @@ func (c *Core) dispatchStage() {
 			continue
 		}
 		for t.fetchq.len() > 0 {
-			if t.IsMain || !c.Cfg.DedicatedSliceResources {
-				// Helpers share the window unless dedicated (§6.3).
+			if c.sharesWindow(t) {
 				if c.window >= c.Cfg.WindowSize {
 					break
 				}
@@ -408,7 +410,7 @@ func (c *Core) dispatchStage() {
 			di.Dispatched = true
 			di.DispatchCycle = c.now
 			t.rob.pushBack(di)
-			if t.IsMain || !c.Cfg.DedicatedSliceResources {
+			if c.sharesWindow(t) {
 				c.window++
 			}
 			if !t.IsMain {

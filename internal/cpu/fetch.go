@@ -45,13 +45,7 @@ func (c *Core) retireDoneHelpers() {
 		if t.IsMain || !t.Alive || !t.Fetching {
 			continue
 		}
-		// sfPGI is set exactly on the PCs PGIAt resolves, so the flag
-		// alone identifies a parked PGI.
-		p := t.prog
-		if p == nil || p.sliceTable == nil || c.Cfg.SlicePredictionsOff || p.sliceFlags(t.PC)&sfPGI == 0 {
-			continue
-		}
-		if t.Instance.Done() {
+		if c.atPGI(t) && t.Instance.Done() {
 			t.Fetching = false
 		}
 	}
@@ -113,7 +107,7 @@ func (c *Core) fetchFrom(t *Thread) {
 		// slice kill fired) terminates — later predictions would misalign
 		// the queue. A live helper stalls while the queue is full rather
 		// than dropping the prediction, for the same reason.
-		if !t.IsMain && p.sliceTable != nil && !c.Cfg.SlicePredictionsOff && p.sliceFlags(pc)&sfPGI != 0 {
+		if !t.IsMain && c.atPGI(t) {
 			if t.Instance.Done() {
 				t.Fetching = false
 				return
@@ -126,15 +120,23 @@ func (c *Core) fetchFrom(t *Thread) {
 	}
 }
 
+// atPGI reports whether helper t is parked at a PGI: its next fetch is a
+// prediction-generating instruction and predictions are on. sfPGI is set
+// exactly on the PCs PGIAt resolves, so the flag alone identifies one.
+func (c *Core) atPGI(t *Thread) bool {
+	p := t.prog
+	return p.sliceTable != nil && !c.Cfg.SlicePredictionsOff && p.sliceFlags(t.PC)&sfPGI != 0
+}
+
 // helperPGIStalled reports whether a helper's next fetch is a PGI that
 // cannot proceed right now: its slice instance is done (teardown is
 // retireDoneHelpers' job — this predicate is pure), or its prediction
 // queue cannot allocate.
 func (c *Core) helperPGIStalled(t *Thread) bool {
-	p := t.prog
-	if p.sliceTable == nil || c.Cfg.SlicePredictionsOff || p.sliceFlags(t.PC)&sfPGI == 0 {
+	if !c.atPGI(t) {
 		return false
 	}
+	p := t.prog
 	if t.Instance.Done() {
 		// A kill that landed after this cycle's teardown pass; the helper
 		// just doesn't fetch this cycle and is retired next cycle.
@@ -157,7 +159,7 @@ func (c *Core) fetchQCap(t *Thread) int {
 // actually fetch this cycle (e.g. a helper stalled at a PGI whose
 // prediction queue is full) must not win the slot — it would starve the
 // main threads, whose kills are what drain that queue. Each main thread
-// carries its program's fairness weight; on a score tie a main thread
+// weighs MainFetchWeight, each helper 1; on a score tie a main thread
 // beats a helper, and among equal-scored mains the lowest thread index
 // (scan order) wins, keeping multi-program arbitration deterministic.
 func (c *Core) chooseFetchThread() *Thread {
@@ -172,7 +174,7 @@ func (c *Core) chooseFetchThread() *Thread {
 		}
 		w := 1.0
 		if t.IsMain {
-			w = t.prog.weight
+			w = c.Cfg.MainFetchWeight
 		}
 		score := float64(t.inflight()) / w
 		if best == nil || score < bestScore || (score == bestScore && t.IsMain && !best.IsMain) {
@@ -194,8 +196,8 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 		c.sliceHooksAtFetch(di)
 	} else {
 		p.S.HelperFetched++
-		if p.sliceTable != nil && p.sliceFlags(pc)&sfPGI != 0 {
-			if ref, ok := p.sliceTable.PGIAt(pc); ok && !c.Cfg.SlicePredictionsOff {
+		if c.atPGI(t) {
+			if ref, ok := p.sliceTable.PGIAt(pc); ok {
 				di.IsPGI = true
 				di.PGIRef = ref
 				di.AllocPred = p.corr.Allocate(t.Instance, ref.PGI.BranchPC)

@@ -25,11 +25,6 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(&b, " predsOff=%t confGate=%t confThr=%d dedicated=%t maxCyc=%d",
 		c.SlicePredictionsOff, c.ConfidenceGatedForks, c.ConfidenceThreshold,
 		c.DedicatedSliceResources, c.MaxCycles)
-	if len(c.ProgFetchWeights) > 0 {
-		// Emitted only when set, so single-program fingerprints (and the
-		// warm checkpoints keyed by them) are unchanged.
-		fmt.Fprintf(&b, " pfw=%v", c.ProgFetchWeights)
-	}
 	// Predictor specs are normalized so "" and the explicit default name
 	// fingerprint identically; %q guards against separator characters in
 	// param lists (e.g. a perfect predictor's PC list).

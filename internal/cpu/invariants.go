@@ -23,17 +23,16 @@ import (
 // mid-release and is exempted from liveness checks).
 func (c *Core) CheckInvariants() error {
 	// Window accounting vs. actual ring occupancy.
-	helperROB, mainROB := 0, 0
+	helperROB, mainROB, wantWindow := 0, 0, 0
 	for _, t := range c.threads {
 		if t.IsMain {
 			mainROB += t.rob.len()
 		} else {
 			helperROB += t.rob.len()
 		}
-	}
-	wantWindow := mainROB
-	if !c.Cfg.DedicatedSliceResources {
-		wantWindow += helperROB
+		if c.sharesWindow(t) {
+			wantWindow += t.rob.len()
+		}
 	}
 	if c.window != wantWindow {
 		return fmt.Errorf("cpu: window=%d but ROB occupancy says %d (main %d, helper %d, dedicated=%t)",

@@ -73,9 +73,8 @@ type progState struct {
 	main   *Thread
 	halted bool
 
-	weight   float64 // ICOUNT fairness weight for this program's main thread
-	physBase uint64  // cache-hierarchy address offset
-	predSalt uint64  // shared-predictor PC salt
+	physBase uint64 // cache-hierarchy address offset
+	predSalt uint64 // shared-predictor PC salt
 
 	S *stats.Sim
 }

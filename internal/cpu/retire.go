@@ -45,7 +45,7 @@ func (c *Core) retireInst(di *DynInst) {
 	di.Retired = true
 	t := di.Thread
 	p := t.prog
-	if t.IsMain || !c.Cfg.DedicatedSliceResources {
+	if c.sharesWindow(t) {
 		c.window--
 	}
 	if !t.IsMain {

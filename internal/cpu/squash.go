@@ -78,7 +78,7 @@ func (c *Core) squashInst(x *DynInst) {
 		c.squashHelper(h)
 	}
 	if x.Dispatched {
-		if x.Thread.IsMain || !c.Cfg.DedicatedSliceResources {
+		if c.sharesWindow(x.Thread) {
 			c.window--
 		}
 		if !x.Thread.IsMain {

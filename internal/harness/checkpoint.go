@@ -96,15 +96,10 @@ type Checkpointer struct {
 	// (fast, approximate) warm-up.
 	Mode WarmMode
 
-	mu      sync.Mutex
-	entries map[string]*ckptEntry
-	st      CheckpointStats
-}
+	memo flight[*cpu.Checkpoint] // WarmKey → checkpoint
 
-type ckptEntry struct {
-	done chan struct{} // closed when ck/err are valid
-	ck   *cpu.Checkpoint
-	err  error
+	mu sync.Mutex // guards st
+	st CheckpointStats
 }
 
 // NewCheckpointer builds a checkpointer. dir == "" disables the disk
@@ -113,7 +108,7 @@ func NewCheckpointer(dir string, mode WarmMode) *Checkpointer {
 	if mode == "" {
 		mode = WarmDetailed
 	}
-	return &Checkpointer{Dir: dir, Mode: mode, entries: make(map[string]*ckptEntry)}
+	return &Checkpointer{Dir: dir, Mode: mode}
 }
 
 // Stats returns a snapshot of the observability counters.
@@ -125,28 +120,24 @@ func (cp *Checkpointer) Stats() CheckpointStats {
 
 // Warm returns the checkpoint for one warm prefix, simulating it only if
 // neither cache level has it. Safe for concurrent use; concurrent requests
-// for the same key simulate once (the same done-channel discipline as the
-// engine memo — see Engine.Run for why waiters cannot starve creators).
-// Single-flight is per Checkpointer: separate Checkpointers (or processes)
-// sharing Dir may each build the same key, but atomic publication means a
-// reader only ever sees a whole entry.
+// for the same key simulate once. Single-flight is per Checkpointer:
+// separate Checkpointers (or processes) sharing Dir may each build the
+// same key, but atomic publication means a reader only ever sees a whole
+// entry.
 func (cp *Checkpointer) Warm(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (*cpu.Checkpoint, WarmSource, error) {
 	key := WarmKeyFor(w.Name, withSlices, warm, cp.Mode, cfg)
-	cp.mu.Lock()
-	if en, ok := cp.entries[key]; ok {
+	var src WarmSource
+	ck, hit, err := cp.memo.do(key, func() (ck *cpu.Checkpoint, err error) {
+		ck, src, err = cp.resolve(w, cfg, withSlices, warm, key)
+		return ck, err
+	})
+	if hit {
+		cp.mu.Lock()
 		cp.st.WarmHits++
 		cp.mu.Unlock()
-		<-en.done
-		return en.ck, WarmFromMemo, en.err
+		return ck, WarmFromMemo, err
 	}
-	en := &ckptEntry{done: make(chan struct{})}
-	cp.entries[key] = en
-	cp.mu.Unlock()
-
-	var src WarmSource
-	en.ck, src, en.err = cp.resolve(w, cfg, withSlices, warm, key)
-	close(en.done)
-	return en.ck, src, en.err
+	return ck, src, err
 }
 
 // resolve serves one warm prefix from the on-disk store, or simulates it

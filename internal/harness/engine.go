@@ -127,12 +127,13 @@ type Engine struct {
 	// a divergence fails the run (set before the first Run).
 	Oracle OracleOptions
 
-	mu   sync.Mutex // guards memo and the counters
-	memo map[string]*memoEntry
-	st   EngineStats
+	memo     flight[*RunResult]     // RunSpec key → simulation
+	profiles flight[profile.Result] // baseline RunSpec key → classification
+
+	mu sync.Mutex // guards st
+	st EngineStats
 
 	progressMu sync.Mutex
-	profiles   sync.Map // baseline spec key → profile.Result
 	sets       sync.Map // SliceSet name → *SliceSet
 }
 
@@ -148,19 +149,12 @@ func (e *Engine) RegisterSliceSet(s *SliceSet) error {
 	return nil
 }
 
-type memoEntry struct {
-	done chan struct{} // closed when res/err are valid
-	res  *RunResult
-	err  error
-}
-
 // NewEngine builds an engine. jobs ≤ 0 selects GOMAXPROCS workers.
 func NewEngine(p Params, jobs int) *Engine {
 	return &Engine{
 		Params: p,
 		Jobs:   jobs,
 		Ckpt:   NewCheckpointer("", WarmDetailed),
-		memo:   make(map[string]*memoEntry),
 	}
 }
 
@@ -206,61 +200,50 @@ func (e *Engine) RunValidated(spec RunSpec) (*RunResult, error) {
 	return e.run(spec, o)
 }
 
-// run implements Run and RunValidated.
-//
-// Lock discipline: a caller that creates the memo entry simulates while
-// holding no lock and closes the entry's done channel when finished;
-// every other caller for the same key waits on that channel. fanOut's
-// workers acquire their pool slot *before* calling Run, so an entry's
-// creator always holds a slot and makes progress — a waiter can never
-// starve the creator of the last slot.
+// run implements Run and RunValidated: each distinct spec key simulates
+// once, and every other request for it shares that run's result or error.
 func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 	key := spec.Key()
+	res, hit, err := e.memo.do(key, func() (*RunResult, error) { return e.simulate(spec, key, o) })
 	e.mu.Lock()
-	if en, ok := e.memo[key]; ok {
+	if hit {
 		e.st.Hits++
-		e.mu.Unlock()
-		<-en.done
-		e.emit(Event{Spec: spec, Memoized: true})
-		return en.res, en.err
+	} else {
+		e.st.Misses++
 	}
-	en := &memoEntry{done: make(chan struct{})}
-	e.memo[key] = en
-	e.st.Misses++
 	e.mu.Unlock()
-
-	fail := func(err error) (*RunResult, error) {
-		// Resolve the entry with the error so waiters see it too.
-		en.err = err
-		close(en.done)
-		return nil, err
+	if hit {
+		e.emit(Event{Spec: spec, Memoized: true})
 	}
+	return res, err
+}
+
+// simulate measures one spec; run calls it once per key.
+func (e *Engine) simulate(spec RunSpec, key string, o OracleOptions) (*RunResult, error) {
 	w, err := workloads.ByName(spec.Workload)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	var set *SliceSet
 	if spec.SliceSet != "" {
 		if spec.WithSlices {
-			return fail(fmt.Errorf("harness: spec %s: WithSlices and SliceSet are mutually exclusive", key))
+			return nil, fmt.Errorf("harness: spec %s: WithSlices and SliceSet are mutually exclusive", key)
 		}
 		v, ok := e.sets.Load(spec.SliceSet)
 		if !ok {
-			return fail(fmt.Errorf("harness: unknown slice set %q (RegisterSliceSet first)", spec.SliceSet))
+			return nil, fmt.Errorf("harness: unknown slice set %q (RegisterSliceSet first)", spec.SliceSet)
 		}
 		set = v.(*SliceSet)
 		if set.Workload != spec.Workload {
-			return fail(fmt.Errorf("harness: slice set %q belongs to %s, not %s", set.Name, set.Workload, spec.Workload))
+			return nil, fmt.Errorf("harness: slice set %q belongs to %s, not %s", set.Name, set.Workload, spec.Workload)
 		}
 	}
 	start := time.Now()
 	core, warmSrc, err := RunOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, set, nil)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	res := &RunResult{Snap: core.Snapshot(), Wall: time.Since(start)}
-	en.res = res
-	close(en.done)
 
 	insts := spec.Run
 	if warmSrc == WarmFromSim {
@@ -276,7 +259,7 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 
 // fanOut calls f(0), …, f(n-1) over the engine's worker pool and waits for
 // all of them. Each worker takes its pool slot before calling f, the
-// discipline run's lock comment relies on.
+// discipline flight relies on.
 func (e *Engine) fanOut(n int, f func(i int)) {
 	sem := make(chan struct{}, e.jobs())
 	var wg sync.WaitGroup
@@ -361,18 +344,15 @@ func (e *Engine) sliceSpec(w *workloads.Workload, cfg cpu.Config) RunSpec {
 // underlying baseline simulation goes through the memo cache — it is the
 // same spec as the driver's base bars, so Figure 1 no longer re-runs the
 // profiling baseline once per width — and the derived classification is
-// itself memoized by baseline key.
+// itself computed once per baseline key.
 func (e *Engine) profileFor(w *workloads.Workload, cfg cpu.Config) (profile.Result, error) {
 	spec := e.baseSpec(w, cfg)
-	key := spec.Key()
-	if r, ok := e.profiles.Load(key); ok {
-		return r.(profile.Result), nil
-	}
-	res, err := e.Run(spec)
-	if err != nil {
-		return profile.Result{}, err
-	}
-	r := profile.Characterize(res.Stats(), profile.DefaultOptions(spec.Run))
-	e.profiles.Store(key, r)
-	return r, nil
+	r, _, err := e.profiles.do(spec.Key(), func() (profile.Result, error) {
+		res, err := e.Run(spec)
+		if err != nil {
+			return profile.Result{}, err
+		}
+		return profile.Characterize(res.Stats(), profile.DefaultOptions(spec.Run)), nil
+	})
+	return r, err
 }
