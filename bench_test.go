@@ -70,7 +70,7 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 				allocs, s.MainRetired, s.Forks, s.PredsGenerated, perInst)
 			// The region must exercise the fork and prediction paths, or
 			// the budget says nothing about per-fork and per-prediction
-			// allocations (live-in capture, correlator records).
+			// allocations (correlator records).
 			if s.Forks == 0 || s.PredsGenerated == 0 {
 				t.Error("measured region forked no slices or generated no predictions; the budget covers nothing")
 			}

@@ -93,6 +93,7 @@ func main() {
 			}
 			cli.Exit(1)
 		}
+		cli.CheckPredictors(*bpredFlg, *ipredFlg)
 		runMulti(*multi, *slices, *warmup, *run, *bpredFlg, *ipredFlg,
 			harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}, *orcOut, *asJSON)
 		return

@@ -6,10 +6,10 @@
 // stream prefetcher that detects unit-stride miss patterns (positive and
 // negative) and prefetches sequential blocks when bandwidth is available.
 //
-// Caches here track tags, dirty bits, and LRU state only — data lives in
-// the shared mem.Memory. That is exact for a simulator in which functional
-// values come from the memory image and only timing flows through the
-// hierarchy.
+// Caches here track tags, dirty bits, LRU state and each line's origin
+// only — data lives in the shared mem.Memory. That is exact for a
+// simulator in which functional values come from the memory image and only
+// timing flows through the hierarchy.
 package cache
 
 import (
@@ -27,10 +27,12 @@ type line struct {
 	tag   uint64
 	valid bool
 	dirty bool
+	orig  Origin // prefetcher that brought the line in, until a demand touch
 	lru   uint64
 }
 
 // Cache is one set-associative, write-back, write-allocate cache level.
+// The prefetch/victim buffer is a Cache too, with one set.
 type Cache struct {
 	name      string
 	sets      int
@@ -96,63 +98,62 @@ func (c *Cache) set(addr uint64) []line {
 	return c.lines[int(idx)*c.ways : (int(idx)+1)*c.ways]
 }
 
-// Probe reports whether addr's line is present without updating LRU or
-// stats (used by the prefetcher to filter redundant prefetches).
-func (c *Cache) Probe(addr uint64) bool {
+// find returns addr's resident line, or nil.
+func (c *Cache) find(addr uint64) *line {
 	tag := addr >> c.lineShift
 	s := c.set(addr)
 	for i := range s {
 		if s[i].valid && s[i].tag == tag {
-			return true
+			return &s[i]
 		}
 	}
-	return false
+	return nil
 }
+
+// Probe reports whether addr's line is present without updating LRU or
+// stats (used by the prefetcher to filter redundant prefetches).
+func (c *Cache) Probe(addr uint64) bool { return c.find(addr) != nil }
 
 // Access looks up addr; on hit it updates LRU (and the dirty bit for
 // writes) and returns true. On miss it returns false without filling — the
 // hierarchy decides when the fill lands.
-func (c *Cache) Access(addr uint64, write bool) bool {
+func (c *Cache) Access(addr uint64, write bool) bool { return c.lookup(addr, write) != nil }
+
+// lookup is Access returning the hit line (nil on a miss), so the
+// hierarchy reads a line's origin in the scan that matched its tag.
+func (c *Cache) lookup(addr uint64, write bool) *line {
 	c.clock++
 	c.stats.Accesses++
-	tag := addr >> c.lineShift
-	s := c.set(addr)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].lru = c.clock
-			if write {
-				s[i].dirty = true
-			}
-			c.stats.Hits++
-			return true
-		}
+	l := c.find(addr)
+	if l == nil {
+		c.stats.Misses++
+		return nil
 	}
-	c.stats.Misses++
-	return false
+	l.lru = c.clock
+	l.dirty = l.dirty || write
+	c.stats.Hits++
+	return l
 }
 
-// Fill installs addr's line, returning the evicted victim if one was valid.
-// dirty marks the incoming line (write-allocate stores fill dirty).
-func (c *Cache) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, evicted bool) {
+// Fill installs addr's line with origin orig, returning the evicted victim
+// if one was valid. dirty marks the incoming line (write-allocate stores
+// fill dirty). It makes one pass over the set: a resident line is
+// refreshed, else the line takes the first invalid way, else the least
+// recently used one.
+func (c *Cache) Fill(addr uint64, dirty bool, orig Origin) (victimAddr uint64, victimDirty, evicted bool) {
 	c.clock++
 	tag := addr >> c.lineShift
 	s := c.set(addr)
-	// Already present (a racing fill): just refresh.
+	vi := -1
 	for i := range s {
 		if s[i].valid && s[i].tag == tag {
+			// Already present (a racing fill): just refresh.
 			s[i].lru = c.clock
 			s[i].dirty = s[i].dirty || dirty
+			s[i].orig = orig
 			return 0, false, false
 		}
-	}
-	// Pick an invalid way, else the LRU way.
-	vi := 0
-	for i := range s {
-		if !s[i].valid {
-			vi = i
-			goto place
-		}
-		if s[i].lru < s[vi].lru {
+		if vi < 0 || s[vi].valid && (!s[i].valid || s[i].lru < s[vi].lru) {
 			vi = i
 		}
 	}
@@ -165,23 +166,23 @@ func (c *Cache) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, e
 			c.stats.Writebacks++
 		}
 	}
-place:
-	s[vi] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	s[vi] = line{tag: tag, valid: true, dirty: dirty, orig: orig, lru: c.clock}
 	return victimAddr, victimDirty, evicted
 }
 
-// Invalidate removes addr's line if present, reporting whether it was there
-// and whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	tag := addr >> c.lineShift
-	s := c.set(addr)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			present, dirty = true, s[i].dirty
-			s[i] = line{}
-			return
-		}
+// Extract removes addr's line (a PVB hit promoting it into the L1),
+// reporting whether it was present, whether it was dirty, and its origin.
+// It counts as an access, so the PVB's Hits/Misses count extracts.
+func (c *Cache) Extract(addr uint64) (present, dirty bool, orig Origin) {
+	c.stats.Accesses++
+	l := c.find(addr)
+	if l == nil {
+		c.stats.Misses++
+		return false, false, OriginNone
 	}
+	c.stats.Hits++
+	present, dirty, orig = true, l.dirty, l.orig
+	*l = line{}
 	return
 }
 

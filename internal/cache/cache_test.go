@@ -27,7 +27,7 @@ func TestCacheHitAfterFill(t *testing.T) {
 	if c.Access(addr, false) {
 		t.Fatal("cold access must miss")
 	}
-	c.Fill(addr, false)
+	c.Fill(addr, false, OriginNone)
 	if !c.Access(addr, false) {
 		t.Error("access after fill must hit")
 	}
@@ -47,10 +47,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	// Three lines mapping to set 0 (line addresses 0x1000, 0x1080 differ
 	// in set bit; choose stride = sets*line = 128 bytes).
 	a, b2, d := uint64(0x1000), uint64(0x1080), uint64(0x1100)
-	c.Fill(a, false)
-	c.Fill(b2, false)
+	c.Fill(a, false, OriginNone)
+	c.Fill(b2, false, OriginNone)
 	c.Access(a, false) // make a MRU
-	vAddr, _, ev := c.Fill(d, false)
+	vAddr, _, ev := c.Fill(d, false, OriginNone)
 	if !ev || vAddr != b2 {
 		t.Errorf("evicted %#x (ev=%v), want %#x", vAddr, ev, b2)
 	}
@@ -63,9 +63,9 @@ func TestCacheDirtyWriteback(t *testing.T) {
 	c := MustCache("t", 128, 1, 64) // direct-mapped, 2 sets
 	a := uint64(0x1000)
 	conflict := uint64(0x1080) // same set (stride 128)
-	c.Fill(a, false)
+	c.Fill(a, false, OriginNone)
 	c.Access(a, true) // dirty it
-	vAddr, vDirty, ev := c.Fill(conflict, false)
+	vAddr, vDirty, ev := c.Fill(conflict, false, OriginNone)
 	if !ev || vAddr != a || !vDirty {
 		t.Errorf("eviction = %#x dirty=%v ev=%v", vAddr, vDirty, ev)
 	}
@@ -76,13 +76,13 @@ func TestCacheDirtyWriteback(t *testing.T) {
 
 func TestCacheFillIdempotent(t *testing.T) {
 	c := MustCache("t", 4096, 2, 64)
-	c.Fill(0x2000, false)
-	_, _, ev := c.Fill(0x2000, true)
+	c.Fill(0x2000, false, OriginNone)
+	_, _, ev := c.Fill(0x2000, true, OriginNone)
 	if ev {
 		t.Error("refill of resident line must not evict")
 	}
 	// The refill with dirty=true must stick.
-	v, d, e := c.Fill(0x2000+4096, false) // placed in other way or set
+	v, d, e := c.Fill(0x2000+4096, false, OriginNone) // placed in other way or set
 	_ = v
 	_ = d
 	_ = e
@@ -91,17 +91,19 @@ func TestCacheFillIdempotent(t *testing.T) {
 	}
 }
 
+// TestCacheInvalidate: Extract, the one line-removal method, removes a
+// line and reports its dirtiness and origin.
 func TestCacheInvalidate(t *testing.T) {
 	c := MustCache("t", 4096, 2, 64)
-	c.Fill(0x3000, true)
-	present, dirty := c.Invalidate(0x3000)
-	if !present || !dirty {
-		t.Errorf("invalidate = %v,%v", present, dirty)
+	c.Fill(0x3000, true, OriginHelper)
+	present, dirty, orig := c.Extract(0x3000)
+	if !present || !dirty || orig != OriginHelper {
+		t.Errorf("invalidate = %v,%v,%v", present, dirty, orig)
 	}
 	if c.Probe(0x3000) {
 		t.Error("line still present after invalidate")
 	}
-	if p, _ := c.Invalidate(0x3000); p {
+	if p, _, _ := c.Extract(0x3000); p {
 		t.Error("double invalidate reported present")
 	}
 }
@@ -121,7 +123,7 @@ func TestQuickCacheReferenceModel(t *testing.T) {
 				t.Fatalf("access(%#x) hit=%v, model says %v", addr, hit, resident[line])
 			}
 		} else {
-			vAddr, _, ev := c.Fill(addr, false)
+			vAddr, _, ev := c.Fill(addr, false, OriginNone)
 			if ev {
 				if !resident[vAddr] {
 					t.Fatalf("evicted non-resident line %#x", vAddr)
@@ -136,14 +138,18 @@ func TestQuickCacheReferenceModel(t *testing.T) {
 	}
 }
 
+// newPVB builds a prefetch/victim buffer of n lines the way NewHierarchy
+// does: a one-set Cache with n ways.
+func newPVB(n, lineBytes int) *Cache { return MustCache("PVB", n*lineBytes, n, lineBytes) }
+
 func TestPVBInsertExtract(t *testing.T) {
-	b := NewPVB(4, 64)
-	b.Insert(0x1000, false)
-	b.Insert(0x2000, true)
+	b := newPVB(4, 64)
+	b.Fill(0x1000, false, OriginNone)
+	b.Fill(0x2000, true, OriginNone)
 	if !b.Probe(0x1000) || !b.Probe(0x2040) == false && false {
 		t.Error("probe failed")
 	}
-	present, dirty := b.Extract(0x2000)
+	present, dirty, _ := b.Extract(0x2000)
 	if !present || !dirty {
 		t.Errorf("extract = %v,%v", present, dirty)
 	}
@@ -157,16 +163,16 @@ func TestPVBInsertExtract(t *testing.T) {
 }
 
 func TestPVBEvictsLRU(t *testing.T) {
-	b := NewPVB(2, 64)
-	b.Insert(0x1000, false)
-	b.Insert(0x2000, true)
-	vAddr, vDirty, ev := b.Insert(0x3000, false)
+	b := newPVB(2, 64)
+	b.Fill(0x1000, false, OriginNone)
+	b.Fill(0x2000, true, OriginNone)
+	vAddr, vDirty, ev := b.Fill(0x3000, false, OriginNone)
 	if !ev || vAddr != 0x1000 || vDirty {
 		t.Errorf("evicted %#x dirty=%v ev=%v", vAddr, vDirty, ev)
 	}
 	// Duplicate insert refreshes rather than duplicating.
-	b.Insert(0x3000, true)
-	if p, d := b.Extract(0x3000); !p || !d {
+	b.Fill(0x3000, true, OriginNone)
+	if p, d, _ := b.Extract(0x3000); !p || !d {
 		t.Error("duplicate insert lost dirtiness")
 	}
 }
@@ -514,5 +520,109 @@ func TestHierarchyHWPrefetchMergedCoverage(t *testing.T) {
 	}
 	if h.Stats.PrefetchUseful != 1 {
 		t.Errorf("PrefetchUseful = %d after second touch, want 1", h.Stats.PrefetchUseful)
+	}
+}
+
+// prefetchIntoPVB runs an even L1 line's demand miss, whose next-line
+// prefetch hits the L2, until the prefetched line sits in the PVB. It
+// returns that line and the next free cycle.
+func prefetchIntoPVB(t *testing.T, h *Hierarchy, now uint64) (uint64, uint64) {
+	t.Helper()
+	r := h.Access(0x400000, false, KindDemand, now)
+	for end := now + r.Latency + 1; now < end; now++ {
+		h.Tick(now)
+	}
+	pf := uint64(0x400000 + h.P.L1Line)
+	if !h.PVB.Probe(pf) || h.L1D.Probe(pf) {
+		t.Fatal("prefetch did not land in the PVB")
+	}
+	return pf, now
+}
+
+// A prefetched line that L1 victims push out of the PVB takes its credit
+// with it: when demand later refetches the line from the L2, hitting it
+// again credits nobody.
+func TestHierarchyEvictedPrefetchLeavesNoCredit(t *testing.T) {
+	p := DefaultParams()
+	p.PVBEntries = 4
+	h := NewHierarchy(p)
+	pf, now := prefetchIntoPVB(t, h, 100)
+	// Demand misses that all map to one L1 set spill victims (and their
+	// own prefetches) into the PVB until the prefetched line is gone.
+	stride := uint64(p.L1Bytes / p.L1Ways)
+	for i := uint64(1); h.PVB.Probe(pf); i++ {
+		if i > 16 {
+			t.Fatal("L1 victims never evicted the prefetched line")
+		}
+		r := h.Access(0x800000+i*stride, false, KindDemand, now)
+		for end := now + r.Latency + 1; now < end; now++ {
+			h.Tick(now)
+		}
+	}
+	useful := h.Stats.PrefetchUseful
+	r := h.Access(pf, false, KindDemand, now)
+	if r.Level != LevelL2 || r.HWPrefCovered {
+		t.Fatalf("refetch = %+v, want an uncredited L2 hit", r)
+	}
+	now += r.Latency + 1
+	if hit := h.Access(pf, false, KindDemand, now); hit.Level != LevelL1 || hit.HWPrefCovered {
+		t.Errorf("demand hit on the refetched line = %+v", hit)
+	}
+	if h.Stats.PrefetchUseful != useful {
+		t.Errorf("PrefetchUseful = %d, want %d: an evicted prefetch was credited", h.Stats.PrefetchUseful, useful)
+	}
+}
+
+// A helper access that promotes a prefetched line from the PVB into the
+// L1 leaves the prefetcher's credit on the line for the first demand hit.
+func TestHierarchyHelperPromotionKeepsPrefetchCredit(t *testing.T) {
+	h := NewHierarchy(DefaultParams())
+	pf, now := prefetchIntoPVB(t, h, 100)
+	if r := h.Access(pf, false, KindHelper, now); r.Level != LevelPVB || r.HWPrefCovered {
+		t.Fatalf("helper touch = %+v, want an uncredited PVB hit", r)
+	}
+	if h.PVB.Probe(pf) || !h.L1D.Probe(pf) {
+		t.Fatal("helper touch did not promote the line into the L1")
+	}
+	if r := h.Access(pf, false, KindDemand, now+1); r.Level != LevelL1 || !r.HWPrefCovered {
+		t.Errorf("first demand hit = %+v, want HWPrefCovered", r)
+	}
+	if r := h.Access(pf, false, KindDemand, now+2); r.HWPrefCovered {
+		t.Error("second demand hit credited again")
+	}
+	if h.Stats.PrefetchUseful != 1 {
+		t.Errorf("PrefetchUseful = %d, want 1", h.Stats.PrefetchUseful)
+	}
+}
+
+// A prefetch arrival credits the prefetcher only while the fill is still
+// its own: after a demand merge took the credit and the promoted line was
+// evicted into the PVB, the arriving prefetch adds no second credit.
+func TestHierarchyMergedPrefetchArrivesWithoutCredit(t *testing.T) {
+	p := DefaultParams()
+	h := NewHierarchy(p)
+	r := h.Access(0x340040, false, KindDemand, 100)
+	pf := uint64(0x340080)
+	m := h.Access(pf, false, KindDemand, 110)
+	if m.Level != LevelMerged || !m.HWPrefCovered {
+		t.Fatalf("merged prefetch touch = %+v", m)
+	}
+	// Two more lines in pf's L1 set push it out into the PVB before its
+	// prefetch arrives.
+	stride := uint64(p.L1Bytes / p.L1Ways)
+	h.Access(pf+stride, false, KindDemand, 111)
+	h.Access(pf+2*stride, false, KindDemand, 112)
+	if h.L1D.Probe(pf) || !h.PVB.Probe(pf) {
+		t.Fatal("promoted line was not evicted into the PVB")
+	}
+	end := 110 + m.Latency + r.Latency
+	for now := uint64(112); now <= end; now++ {
+		h.Tick(now)
+	}
+	if again := h.Access(pf, false, KindDemand, end+1); again.Level != LevelPVB || again.HWPrefCovered {
+		t.Errorf("touch after arrival = %+v, want an uncredited PVB hit", again)
+	}
+	if h.Stats.PrefetchUseful != 1 {
+		t.Errorf("PrefetchUseful = %d, want 1", h.Stats.PrefetchUseful)
 	}
 }

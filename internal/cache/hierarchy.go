@@ -2,15 +2,15 @@ package cache
 
 import "repro/internal/stats"
 
-// Origin records which agent brought a line into the L1/PVB, so the
-// simulator can attribute "misses covered" (Table 4) to helper-thread
-// prefetching versus the hardware prefetcher.
+// Origin records which prefetching agent brought a line into the L1/PVB,
+// so the simulator can attribute "misses covered" (Table 4) to
+// helper-thread prefetching versus the hardware prefetcher. Demand fills
+// and lines a demand access has touched carry OriginNone.
 type Origin uint8
 
 // Line origins.
 const (
 	OriginNone Origin = iota
-	OriginDemand
 	OriginHWPrefetch
 	OriginHelper
 )
@@ -111,7 +111,8 @@ func DefaultParams() Params {
 type HierStats = stats.HierStats
 
 // fill is one in-flight L1 fill (an MSHR entry): the cycle its data
-// arrives and the agent that started it.
+// arrives and the prefetching agent that started it (OriginNone for a
+// demand fill, or once a demand access merged with it).
 type fill struct {
 	ready uint64
 	orig  Origin
@@ -126,20 +127,23 @@ type pendingFill struct {
 // Hierarchy ties the caches, buffers, prefetcher, and bus together and is
 // the single entry point the CPU uses for data and instruction accesses.
 type Hierarchy struct {
-	P    Params
-	L1D  *Cache
-	L1I  *Cache
-	L2   *Cache
-	PVB  *PVB
+	P   Params
+	L1D *Cache
+	L1I *Cache
+	L2  *Cache
+	// PVB is the 64-entry unified prefetch/victim buffer: a fully
+	// associative (one-set) cache of whole L1 lines, probed in parallel
+	// with the L1 (Table 1). Prefetched lines land here rather than in
+	// the L1 so useless prefetches cannot evict useful L1 lines; L1
+	// victims also land here, giving a second chance before the L2. Its
+	// LRU clock ticks only on fills, and its Hits/Misses count extracts.
+	PVB  *Cache
 	Pref *StreamPrefetcher
 
 	// fills tracks in-flight L1 fills by line address (MSHR merging).
 	// Entries are pruned lazily: by an L1 hit once the data has arrived,
 	// by the PVB arrival of a prefetch, and by PruneFills.
 	fills map[uint64]fill
-	// origin of lines currently resident in L1 or PVB that were brought
-	// by a non-demand agent and not yet touched by demand.
-	origin map[uint64]Origin
 
 	pendingPVB []pendingFill // prefetch arrivals headed for the PVB
 	memFree    uint64        // next cycle the memory bus is free
@@ -154,27 +158,23 @@ type Hierarchy struct {
 // NewHierarchy builds the memory system.
 func NewHierarchy(p Params) *Hierarchy {
 	return &Hierarchy{
-		P:      p,
-		L1D:    MustCache("L1D", p.L1Bytes, p.L1Ways, p.L1Line),
-		L1I:    MustCache("L1I", p.ICBytes, p.ICWays, p.ICLine),
-		L2:     MustCache("L2", p.L2Bytes, p.L2Ways, p.L2Line),
-		PVB:    NewPVB(p.PVBEntries, p.L1Line),
-		Pref:   NewStreamPrefetcher(p.Streams, p.PrefetchDepth),
-		fills:  make(map[uint64]fill),
-		origin: make(map[uint64]Origin),
+		P:     p,
+		L1D:   MustCache("L1D", p.L1Bytes, p.L1Ways, p.L1Line),
+		L1I:   MustCache("L1I", p.ICBytes, p.ICWays, p.ICLine),
+		L2:    MustCache("L2", p.L2Bytes, p.L2Ways, p.L2Line),
+		PVB:   MustCache("PVB", p.PVBEntries*p.L1Line, p.PVBEntries, p.L1Line),
+		Pref:  NewStreamPrefetcher(p.Streams, p.PrefetchDepth),
+		fills: make(map[uint64]fill),
 	}
 }
 
-// fillL1 installs a line into the L1, spilling the victim to the PVB and a
-// dirty PVB victim onward to the L2.
+// fillL1 installs a line with origin orig into the L1, spilling the
+// victim to the PVB (without its origin) and a dirty PVB victim onward to
+// the L2.
 func (h *Hierarchy) fillL1(line uint64, dirty bool, orig Origin) {
-	vAddr, vDirty, ev := h.L1D.Fill(line, dirty)
-	if orig == OriginHelper || orig == OriginHWPrefetch {
-		h.origin[line] = orig
-	}
+	vAddr, vDirty, ev := h.L1D.Fill(line, dirty, orig)
 	if ev {
-		delete(h.origin, vAddr)
-		pvAddr, pvDirty, pvEv := h.PVB.Insert(vAddr, vDirty)
+		pvAddr, pvDirty, pvEv := h.PVB.Fill(vAddr, vDirty, OriginNone)
 		if pvEv && pvDirty {
 			h.writebackToL2(pvAddr)
 		}
@@ -186,14 +186,7 @@ func (h *Hierarchy) writebackToL2(line uint64) {
 	// Write-allocate into the L2; a dirty L2 victim goes to memory
 	// (writeback bandwidth is not modeled, per Table 1).
 	if !h.L2.Access(line, true) {
-		h.L2.Fill(line, true)
-	}
-}
-
-// consumeOrigin checks attribution on a demand touch of a resident line.
-func (h *Hierarchy) consumeOrigin(line uint64, r *Result, now uint64) {
-	if h.credit(line, h.origin[line], r, now) {
-		delete(h.origin, line)
+		h.L2.Fill(line, true, OriginNone)
 	}
 }
 
@@ -258,7 +251,7 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 		h.Stats.HelperAccesses++
 	}
 
-	if h.L1D.Access(addr, write) {
+	if l := h.L1D.lookup(addr, write); l != nil {
 		// L1 hit; may still be waiting on an in-flight fill of this line.
 		if f, ok := h.fills[line]; ok {
 			if f.ready > now+h.P.LatL1 {
@@ -269,7 +262,9 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 			}
 		}
 		if kind == KindDemand {
-			h.consumeOrigin(line, &r, now)
+			// The first demand touch consumes the line's origin.
+			h.credit(line, l.orig, &r, now)
+			l.orig = OriginNone
 			if r.Latency > h.P.LatL1 {
 				h.Stats.DemandStalls++
 			}
@@ -290,7 +285,7 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 		if kind == KindDemand {
 			// Attribute partial coverage to whoever started the fill.
 			if h.credit(line, f.orig, &r, now) {
-				f.orig = OriginDemand
+				f.orig = OriginNone
 				h.fills[line] = f
 			}
 			h.Stats.DemandStalls++
@@ -301,18 +296,20 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 		return r
 	}
 
-	// Parallel probe of the prefetch/victim buffer.
-	if present, dirty := h.PVB.Extract(line); present {
+	// Parallel probe of the prefetch/victim buffer. The line moves into
+	// the L1 with its origin, unless this demand touch consumes it.
+	if present, dirty, orig := h.PVB.Extract(line); present {
 		r.Level = LevelPVB
-		h.fillL1(line, dirty || write, OriginNone)
 		if kind == KindDemand {
-			h.consumeOrigin(line, &r, now)
+			h.credit(line, orig, &r, now)
+			orig = OriginNone
 		}
+		h.fillL1(line, dirty || write, orig)
 		return r
 	}
 
 	// L2 lookup.
-	orig := OriginDemand
+	orig := OriginNone
 	if kind == KindHelper {
 		orig = OriginHelper
 		h.Stats.HelperMisses++
@@ -327,7 +324,7 @@ func (h *Hierarchy) Access(addr uint64, write bool, kind Kind, now uint64) Resul
 		ready := h.memTransfer(now + h.P.LatL1 + h.P.LatL2)
 		r.Level = LevelMem
 		r.Latency = ready - now
-		h.L2.Fill(addr, false)
+		h.L2.Fill(addr, false, OriginNone)
 		h.fillL1(line, write, orig)
 		h.fills[line] = fill{ready: ready, orig: orig}
 		h.emitFill(line, "mem", orig, now)
@@ -362,7 +359,7 @@ func (h *Hierarchy) launchPrefetches(missLine uint64, now uint64) {
 				continue
 			}
 			ready = h.memTransfer(now + h.P.LatL1 + h.P.LatL2)
-			h.L2.Fill(cand, false)
+			h.L2.Fill(cand, false, OriginNone)
 		}
 		h.Stats.PrefetchIssued++
 		h.fills[cand] = fill{ready: ready, orig: OriginHWPrefetch}
@@ -399,11 +396,11 @@ func (h *Hierarchy) FetchAccess(pc uint64, now uint64) uint64 {
 		return 0
 	}
 	h.Stats.ICMisses++
-	h.L1I.Fill(pc, false)
+	h.L1I.Fill(pc, false, OriginNone)
 	if h.L2.Access(pc, false) {
 		return h.P.LatL2
 	}
-	h.L2.Fill(pc, false)
+	h.L2.Fill(pc, false, OriginNone)
 	return h.memTransfer(now) - now
 }
 
@@ -421,18 +418,15 @@ func (h *Hierarchy) Tick(now uint64) {
 			if h.L1D.Probe(pf.line) {
 				continue
 			}
-			vAddr, vDirty, ev := h.PVB.Insert(pf.line, false)
-			if ev {
-				delete(h.origin, vAddr)
-				if vDirty {
-					h.writebackToL2(vAddr)
-				}
-			}
 			// The prefetcher keeps the credit only while the fill is still
 			// its own: a demand merge (which took the credit) or a newer
 			// fill of the line may have replaced it.
-			if h.fills[pf.line].orig == OriginHWPrefetch {
-				h.origin[pf.line] = OriginHWPrefetch
+			orig := h.fills[pf.line].orig
+			if orig != OriginHWPrefetch {
+				orig = OriginNone
+			}
+			if vAddr, vDirty, ev := h.PVB.Fill(pf.line, false, orig); ev && vDirty {
+				h.writebackToL2(vAddr)
 			}
 			delete(h.fills, pf.line)
 		}
@@ -444,17 +438,15 @@ func (h *Hierarchy) Tick(now uint64) {
 	if len(h.writeBuf) > 0 && h.memFree <= now {
 		line := h.writeBuf[0]
 		h.writeBuf = h.writeBuf[1:]
-		// Write-allocate the line (dirty) into L1.
+		// Write-allocate the line (dirty) into L1; a PVB line keeps its
+		// origin.
 		if !h.L1D.Probe(line) {
-			if present, _ := h.PVB.Extract(line); present {
-				h.fillL1(line, true, OriginNone)
-			} else {
-				if !h.L2.Access(line, false) {
-					h.L2.Fill(line, false)
-					h.memTransfer(now)
-				}
-				h.fillL1(line, true, OriginNone)
+			present, _, orig := h.PVB.Extract(line)
+			if !present && !h.L2.Access(line, false) {
+				h.L2.Fill(line, false, OriginNone)
+				h.memTransfer(now)
 			}
+			h.fillL1(line, true, orig)
 		} else {
 			h.L1D.Access(line, true)
 		}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestLineShiftValidation locks the power-of-two guard shared by every
-// structure that derives a line shift. NewPVB used to spin forever on a
-// non-power-of-two line size; now it must panic with a clear message, and
-// NewCache must return an error.
+// structure that derives a line shift. The prefetch/victim buffer used to
+// spin forever on a non-power-of-two line size; now building it must panic
+// with a clear message, and NewCache must return an error.
 func TestLineShiftValidation(t *testing.T) {
 	cases := []struct {
 		lineBytes int
@@ -44,26 +44,27 @@ func TestLineShiftValidation(t *testing.T) {
 	}
 }
 
+// TestNewPVBPanicsOnBadLineSize: the PVB is a one-set Cache built by
+// MustCache, which panics on a bad line size.
 func TestNewPVBPanicsOnBadLineSize(t *testing.T) {
 	for _, lineBytes := range []int{0, -1, 3, 48, 96} {
 		func() {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Errorf("NewPVB(64, %d): expected panic", lineBytes)
+					t.Errorf("newPVB(64, %d): expected panic", lineBytes)
 					return
 				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, "power of two") {
-					t.Errorf("NewPVB(64, %d): panic %v lacks a clear message", lineBytes, r)
+				if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "power of two") {
+					t.Errorf("newPVB(64, %d): panic %v lacks a clear message", lineBytes, r)
 				}
 			}()
-			NewPVB(64, lineBytes)
+			newPVB(64, lineBytes)
 		}()
 	}
 	// Valid sizes must still construct.
-	if b := NewPVB(64, 64); b == nil || b.lineShift != 6 {
-		t.Error("NewPVB(64, 64) misconfigured")
+	if b := newPVB(64, 64); b == nil || b.lineShift != 6 || b.sets != 1 || b.ways != 64 {
+		t.Error("newPVB(64, 64) misconfigured")
 	}
 }
 

@@ -2,12 +2,13 @@ package cache
 
 // Checkpointable state for the memory hierarchy. A warm checkpoint captures
 // the valid lines (tag/LRU/dirty) of every cache level and the PVB, the
-// stream prefetcher's stream table, the line-origin attribution map, and
-// the memory-bus cursor — together one HierState, which this package
-// alone encodes and decodes. Transient machinery — in-flight fills
-// (the fills map), pending PVB arrivals, and the write buffer — is
-// deliberately absent: checkpoints are taken at a quiesced point where the
-// CPU has proven all of it empty (see Hierarchy.Quiesced / PruneFills).
+// stream prefetcher's stream table, the origins of the L1D and PVB lines
+// that carry one, and the memory-bus cursor — together one HierState,
+// which this package alone encodes and decodes. Transient machinery —
+// in-flight fills (the fills map), pending PVB arrivals, and the write
+// buffer — is deliberately absent: checkpoints are taken at a quiesced
+// point where the CPU has proven all of it empty (see Hierarchy.Quiesced /
+// PruneFills).
 //
 // Every State method deep-copies out and every SetState method deep-copies
 // in: one checkpoint may be restored into many cores concurrently, so no
@@ -22,7 +23,8 @@ import (
 )
 
 // LineState is one valid line's checkpointable state. Index is the
-// line's slot in the array: set*ways+way in a cache, the entry in the PVB.
+// line's slot in the array, set*ways+way. A line's origin is not here:
+// HierState carries the few lines that have one.
 type LineState struct {
 	Index uint32
 	Tag   uint64
@@ -52,7 +54,7 @@ func captureLines(ls []line, clock uint64) CacheState {
 	return s
 }
 
-// restoreLines clears ls, then fills in s's valid lines.
+// restoreLines clears ls, then fills in s's valid lines (with no origin).
 func restoreLines(ls []line, s CacheState, name string) error {
 	if s.NumLines != len(ls) {
 		return fmt.Errorf("%s: state has %d lines, array has %d", name, s.NumLines, len(ls))
@@ -76,18 +78,6 @@ func (c *Cache) SetState(s CacheState) error {
 		return err
 	}
 	c.clock = s.Clock
-	return nil
-}
-
-// State captures the PVB contents.
-func (b *PVB) State() CacheState { return captureLines(b.entries, b.clock) }
-
-// SetState restores state captured from an identically sized PVB.
-func (b *PVB) SetState(s CacheState) error {
-	if err := restoreLines(b.entries, s, "pvb"); err != nil {
-		return err
-	}
-	b.clock = s.Clock
 	return nil
 }
 
@@ -129,9 +119,9 @@ func (p *StreamPrefetcher) SetState(s StreamState) error {
 }
 
 // HierState is the whole hierarchy's checkpointable state: every cache
-// level, the PVB, the stream prefetcher, non-demand line attribution and
-// the memory-bus cursor (MemFree is an absolute cycle; checkpoints
-// preserve the cycle counter).
+// level, the PVB, the stream prefetcher, the origin of every L1D or PVB
+// line that has one (keyed by line address), and the memory-bus cursor
+// (MemFree is an absolute cycle; checkpoints preserve the cycle counter).
 type HierState struct {
 	L1D, L1I, L2, PVB CacheState
 	Pref              StreamState
@@ -145,25 +135,36 @@ func (h *Hierarchy) State() HierState {
 	s := HierState{
 		L1D: h.L1D.State(), L1I: h.L1I.State(), L2: h.L2.State(), PVB: h.PVB.State(),
 		Pref:    h.Pref.State(),
-		Origin:  make(map[uint64]Origin, len(h.origin)),
+		Origin:  make(map[uint64]Origin),
 		MemFree: h.memFree,
 	}
-	for k, v := range h.origin {
-		s.Origin[k] = v
+	for _, c := range []*Cache{h.L1D, h.PVB} {
+		for _, l := range c.lines {
+			if l.valid && l.orig != OriginNone {
+				s.Origin[l.tag<<c.lineShift] = l.orig
+			}
+		}
 	}
 	return s
 }
 
 // SetState restores state captured from an identically configured
-// hierarchy.
+// hierarchy. Each origin goes to its line in the L1D, else in the PVB; an
+// origin naming a line in neither is an error.
 func (h *Hierarchy) SetState(s HierState) error {
 	if err := errors.Join(h.L1D.SetState(s.L1D), h.L1I.SetState(s.L1I), h.L2.SetState(s.L2),
 		h.PVB.SetState(s.PVB), h.Pref.SetState(s.Pref)); err != nil {
 		return err
 	}
-	h.origin = make(map[uint64]Origin, len(s.Origin))
-	for k, v := range s.Origin {
-		h.origin[k] = v
+	for addr, o := range s.Origin {
+		l := h.L1D.find(addr)
+		if l == nil {
+			l = h.PVB.find(addr)
+		}
+		if l == nil {
+			return fmt.Errorf("cache: origin names line %#x, resident in neither L1D nor the PVB", addr)
+		}
+		l.orig = o
 	}
 	h.memFree = s.MemFree
 	return nil
@@ -205,9 +206,9 @@ func (s *HierState) Encode(w *wire.Writer) {
 }
 
 // DecodeHierState reads what Encode wrote; errors latch in r. It rejects
-// line indices that are out of range or not strictly ascending and origin
-// lines that are not strictly ascending, so every accepted encoding is
-// canonical.
+// line indices that are out of range or not strictly ascending, origin
+// lines that are not strictly ascending and origins other than a
+// prefetching agent, so every accepted encoding is canonical.
 func DecodeHierState(r *wire.Reader) HierState {
 	var s HierState
 	for _, c := range []*CacheState{&s.L1D, &s.L1I, &s.L2, &s.PVB} {
@@ -235,7 +236,11 @@ func DecodeHierState(r *wire.Reader) HierState {
 			r.Fail(fmt.Errorf("cache: origin line %#x out of order", k))
 		}
 		prev = k
-		s.Origin[k] = Origin(r.U8())
+		o := Origin(r.U8())
+		if o != OriginHWPrefetch && o != OriginHelper && r.Err() == nil {
+			r.Fail(fmt.Errorf("cache: line %#x has origin %d", k, o))
+		}
+		s.Origin[k] = o
 	}
 	s.MemFree = r.U64()
 	return s

@@ -19,10 +19,10 @@ func TestCacheStateValidLinesOnly(t *testing.T) {
 	dst := MustCache("dst", 8192, 2, 64)
 	for i := 0; i < 300; i++ {
 		a := uint64(rng.Intn(1 << 16))
-		src.Fill(a, rng.Intn(2) == 0)
-		dst.Fill(a^0x5a5a0, true)
+		src.Fill(a, rng.Intn(2) == 0, OriginNone)
+		dst.Fill(a^0x5a5a0, true, OriginNone)
 		if i%3 == 0 {
-			src.Invalidate(uint64(rng.Intn(1 << 16)))
+			src.Extract(uint64(rng.Intn(1 << 16)))
 		}
 	}
 	st := src.State()
@@ -46,8 +46,8 @@ func TestCacheStateValidLinesOnly(t *testing.T) {
 		if src.Access(a, false) != dst.Access(a, false) {
 			t.Fatalf("access %d (%#x) diverged after restore", i, a)
 		}
-		va, vd, ve := src.Fill(a, false)
-		wa, wd, we := dst.Fill(a, false)
+		va, vd, ve := src.Fill(a, false, OriginNone)
+		wa, wd, we := dst.Fill(a, false, OriginNone)
 		if va != wa || vd != wd || ve != we {
 			t.Fatalf("fill %d (%#x) evicted differently after restore", i, a)
 		}
@@ -56,16 +56,16 @@ func TestCacheStateValidLinesOnly(t *testing.T) {
 
 // TestPVBStateRoundTrip: the PVB shares the valid-line state.
 func TestPVBStateRoundTrip(t *testing.T) {
-	src, dst := NewPVB(8, 64), NewPVB(8, 64)
+	src, dst := newPVB(8, 64), newPVB(8, 64)
 	for a := uint64(0); a < 12; a++ {
-		src.Insert(a*64, a%2 == 0)
-		dst.Insert(a*64+4096, true)
+		src.Fill(a*64, a%2 == 0, OriginNone)
+		dst.Fill(a*64+4096, true, OriginNone)
 	}
 	src.Extract(11 * 64)
 	if err := dst.SetState(src.State()); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(src.entries, dst.entries) || src.clock != dst.clock {
+	if !reflect.DeepEqual(src.lines, dst.lines) || src.clock != dst.clock {
 		t.Error("PVB state did not round-trip")
 	}
 }
@@ -166,8 +166,9 @@ func TestHierStateCodecRoundTrip(t *testing.T) {
 }
 
 // TestHierStateCodecRejectsCorruption: a line index out of range or out of
-// order, a dirty flag other than 0 or 1, and origin lines out of order are
-// errors, so every accepted encoding is canonical.
+// order, a dirty flag other than 0 or 1, origin lines out of order and an
+// origin that is no prefetching agent are errors, so every accepted
+// encoding is canonical.
 func TestHierStateCodecRejectsCorruption(t *testing.T) {
 	st := warmHierarchy(t).State()
 	enc := encodeHier(st)
@@ -184,11 +185,29 @@ func TestHierStateCodecRejectsCorruption(t *testing.T) {
 		{"index repeated", func(b []byte) { copy(b[line0+lineSize:line0+lineSize+4], b[line0:line0+4]) }},
 		{"dirty byte 2", func(b []byte) { b[line0+12] = 2 }},
 		{"origin repeated", func(b []byte) { copy(b[origin0+9:origin0+17], b[origin0:origin0+8]) }},
+		{"origin none", func(b []byte) { b[origin0+8] = byte(OriginNone) }},
 	} {
 		bad := append([]byte(nil), enc...)
 		tc.bad(bad)
 		if _, err := decodeHier(bad); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestHierStateRejectsNonResidentOrigin: an origin that names a line in
+// neither the L1D nor the PVB decodes, but restoring it is an error.
+func TestHierStateRejectsNonResidentOrigin(t *testing.T) {
+	st := warmHierarchy(t).State()
+	enc := encodeHier(st)
+	// The last origin line, 8+9 bytes before the end, becomes one far
+	// above every resident line.
+	binary.LittleEndian.PutUint64(enc[len(enc)-8-9:], 0xfff0_0000_0000_0000)
+	dec, err := decodeHier(enc)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if err := NewHierarchy(DefaultParams()).SetState(dec); err == nil {
+		t.Error("origin of a non-resident line restored")
 	}
 }

@@ -345,16 +345,6 @@ func (c *Core) fork(di *DynInst, s *slicehw.Slice) {
 	for _, r := range s.LiveIns {
 		h.Regs[r] = di.Thread.Regs[r]
 	}
-	if c.tracer != nil {
-		// The live-in capture exists only for trace consumers; skipping it
-		// without a tracer keeps the cycle loop allocation-free on
-		// fork-dense workloads.
-		liveIns := make([]uint64, len(s.LiveIns))
-		for i, r := range s.LiveIns {
-			liveIns[i] = h.Regs[r]
-		}
-		h.Instance.Debug = liveIns
-	}
 	di.Forked = append(di.Forked, h)
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
-	"repro/internal/stats"
 )
 
 // TestUnpredictedIndirectDefersPathPush is the regression test for the
@@ -108,50 +107,5 @@ func TestHelperPGIStalledIsPure(t *testing.T) {
 	core.retireDoneHelpers()
 	if h.Fetching {
 		t.Error("retireDoneHelpers did not retire the done helper")
-	}
-}
-
-// eventSink is a minimal tracer for tests that only need c.tracer != nil.
-type eventSink struct{ n int }
-
-func (s *eventSink) Emit(stats.Event) { s.n++ }
-
-// TestForkLiveInCaptureGatedByTracer is the regression test for the
-// cycle-loop allocation: fork used to heap-allocate the live-in debug
-// slice on every fork even with no tracer attached. The capture exists
-// only for trace consumers, so without a tracer Instance.Debug must stay
-// nil (no allocation); with one it must hold the forked register values.
-func TestForkLiveInCaptureGatedByTracer(t *testing.T) {
-	w := buildMini(t, 50)
-	m := mem.New()
-	w.initMem(m)
-	core := MustNew(Config4Wide(), w.image, m, w.entry, slicehw.MustTable(w.slices))
-	p := core.progs[0]
-	s := p.sliceTable.Slices()[0]
-	core.main.Regs[2], core.main.Regs[27], core.main.Regs[25] = 7, 0x200000, 1<<19
-
-	di := core.allocInst()
-	di.Thread = core.main
-	core.fork(di, s)
-	if len(di.Forked) != 1 {
-		t.Fatalf("fork activated %d helpers, want 1", len(di.Forked))
-	}
-	if di.Forked[0].Instance.Debug != nil {
-		t.Error("live-in capture allocated with no tracer attached")
-	}
-
-	core.SetTracer(&eventSink{})
-	di2 := core.allocInst()
-	di2.Thread = core.main
-	core.fork(di2, s)
-	h := di2.Forked[0]
-	liveIns, ok := h.Instance.Debug.([]uint64)
-	if !ok {
-		t.Fatalf("live-in capture missing with a tracer attached (Debug = %T)", h.Instance.Debug)
-	}
-	for i, r := range s.LiveIns {
-		if liveIns[i] != core.main.Regs[r] {
-			t.Errorf("live-in %d (r%d) = %#x, want %#x", i, r, liveIns[i], core.main.Regs[r])
-		}
 	}
 }

@@ -256,7 +256,9 @@ const ckptMagic = "SPECSLCK"
 // opaque self-describing predictor sections (spec + SaveState blob).
 // v3: memory is a delta over the workload's pristine image, named by its
 // SHA-256, and each cache level lists only its valid lines.
-const ckptSchemaVersion = 3
+// v4: line origins are derived from the L1D and PVB lines (no stale
+// entries), and the PVB, a one-set cache, fills its first free slot.
+const ckptSchemaVersion = 4
 
 func ckptPath(dir, key string) string {
 	sum := sha256.Sum256([]byte(key))

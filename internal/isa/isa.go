@@ -3,9 +3,10 @@
 // branches, scaled adds (s4add/s8add), conditional moves for if-conversion,
 // and a hardwired zero register — because the paper's slices were written in
 // Alpha assembly and rely on exactly these idioms (Figure 4 and 5 of the
-// paper). Instructions have a fixed 64-bit encoding (see encode.go) and
-// fixed 4-byte program-counter spacing so that fetch-width arithmetic works
-// like a real front end.
+// paper). Instructions have fixed 4-byte program-counter spacing so that
+// fetch-width arithmetic works like a real front end; the simulator fetches
+// decoded instructions, like a trace cache would, so there is no binary
+// encoding.
 package isa
 
 import "fmt"
@@ -162,9 +163,6 @@ func (o Op) String() string {
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
-
-// Valid reports whether o is a defined opcode.
-func (o Op) Valid() bool { return o < numOps }
 
 // Opcode-level classification, for callers that have an Op without an
 // Inst (the compiled engine's Step returns just the opcode).

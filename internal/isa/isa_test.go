@@ -3,7 +3,6 @@ package isa
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // fakeState is a plain architectural state for functional tests.
@@ -378,77 +377,6 @@ func TestDestAndSources(t *testing.T) {
 	zeroSrc := Inst{Op: ADD, Rd: 3, Ra: Zero, Rb: Zero}
 	if got := zeroSrc.Sources(); len(got) != 0 {
 		t.Errorf("zero register must not be a source: %v", got)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		in := Inst{
-			Op:  Op(rng.Intn(int(numOps))),
-			Rd:  Reg(rng.Intn(NumRegs)),
-			Ra:  Reg(rng.Intn(NumRegs)),
-			Rb:  Reg(rng.Intn(NumRegs)),
-			Imm: int32(rng.Uint32()),
-		}
-		got, err := Decode(Encode(&in))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if got != in {
-			t.Fatalf("round trip: got %+v want %+v", got, in)
-		}
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(uint64(numOps) << 56); err == nil {
-		t.Error("invalid opcode accepted")
-	}
-	if _, err := Decode(uint64(ADD)<<56 | uint64(200)<<48); err == nil {
-		t.Error("register 200 accepted")
-	}
-}
-
-func TestEncodeDecodeProgram(t *testing.T) {
-	prog := []Inst{
-		{Op: LDI, Rd: 1, Imm: 42},
-		{Op: ADD, Rd: 2, Ra: 1, Rb: 1},
-		{Op: HALT},
-	}
-	img := EncodeProgram(prog)
-	if len(img) != 3*EncodedBytes {
-		t.Fatalf("image size %d", len(img))
-	}
-	back, err := DecodeProgram(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range prog {
-		if back[i] != prog[i] {
-			t.Errorf("inst %d mismatch", i)
-		}
-	}
-	if _, err := DecodeProgram(img[:5]); err == nil {
-		t.Error("odd-size image accepted")
-	}
-}
-
-// Property: encode/decode is the identity on valid instructions.
-func TestQuickEncodeIdentity(t *testing.T) {
-	f := func(op uint8, rd, ra, rb uint8, imm int32) bool {
-		in := Inst{
-			Op:  Op(op % uint8(numOps)),
-			Rd:  Reg(rd % NumRegs),
-			Ra:  Reg(ra % NumRegs),
-			Rb:  Reg(rb % NumRegs),
-			Imm: imm,
-		}
-		got, err := Decode(Encode(&in))
-		return err == nil && got == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -97,21 +97,16 @@ func (pg *Pager) fillWrite(pn uint64) *[PageSize]byte {
 	return p
 }
 
-// The Load/Store accessors below are split into a hand-inlinable fast
-// path (cache hit on a current-generation entry, access within one page)
-// and a *Slow fallback. The fast path must stay under the compiler's
-// inlining budget: in the compiled engine's dispatch loop the hit case
-// then compiles down to an index, two compares, and the bounded
-// load/store, with no call. A hit on a cached entry implies the page is
-// mapped, so pn >= 1 and the null-page check is subsumed by the tag
-// compare (the null page is never cached, and noPage matches no address's
-// page number).
-
-// The Try* probes are the same fast paths without the slow-path call, so
-// they fit the compiler's inlining budget (the *Slow call alone costs more
-// than half of it). A dispatch loop issues the probe inline and only pays
-// a function call on a cache miss; `hit == false` says nothing about
-// faulting — retry through the full accessor.
+// Each Load/Store accessor below is its Try* probe (a cache hit on a
+// current-generation entry, access within one page) followed by a *Slow
+// fallback. The probes stay under the compiler's inlining budget (the
+// *Slow call alone costs more than half of it), so in the compiled
+// engine's dispatch loop the hit case compiles down to an index, two
+// compares, and the bounded load/store, with no call; `hit == false` says
+// nothing about faulting — retry through the full accessor. A hit on a
+// cached entry implies the page is mapped, so pn >= 1 and the null-page
+// check is subsumed by the tag compare (the null page is never cached, and
+// noPage matches no address's page number).
 
 // TryLoad64 reads 8 little-endian bytes if addr hits the cached page.
 func (pg *Pager) TryLoad64(addr uint64) (v uint64, hit bool) {
@@ -182,11 +177,8 @@ func (pg *Pager) TryStore8(addr uint64, v byte) (hit bool) {
 
 // Load64 reads 8 little-endian bytes at addr; ok is false on fault.
 func (pg *Pager) Load64(addr uint64) (uint64, bool) {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnR == pn && pg.gen == pg.m.gen && off <= PageSize-8 {
-		return binary.LittleEndian.Uint64(e.p[off:]), true
+	if v, hit := pg.TryLoad64(addr); hit {
+		return v, true
 	}
 	return pg.load64Slow(addr)
 }
@@ -204,11 +196,8 @@ func (pg *Pager) load64Slow(addr uint64) (uint64, bool) {
 
 // Load32 reads 4 little-endian bytes, zero-extended; ok is false on fault.
 func (pg *Pager) Load32(addr uint64) (uint64, bool) {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnR == pn && pg.gen == pg.m.gen && off <= PageSize-4 {
-		return uint64(binary.LittleEndian.Uint32(e.p[off:])), true
+	if v, hit := pg.TryLoad32(addr); hit {
+		return v, true
 	}
 	return pg.load32Slow(addr)
 }
@@ -226,10 +215,8 @@ func (pg *Pager) load32Slow(addr uint64) (uint64, bool) {
 
 // Load8 reads one byte; ok is false on fault.
 func (pg *Pager) Load8(addr uint64) (uint64, bool) {
-	pn := addr >> pageShift
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnR == pn && pg.gen == pg.m.gen {
-		return uint64(e.p[addr&(PageSize-1)]), true
+	if v, hit := pg.TryLoad8(addr); hit {
+		return v, true
 	}
 	return pg.load8Slow(addr)
 }
@@ -245,14 +232,7 @@ func (pg *Pager) load8Slow(addr uint64) (uint64, bool) {
 
 // Store64 writes 8 little-endian bytes; false on fault (null page).
 func (pg *Pager) Store64(addr, v uint64) bool {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnW == pn && pg.gen == pg.m.gen && off <= PageSize-8 {
-		binary.LittleEndian.PutUint64(e.p[off:], v)
-		return true
-	}
-	return pg.store64Slow(addr, v)
+	return pg.TryStore64(addr, v) || pg.store64Slow(addr, v)
 }
 
 func (pg *Pager) store64Slow(addr, v uint64) bool {
@@ -266,14 +246,7 @@ func (pg *Pager) store64Slow(addr, v uint64) bool {
 
 // Store32 writes 4 little-endian bytes; false on fault.
 func (pg *Pager) Store32(addr uint64, v uint32) bool {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnW == pn && pg.gen == pg.m.gen && off <= PageSize-4 {
-		binary.LittleEndian.PutUint32(e.p[off:], v)
-		return true
-	}
-	return pg.store32Slow(addr, v)
+	return pg.TryStore32(addr, v) || pg.store32Slow(addr, v)
 }
 
 func (pg *Pager) store32Slow(addr uint64, v uint32) bool {
@@ -287,13 +260,7 @@ func (pg *Pager) store32Slow(addr uint64, v uint32) bool {
 
 // Store8 writes one byte; false on fault.
 func (pg *Pager) Store8(addr uint64, v byte) bool {
-	pn := addr >> pageShift
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnW == pn && pg.gen == pg.m.gen {
-		e.p[addr&(PageSize-1)] = v
-		return true
-	}
-	return pg.store8Slow(addr, v)
+	return pg.TryStore8(addr, v) || pg.store8Slow(addr, v)
 }
 
 func (pg *Pager) store8Slow(addr uint64, v byte) bool {

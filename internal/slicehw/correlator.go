@@ -107,10 +107,6 @@ type Instance struct {
 	// instance returns to the free list when detached with no pins.
 	detached bool
 	pins     int
-
-	// Debug is CPU-owned context (e.g. fork-time live-in values) used by
-	// debugging hooks; the correlator never touches it.
-	Debug any
 }
 
 // Done reports whether the instance can no longer contribute predictions

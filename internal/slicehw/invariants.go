@@ -36,7 +36,7 @@ func (c *Correlator) CheckInvariants() error {
 	freeInst := make(map[*Instance]bool, len(c.freeInsts))
 	for i, inst := range c.freeInsts {
 		if inst == nil || inst.ID != 0 || inst.Slice != nil || inst.pins != 0 || inst.detached ||
-			inst.finished || inst.removed || len(inst.entries) != 0 || inst.Debug != nil {
+			inst.finished || inst.removed || len(inst.entries) != 0 {
 			return fmt.Errorf("slicehw: free instance %d is not scrubbed", i)
 		}
 		if freeInst[inst] {
