@@ -36,6 +36,7 @@ import (
 	"sort"
 
 	"repro/internal/asm"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
@@ -59,21 +60,20 @@ type Trace struct {
 }
 
 // CollectTrace functionally executes the image for n instructions from
-// entry, recording the register dataflow. The memory is mutated (pass a
-// fresh one).
+// entry on a cpu.Stepper, recording the register dataflow. The memory is
+// mutated (pass a fresh one).
 func CollectTrace(image *asm.Image, m *mem.Memory, entry uint64, n int) (*Trace, error) {
 	tr := &Trace{byPC: make(map[uint64][]int32)}
-	var regs [isa.NumRegs]uint64
-	lastWrite := [isa.NumRegs]int32{}
+	var lastWrite [isa.NumRegs]int32
 	for i := range lastWrite {
 		lastWrite[i] = -1
 	}
-	st := traceState{regs: &regs, m: m}
-	pc := entry
+	s := cpu.NewStepper(image, m, entry)
 	var out isa.Outcome
-	for len(tr.entries) < n {
-		in, ok := image.At(pc)
-		if !ok {
+	for len(tr.entries) < n && !s.Halted() {
+		pc := s.PC()
+		in, err := s.Step(&out)
+		if err != nil {
 			return nil, fmt.Errorf("autoslice: trace fell off the image at %#x", pc)
 		}
 		e := traceEntry{pc: pc, in: in}
@@ -82,40 +82,14 @@ func CollectTrace(image *asm.Image, m *mem.Memory, entry uint64, n int) (*Trace,
 			e.nsrc++
 		}
 		idx := int32(len(tr.entries))
-		isa.Execute(in, pc, &st, &out)
 		if d, ok := in.Dest(); ok {
 			lastWrite[d] = idx
 		}
 		tr.entries = append(tr.entries, e)
 		tr.byPC[pc] = append(tr.byPC[pc], idx)
-		if out.Halt {
-			break
-		}
-		pc = out.NextPC(pc)
 	}
 	return tr, nil
 }
-
-type traceState struct {
-	regs *[isa.NumRegs]uint64
-	m    *mem.Memory
-}
-
-func (s traceState) Reg(r isa.Reg) uint64 {
-	if r == isa.Zero {
-		return 0
-	}
-	return s.regs[r]
-}
-
-func (s traceState) SetReg(r isa.Reg, v uint64) {
-	if r != isa.Zero {
-		s.regs[r] = v
-	}
-}
-
-func (s traceState) Load(addr uint64, size int) (uint64, bool)  { return s.m.Read(addr, size) }
-func (s traceState) Store(addr uint64, size int, v uint64) bool { return s.m.Write(addr, size, v) }
 
 // Len returns the trace length.
 func (t *Trace) Len() int { return len(t.entries) }

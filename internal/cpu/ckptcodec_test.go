@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/bpred"
+	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/workloads"
 )
 
@@ -36,6 +39,57 @@ func vpr(t testing.TB) *workloads.Workload {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// smallCheckpoint builds a checkpoint from a core whose tables are all
+// tiny (small caches, PVB, stream table and predictors) after a short
+// loop of loads, stores, branches and calls over one data page. It
+// encodes to a few KB against vpr's ~100 KB, so a fuzzer seeded with it
+// gets through many more mutations per second. The memory is a delta over
+// the returned root.
+func smallCheckpoint(t testing.TB) (*Checkpoint, *mem.Snapshot) {
+	t.Helper()
+	const data = 0x40000
+	b := asm.NewBuilder(0x1000)
+	b.Li(1, data)
+	b.Li(2, 64)
+	b.Label("loop")
+	b.Ld(3, 0, 1)
+	b.I(isa.ADDI, 3, 3, 1)
+	b.St(3, 0, 1)
+	b.I(isa.ANDI, 4, 2, 1)
+	b.B(isa.BEQ, 4, "skip")
+	b.Call("leaf")
+	b.Label("skip")
+	b.I(isa.ADDI, 1, 1, 8)
+	b.I(isa.ADDI, 2, 2, -1)
+	b.B(isa.BGT, 2, "loop")
+	b.Halt()
+	b.Label("leaf")
+	b.R(isa.XOR, 5, 5, 3)
+	b.Ret()
+	im, err := asm.NewImage(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := mem.New()
+	for i := uint64(0); i < 64; i++ {
+		init.WriteU64(data+8*i, i)
+	}
+	root := init.Snapshot()
+
+	cfg := Config4Wide()
+	cfg.Mem.L1Bytes, cfg.Mem.ICBytes, cfg.Mem.L2Bytes = 512, 512, 2048
+	cfg.Mem.PVBEntries, cfg.Mem.Streams, cfg.Mem.WriteBufEntries = 4, 2, 4
+	cfg.BPred = "yags:64,16,6,4"
+	cfg.IndirectPred = "cascaded:4,8,8,4"
+	c := MustNew(cfg.WarmConfig(), im, mem.NewFromImage(root), 0x1000, nil)
+	c.Run(1_000)
+	ck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	return ck, root
 }
 
 // decodeRebased decodes enc and resolves its memory against w's image,
@@ -230,17 +284,20 @@ func TestCodecPredictorSectionCorruption(t *testing.T) {
 
 // FuzzDecodeCheckpoint: no input makes decode or rebase panic, and every
 // input the decoder accepts is canonical — it re-encodes to itself. Seeded
-// with a real vpr encoding plus truncated and bit-flipped variants.
+// with a real vpr encoding and a small-geometry one (smallCheckpoint),
+// each whole, truncated and bit-flipped.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	root := vpr(f).MemImage()
-	enc := makeCheckpoint(f).EncodeBinary()
-	f.Add(enc)
-	f.Add(enc[:len(enc)/2])
-	f.Add(enc[:len(enc)-1])
-	for _, off := range []int{0, 9, len(enc) / 3, len(enc) - 4097, len(enc) - 1} {
-		bad := append([]byte(nil), enc...)
-		bad[off] ^= 0x10
-		f.Add(bad)
+	small, smallRoot := smallCheckpoint(f)
+	roots := []*mem.Snapshot{vpr(f).MemImage(), smallRoot}
+	for _, enc := range [][]byte{makeCheckpoint(f).EncodeBinary(), small.EncodeBinary()} {
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+		f.Add(enc[:len(enc)-1])
+		for _, off := range []int{0, 9, len(enc) / 3, len(enc) - 4097, len(enc) - 1} {
+			bad := append([]byte(nil), enc...)
+			bad[off] ^= 0x10
+			f.Add(bad)
+		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ck, err := DecodeCheckpoint(b)
@@ -250,8 +307,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if !bytes.Equal(ck.EncodeBinary(), b) {
 			t.Fatal("an accepted encoding does not re-encode to itself")
 		}
-		if m, err := ck.Mem.Rebase(root); err == nil && !m.Resolved() {
-			t.Fatal("rebase succeeded but left the memory unresolved")
+		for _, root := range roots {
+			if m, err := ck.Mem.Rebase(root); err == nil && !m.Resolved() {
+				t.Fatal("rebase succeeded but left the memory unresolved")
+			}
 		}
 	})
 }

@@ -7,18 +7,16 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/isa"
-	"repro/internal/isa/compiled"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
 )
 
 // FunctionalWarm fast-forwards through a warm region without the detailed
-// pipeline: it executes instructions architecturally (one per cycle, on
-// the compiled engine) and touch-warms the structures whose contents
-// dominate measurement accuracy — caches, the stream prefetcher, the
-// branch predictors, and the RAS — with the committed-path updates the
-// detailed core would apply at retire. The result is a restorable
-// Checkpoint.
+// pipeline: it steps the functional model (a Stepper, one instruction per
+// cycle) and touch-warms the structures whose contents dominate
+// measurement accuracy — caches, the stream prefetcher, the branch
+// predictors, and the RAS — with the committed-path updates the detailed
+// core would apply at retire. The result is a restorable Checkpoint.
 //
 // Faulting main-thread accesses follow the detailed core's semantics:
 // architecturally the load reads zero / the store is dropped and execution
@@ -47,20 +45,19 @@ func FunctionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 	}
 
 	t := c.main
-	ma := compiled.NewMachine(compiled.Cached(image), memory, entry)
-	ma.SetRegs(&t.Regs)
+	s := NewStepper(image, memory, entry)
+	s.SetRegs(&t.Regs)
 
 	var (
 		now     uint64
 		retired uint64
-		halted  bool
 		out     isa.Outcome
 	)
-	for retired < maxInsts {
-		pc := ma.PC()
+	for retired < maxInsts && !s.Halted() {
+		pc := s.PC()
 		now++
 		c.hier.FetchAccess(pc, now)
-		op, err := ma.Step(&out)
+		in, err := s.Step(&out)
 		if err != nil {
 			return nil, fmt.Errorf("cpu: functional warm fell off the image at %#x after %d instructions", pc, retired)
 		}
@@ -81,45 +78,38 @@ func FunctionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 		}
 
 		switch {
-		case op.IsCondBranch():
+		case in.IsCondBranch():
 			// Mirror the detailed retire path: value-observing predictors see
-			// the tested value first, then the direction update. The
-			// machine keeps its own register file, so read the register
-			// back through it.
+			// the tested value first, then the direction update. A branch
+			// writes no register, so the stepper still holds the tested one.
 			if c.dirVal != nil {
-				if in, ok := image.At(pc); ok {
-					c.dirVal.ObserveValue(pc, condOf(op), ma.Reg(in.Ra))
-				}
+				c.dirVal.ObserveValue(pc, condOf(in.Op), s.Reg(in.Ra))
 			}
 			c.dir.Update(pc, t.Hist, out.Taken)
 			t.Hist = pushHist(t.Hist, out.Taken)
-		case op == isa.JMP || op == isa.CALLR:
+		case in.Op == isa.JMP || in.Op == isa.CALLR:
 			c.indirect.Update(pc, t.Path, out.Target)
 			t.Path = bpred.PushPath(t.Path, out.Target)
 		}
-		if op.IsCall() {
+		if in.IsCall() {
 			t.RAS.Push(pc + isa.InstBytes)
 			// Nothing speculates during functional warm, so no checkpoint
 			// taken before this push will ever be restored; dropping the
 			// journal immediately keeps it from growing with the region.
 			t.RAS.CommitAll()
-		} else if op.IsRet() {
+		} else if in.IsRet() {
 			t.RAS.Pop()
 		}
 
 		c.hier.Tick(now)
-		if out.Halt {
-			halted = true
-			break
-		}
 	}
 
-	ma.CopyRegs(&t.Regs)
+	s.CopyRegs(&t.Regs)
 	c.now = now
-	c.progs[0].halted = halted
+	c.progs[0].halted = s.Halted()
 	c.S.MainRetired = retired
-	t.PC = ma.PC()
-	t.Fetching = !halted
+	t.PC = s.PC()
+	t.Fetching = !s.Halted()
 	// Checkpoint quiesces first, which lands the in-flight fills and
 	// prefetch arrivals the touch loop queued.
 	return c.Checkpoint()

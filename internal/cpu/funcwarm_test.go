@@ -119,17 +119,13 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 	// the write buffer accepts it, and only then does the next instruction
 	// fetch.
 	h := cache.NewHierarchy(cfg.WarmConfig().Mem)
-	refMem := mem.New()
-	var regs [isa.NumRegs]uint64
-	ctx := funcCtx{regs: &regs, m: refMem}
+	ref := NewStepper(im, mem.New(), p.Base)
 	var (
 		now     uint64
-		pc      = p.Base
 		stalled bool
 		stallAt uint64
-		halted  bool
 	)
-	for cycles := 0; !halted; cycles++ {
+	for cycles := 0; !ref.Halted(); cycles++ {
 		if cycles > 1<<16 {
 			t.Fatal("replica did not halt")
 		}
@@ -141,13 +137,11 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 			h.Tick(now)
 			continue
 		}
-		h.FetchAccess(pc, now)
-		in, ok := im.At(pc)
-		if !ok {
-			t.Fatalf("replica fell off the image at %#x", pc)
-		}
+		h.FetchAccess(ref.PC(), now)
 		var out isa.Outcome
-		isa.Execute(in, pc, &ctx, &out)
+		if _, err := ref.Step(&out); err != nil {
+			t.Fatalf("replica: %v", err)
+		}
 		switch {
 		case out.IsMem && !out.IsStore && !out.Fault:
 			h.Access(out.Addr, false, cache.KindDemand, now)
@@ -157,8 +151,6 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 			}
 		}
 		h.Tick(now)
-		halted = out.Halt
-		pc = out.NextPC(pc)
 	}
 	// Checkpointing quiesces, which drains the leftover write-buffer
 	// entries one tick per cycle (stepCycle: now++ then Tick).
@@ -180,10 +172,11 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 
 // TestFunctionalWarmArchStateMatchesInterp is the warm path's end-to-end
 // architectural reference: over random progen programs, with maxInsts
-// cutting some of them mid-flight, the checkpoint FunctionalWarm takes on
-// the compiled engine must hold exactly the PC, registers, halt state,
-// retired count, and memory that the decode-dispatch interpreter
-// (RunFunctionalInterp) reaches on a fresh copy of the same memory.
+// cutting some of them mid-flight, the checkpoint FunctionalWarm takes
+// must hold exactly the PC, registers, halt state, retired count, and
+// memory that the plain interpreter (RunFunctional) reaches on a fresh
+// copy of the same memory: touch-warming the hierarchy and predictors must
+// not perturb architectural state.
 func TestFunctionalWarmArchStateMatchesInterp(t *testing.T) {
 	cfg := Config4Wide()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -198,7 +191,7 @@ func TestFunctionalWarmArchStateMatchesInterp(t *testing.T) {
 			}
 			mi := mem.New()
 			init(mi)
-			ref, err := RunFunctionalInterp(im, mi, entry, maxInsts)
+			ref, err := RunFunctional(im, mi, entry, maxInsts)
 			if err != nil {
 				t.Fatalf("seed %d max %d: interp: %v", seed, maxInsts, err)
 			}

@@ -50,11 +50,6 @@ type Thread struct {
 	Instance  *slicehw.Instance
 	LoopCount int
 	ForkInst  *DynInst
-	// terminated marks a helper that ended for a non-speculative reason
-	// (HALT on the committed path can't happen for helpers — they have no
-	// committed path — so termination is always re-derivable; Fetching is
-	// simply re-enabled on squash and the terminating condition, if real,
-	// re-fires).
 }
 
 func newThread(id int, rasEntries, fetchqCap, robCap int) *Thread {

@@ -33,8 +33,8 @@ const (
 	// Restoring a detailed checkpoint and measuring is behavior-identical
 	// to warming and measuring straight through.
 	WarmDetailed WarmMode = "detailed"
-	// WarmFunctional fast-forwards the warm region with the compiled
-	// functional engine plus cache/predictor touch-warming
+	// WarmFunctional fast-forwards the warm region on the functional
+	// model (cpu.Stepper) plus cache/predictor touch-warming
 	// (cpu.FunctionalWarm). Much faster, but only statistically close to
 	// detailed warm — see DESIGN.md for the documented tolerance.
 	WarmFunctional WarmMode = "functional"

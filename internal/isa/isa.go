@@ -164,8 +164,7 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Opcode-level classification, for callers that have an Op without an
-// Inst (the compiled engine's Step returns just the opcode).
+// Opcode-level classification; the Inst methods below delegate to these.
 
 // IsCondBranch reports whether the opcode is a conditional branch.
 func (o Op) IsCondBranch() bool { return o >= BEQ && o <= BGE }

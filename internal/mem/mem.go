@@ -26,9 +26,6 @@ type Memory struct {
 	// must be copied before the first write (copy-on-write). Nil until the
 	// memory participates in a snapshot, so ordinary runs never consult it.
 	shared map[uint64]struct{}
-	// gen counts ownership epochs: Snapshot bumps it, which tells every
-	// Pager that cached page pointers (and their writability) are stale.
-	gen uint64
 	// root is the pristine image this memory descends from (see
 	// NewFromImage); nil for a memory built from scratch.
 	root *Snapshot

@@ -48,7 +48,6 @@ func (m *Memory) Snapshot() *Snapshot {
 		bytesMapped: m.bytesMapped,
 		root:        m.root,
 	}
-	m.gen++
 	if m.shared == nil {
 		m.shared = make(map[uint64]struct{}, len(m.pages))
 	}

@@ -82,9 +82,9 @@ func FuzzOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, wide bool) { runOracleSeed(t, seed, wide) })
 }
 
-// TestFunctionalAgreesWithOracle cross-checks the two functional
-// interpreters (cpu.RunFunctional and the oracle's private context) on
-// the same programs; they share isa.Execute but not their State glue.
+// TestFunctionalAgreesWithOracle cross-checks an oracle-validated core run
+// against cpu.RunFunctional on the same program: the retired counts and
+// the final register files must agree.
 func TestFunctionalAgreesWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	im, entry, init := progen.Program(rng)

@@ -10,13 +10,12 @@
 // wrong-path effect is undone before correct-path re-fetch, so the
 // retired outcome of each main-thread instruction must equal what a
 // plain architectural interpreter computes at the same point in the
-// stream. The oracle holds that model privately (a compiled-engine
-// machine with its own register file and memory image, seeded from the
-// program entry or from a checkpoint — see isa/compiled for the engine
-// and its differential tests against isa.Execute), executes one
-// instruction per retirement, and diffs every architecturally visible
-// field. The first mismatch is a real bug in one of the two models —
-// there is no tolerance window.
+// stream. The oracle holds that model privately (a cpu.Stepper over
+// isa.Execute with its own register file and memory image, seeded from
+// the program entry or from a checkpoint), executes one instruction per
+// retirement, and diffs every architecturally visible field. The first
+// mismatch is a real bug in one of the two models — there is no
+// tolerance window.
 //
 // Two things the oracle deliberately does NOT do:
 //
@@ -40,7 +39,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/isa"
-	"repro/internal/isa/compiled"
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
@@ -128,13 +126,10 @@ func (e *DivergenceError) WriteReport() []byte {
 // Oracle runs the functional model one instruction per retirement and
 // diffs the core's committed stream against it.
 type Oracle struct {
-	opt   Options
-	image *asm.Image
+	opt Options
 
-	// Private architectural machine (the compiled engine; never aliased
-	// with the core's state). The image is kept only for disassembling
-	// the cold divergence path.
-	ma     *compiled.Machine
+	// Private functional model, never aliased with the core's state.
+	fm     *cpu.Stepper
 	halted bool
 
 	index uint64 // retirements observed by this oracle
@@ -157,9 +152,8 @@ type Oracle struct {
 // mutated by every store the model executes.
 func New(image *asm.Image, m *mem.Memory, entry uint64, opt Options) *Oracle {
 	o := &Oracle{
-		opt:   opt,
-		image: image,
-		ma:    compiled.NewMachine(compiled.Cached(image), m, entry),
+		opt: opt,
+		fm:  cpu.NewStepper(image, m, entry),
 	}
 	o.init()
 	return o
@@ -182,13 +176,11 @@ func FromCheckpoint(image *asm.Image, ck *cpu.Checkpoint, opt Options) *Oracle {
 	}
 	o := &Oracle{
 		opt:    opt,
-		image:  image,
-		ma:     compiled.NewMachine(compiled.Cached(image), m, ck.PC),
+		fm:     cpu.NewStepper(image, m, ck.PC),
 		halted: ck.MainHalted,
 		base:   ck.WarmRetired,
 	}
-	regs := ck.Regs
-	o.ma.SetRegs(&regs)
+	o.fm.SetRegs(&ck.Regs)
 	o.init()
 	if !seeded {
 		o.stopped = true
@@ -242,7 +234,7 @@ func (o *Oracle) OnRetire(di *cpu.DynInst) {
 			fmt.Sprintf("core retired pc=%#x after the functional model halted", di.PC), nil)
 		return
 	}
-	pc := o.ma.PC()
+	pc := o.fm.PC()
 	if di.PC != pc {
 		o.streamDiverge(di, idx, "pc",
 			fmt.Sprintf("core retired pc=%#x, functional model expects pc=%#x", di.PC, pc), nil)
@@ -250,7 +242,8 @@ func (o *Oracle) OnRetire(di *cpu.DynInst) {
 	}
 
 	var out isa.Outcome
-	if _, err := o.ma.Step(&out); err != nil {
+	in, err := o.fm.Step(&out)
+	if err != nil {
 		o.streamDiverge(di, idx, "off-image",
 			fmt.Sprintf("functional model fell off the image at %#x", pc), nil)
 		return
@@ -306,12 +299,7 @@ func (o *Oracle) OnRetire(di *cpu.DynInst) {
 	}
 
 	if kind != "" {
-		// Cold path: fetch the instruction text only for the report.
-		detail := "retired instruction disagrees with the functional model"
-		if in, ok := o.image.At(pc); ok {
-			detail = fmt.Sprintf("retired %v disagrees with the functional model", in)
-		}
-		o.streamDiverge(di, idx, kind, detail, delta)
+		o.streamDiverge(di, idx, kind, fmt.Sprintf("retired %v disagrees with the functional model", in), delta)
 		return
 	}
 
@@ -365,7 +353,7 @@ func (o *Oracle) Retired() uint64 { return o.index }
 
 // Mem exposes the functional model's private memory image (final-state
 // comparisons in tests; do not write to it).
-func (o *Oracle) Mem() *mem.Memory { return o.ma.Mem() }
+func (o *Oracle) Mem() *mem.Memory { return o.fm.Mem() }
 
 // Divergences returns every recorded report.
 func (o *Oracle) Divergences() []Divergence { return o.divs }
@@ -399,7 +387,7 @@ func (o *Oracle) VerifyFinal(c *cpu.Core) error {
 func (o *Oracle) verifyFinalRegs(t *cpu.Thread) {
 	var delta []string
 	for r := 1; r < isa.NumRegs; r++ {
-		if cv, ov := t.Regs[r], o.ma.Reg(isa.Reg(r)); cv != ov {
+		if cv, ov := t.Regs[r], o.fm.Reg(isa.Reg(r)); cv != ov {
 			delta = append(delta, fmt.Sprintf("r%d: core=%#x model=%#x", r, cv, ov))
 		}
 	}
