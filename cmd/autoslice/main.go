@@ -56,7 +56,7 @@ func main() {
 func closedLoop(ws []*workloads.Workload, scale float64, jobs int, useOrc, print bool) {
 	e := harness.NewEngine(harness.Params{Scale: scale}, jobs)
 	e.Oracle = harness.OracleOptions{Enabled: useOrc}
-	builds := e.FigureAutoDetail(ws, harness.DefaultAutoParams())
+	builds := e.FigureAutoDetail(ws)
 
 	rows := make([]harness.FigureAutoRow, len(builds))
 	for i := range builds {

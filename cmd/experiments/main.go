@@ -25,10 +25,13 @@
 // specslice-experiments/7) containing all tables and figures, for plotting
 // scripts and output comparisons.
 //
-// -bpred and -ipred swap the direction / indirect predictor of every
-// driver-built baseline configuration (registry spec, e.g. -bpred
-// gshare:4096,10); figurepred's alternative legs stay pinned to their own
-// predictors.
+// -bpred swaps the direction predictor of every driver-built baseline
+// configuration (registry spec, e.g. -bpred gshare:4096,10); figurepred's
+// alternative legs stay pinned to their own predictors. The indirect
+// predictor is always the cascaded predictor, the registry's only one.
+//
+// -oracle validates every run against the functional model, with an
+// invariant sweep every oracle.DefaultEvery (8192) cycles.
 //
 // -checkpoint-dir persists warm-up checkpoints across invocations: the
 // first run simulates each distinct warm prefix once and stores a machine
@@ -75,16 +78,14 @@ func main() {
 		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
 		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional")
 		useOrc   = flag.Bool("oracle", false, "validate every run against the functional model (differential oracle)")
-		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
 		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")
 		bpredFlg = flag.String("bpred", "", "direction predictor for baseline configs, name[:params]")
-		ipredFlg = flag.String("ipred", "", "indirect target predictor for baseline configs, name[:params]")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
 	cli.StartCPUProfile("experiments", *cpuProf)
 	defer cli.StopCPUProfile()
-	cli.CheckPredictors(*bpredFlg, *ipredFlg)
+	cli.CheckPredictors(*bpredFlg)
 
 	// The experiment drivers panic on run errors (mustRunAll); turn an
 	// oracle divergence back into a report plus a nonzero exit instead of
@@ -120,9 +121,9 @@ func main() {
 		ws = []*workloads.Workload{w}
 	}
 
-	e := harness.NewEngine(harness.Params{Scale: *scale, BPred: *bpredFlg, IndirectPred: *ipredFlg}, *jobs)
+	e := harness.NewEngine(harness.Params{Scale: *scale, BPred: *bpredFlg}, *jobs)
 	e.Ckpt = harness.NewCheckpointer(*ckDir, warmMode)
-	e.Oracle = harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}
+	e.Oracle = harness.OracleOptions{Enabled: *useOrc}
 	if *verbose {
 		e.Progress = func(ev harness.Event) {
 			mode := "base"

@@ -12,9 +12,13 @@
 //	slicesim -workload eon -trace -trace-format=chrome -trace-out=trace.json
 //	slicesim -workload vpr -bpred gshare:4096,10   # swap the direction predictor
 //
-// -bpred and -ipred select the direction / indirect predictor from the
-// registry in internal/bpred ("name" or "name:params"); an unknown name
-// errors with the list of registered predictors.
+// -bpred selects the direction predictor from the registry in
+// internal/bpred ("name" or "name:params"); an unknown name errors with
+// the list of registered predictors. The indirect predictor is always the
+// cascaded predictor, the registry's only one.
+//
+// -oracle validates the run against the functional model, with an
+// invariant sweep every oracle.DefaultEvery (8192) cycles.
 //
 // Warm-up runs under the warm configuration and is excluded from the
 // reported statistics. -checkpoint-dir caches the warmed machine state on
@@ -60,12 +64,10 @@ func main() {
 		top      = flag.Int("top", 0, "print the problem-instruction summary and the N static instructions with the most PDEs")
 		perfect  = flag.Bool("perfect", false, "perfect branch prediction and caches (limit study)")
 		bpredFlg = flag.String("bpred", "", "direction predictor, name[:params] (e.g. yags, value, gshare:4096,10)")
-		ipredFlg = flag.String("ipred", "", "indirect target predictor, name[:params] (e.g. cascaded)")
 		asJSON   = flag.Bool("json", false, "emit the run's full counter snapshot as JSON")
 		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
 		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional")
 		useOrc   = flag.Bool("oracle", false, "validate the run against the functional model (differential oracle)")
-		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
 		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (read it with go tool pprof)")
 	)
@@ -93,9 +95,9 @@ func main() {
 			}
 			cli.Exit(1)
 		}
-		cli.CheckPredictors(*bpredFlg, *ipredFlg)
-		runMulti(*multi, *slices, *warmup, *run, *bpredFlg, *ipredFlg,
-			harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}, *orcOut, *asJSON)
+		cli.CheckPredictors(*bpredFlg)
+		runMulti(*multi, *slices, *warmup, *run, *bpredFlg,
+			harness.OracleOptions{Enabled: *useOrc}, *orcOut, *asJSON)
 		return
 	}
 
@@ -120,8 +122,8 @@ func main() {
 	if *perfect {
 		cfg.Perfect = cpu.Perfect{AllBranches: true, AllLoads: true}
 	}
-	cfg.BPred, cfg.IndirectPred = *bpredFlg, *ipredFlg
-	cli.CheckPredictors(cfg.BPred, cfg.IndirectPred)
+	cfg.BPred = *bpredFlg
+	cli.CheckPredictors(cfg.BPred)
 	warm, region := w.SuggestedWarmup, w.SuggestedRun
 	if *warmup > 0 {
 		warm = *warmup
@@ -149,7 +151,7 @@ func main() {
 		tracer = sink
 	}
 	cp := harness.NewCheckpointer(*ckDir, warmMode)
-	o := harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}
+	o := harness.OracleOptions{Enabled: *useOrc}
 	core, warmSrc, err := harness.RunOnce(cp, w, cfg, useSlices, warm, region, o, nil, tracer)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slicesim:", err)
@@ -181,18 +183,14 @@ func main() {
 	fmt.Printf("fetched    %d main (%d wrong path), %d helper\n", s.MainFetched, s.MainWrongPath, s.HelperFetched)
 	if useSlices {
 		fmt.Printf("forks      %d taken, %d squashed, %d ignored\n", s.Forks, s.ForksSquashed, s.ForksIgnored)
-		acc := 0.0
-		if n := s.PredsCorrect + s.PredsIncorrect; n > 0 {
-			acc = float64(s.PredsCorrect) / float64(n) * 100
-		}
 		fmt.Printf("preds      %d overrides (%.1f%% correct), %d late, %d early resolutions\n",
-			s.PredsUsed, acc, s.PredsLateUsed, s.EarlyResolutions)
+			s.PredsUsed, s.OverrideAccuracyPct(), s.PredsLateUsed, s.EarlyResolutions)
 		fmt.Printf("prefetch   %d slice prefetches, %d main misses covered\n", s.SlicePrefetches, s.MissesCovered)
 	}
 	if *top > 0 {
 		// The problem-instruction characterization of §2.2 on this run: with
 		// the default machine and regions it is Table 2's row for w.
-		r := profile.Characterize(s, profile.DefaultOptions(region))
+		r := profile.Characterize(s, region)
 		fmt.Printf("\n%s: %d problem loads (%.0f%% of mem ops, %.0f%% of misses); "+
 			"%d problem branches (%.0f%% of branches, %.0f%% of mispredictions)\n",
 			w.Name, r.MemSI, r.MemFrac*100, r.MissCoverage*100,
@@ -236,7 +234,7 @@ func singleProgramFlagsSet() []string {
 // core (multi-programmed SMT) and report per-program statistics. The warm
 // region runs inline; when the oracle is on it observes the warm region
 // too.
-func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSpec string, o harness.OracleOptions, orcOut string, asJSON bool) {
+func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec string, o harness.OracleOptions, orcOut string, asJSON bool) {
 	var group []*workloads.Workload
 	for _, n := range strings.Split(list, ",") {
 		w, err := workloads.ByName(strings.TrimSpace(n))
@@ -246,7 +244,7 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 		}
 		group = append(group, w)
 	}
-	p := harness.Params{BPred: bpredSpec, IndirectPred: ipredSpec}
+	p := harness.Params{BPred: bpredSpec}
 	snap, err := harness.RunMP(group, p, withSlices, warm, run, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slicesim:", err)
@@ -280,12 +278,8 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 		fmt.Printf("p%d %-8s retired %d in %d cycles (IPC %.3f); branches %d (%d misp), loads %d (%d missed)\n",
 			i, w.Name, s.MainRetired, s.Cycles, s.IPC(), s.Branches, s.Mispredicts, s.Loads, s.LoadMisses)
 		if withSlices {
-			acc := 0.0
-			if n := s.PredsCorrect + s.PredsIncorrect; n > 0 {
-				acc = float64(s.PredsCorrect) / float64(n) * 100
-			}
 			fmt.Printf("   slices: %d forks, %d preds used (%.1f%% correct), %d prefetches\n",
-				s.Forks, s.PredsUsed+s.PredsLateUsed, acc, s.SlicePrefetches)
+				s.Forks, s.PredsConsumed(), s.OverrideAccuracyPct(), s.SlicePrefetches)
 		}
 	}
 	fmt.Printf("throughput %.3f IPC (sum of per-program IPCs)\n", throughput)

@@ -52,6 +52,6 @@ func main() {
 	fmt.Printf("slice effect: %d forks, %d prefetches, %d misses covered,\n",
 		ss.Forks, ss.SlicePrefetches, ss.MissesCovered)
 	fmt.Printf("              %d predictions matched (%d early resolutions — the paper\n",
-		ss.PredsUsed+ss.PredsLateUsed, ss.EarlyResolutions)
+		ss.PredsConsumed(), ss.EarlyResolutions)
 	fmt.Println("              reports vpr has the most late predictions, 31%)")
 }

@@ -379,21 +379,18 @@ func countInRange(idxs []int32, lo, hi int32) int {
 
 // --- Slice extraction ---
 
-// Options bounds the construction.
-type Options struct {
+// Construction bounds.
+const (
 	// MaxSliceLen caps the emitted (unrolled) slice body.
-	MaxSliceLen int
+	MaxSliceLen = 48
 	// MaxLiveIns rejects slices needing too much register communication
 	// (the paper: "rarely are more than 4 values required").
-	MaxLiveIns int
-	// SliceBase is the code address for the generated program.
-	SliceBase uint64
-}
-
-// DefaultOptions returns sensible bounds.
-func DefaultOptions() Options {
-	return Options{MaxSliceLen: 48, MaxLiveIns: 4, SliceBase: 0x180000}
-}
+	MaxLiveIns = 4
+	// SliceBase is the lowest code address for generated slice
+	// programs, clear of every workload's main program, globals, and
+	// hand-built slices.
+	SliceBase = 0x180000
+)
 
 // Built is the constructed slice plus its code.
 type Built struct {
@@ -432,11 +429,9 @@ type guardInfo struct {
 // branch contributes a PGI (its compare condition is re-materialized into
 // AT); problem loads become prefetches; short hammocks guarding marked
 // instructions are if-converted via CMOV so the emitted code stays a
-// single straight-line (or re-rolled) path.
-func Build(t *Trace, forkPC uint64, problemPCs []uint64, opt Options) (*Built, error) {
-	if opt.MaxSliceLen == 0 {
-		opt = DefaultOptions()
-	}
+// single straight-line (or re-rolled) path. The slice program is emitted
+// at code address base.
+func Build(t *Trace, forkPC uint64, problemPCs []uint64, base uint64) (*Built, error) {
 	problem := make(map[uint64]bool, len(problemPCs))
 	for _, pc := range problemPCs {
 		problem[pc] = true
@@ -474,15 +469,15 @@ func Build(t *Trace, forkPC uint64, problemPCs []uint64, opt Options) (*Built, e
 	scratch := pickScratch(t, order, ifconv)
 	slots := buildSlots(t, order, problem, ifconv, scratch)
 	slots = optimize(slots)
-	if len(slots) > opt.MaxSliceLen {
+	if len(slots) > MaxSliceLen {
 		// A prefix of the slot list is dataflow-closed by construction;
 		// re-run DCE to drop feeders of the truncated roots.
-		slots = deadCode(slots[:opt.MaxSliceLen])
+		slots = deadCode(slots[:MaxSliceLen])
 	}
 	pro, body, reps := reroll(slots)
 
 	// Emission. PGI slice PCs bind here, after every pass that renumbers.
-	b := asm.NewBuilder(opt.SliceBase)
+	b := asm.NewBuilder(base)
 	b.Label("auto")
 	var pgis []slicehw.PGI
 	var loadPCs []uint64
@@ -520,9 +515,9 @@ func Build(t *Trace, forkPC uint64, problemPCs []uint64, opt Options) (*Built, e
 	}
 
 	liveIns := liveInsOf(prog.Insts)
-	if len(liveIns) > opt.MaxLiveIns {
+	if len(liveIns) > MaxLiveIns {
 		return nil, fmt.Errorf("autoslice: %d live-ins exceed the bound of %d (the paper: rarely more than 4)",
-			len(liveIns), opt.MaxLiveIns)
+			len(liveIns), MaxLiveIns)
 	}
 
 	sl := &slicehw.Slice{

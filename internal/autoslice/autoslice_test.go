@@ -95,7 +95,7 @@ func TestAutoSliceOnCrafty(t *testing.T) {
 	tr := traceOf(t, w, 60_000)
 	branchPC := hand.PGIs[0].BranchPC
 
-	built, err := Build(tr, hand.ForkPC, []uint64{branchPC}, DefaultOptions())
+	built, err := Build(tr, hand.ForkPC, []uint64{branchPC}, SliceBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAutoSliceOnEon(t *testing.T) {
 	for _, p := range hand.PGIs {
 		branchPCs = append(branchPCs, p.BranchPC)
 	}
-	built, err := Build(tr, hand.ForkPC, branchPCs, DefaultOptions())
+	built, err := Build(tr, hand.ForkPC, branchPCs, SliceBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestAutoSliceOnEon(t *testing.T) {
 func TestBuildRejectsBadInputs(t *testing.T) {
 	w, _ := workloads.ByName("crafty")
 	tr := traceOf(t, w, 20_000)
-	if _, err := Build(tr, 0xDEAD0000, []uint64{w.Slices[0].PGIs[0].BranchPC}, DefaultOptions()); err == nil {
+	if _, err := Build(tr, 0xDEAD0000, []uint64{w.Slices[0].PGIs[0].BranchPC}, SliceBase); err == nil {
 		t.Error("unknown fork PC accepted")
 	}
-	if _, err := Build(tr, w.Slices[0].ForkPC, []uint64{0xDEAD0000}, DefaultOptions()); err == nil {
+	if _, err := Build(tr, w.Slices[0].ForkPC, []uint64{0xDEAD0000}, SliceBase); err == nil {
 		t.Error("unknown problem PC accepted")
 	}
 }

@@ -52,23 +52,22 @@ func FuzzAutoslice(f *testing.F) {
 		if len(skipped) != 0 {
 			t.Errorf("PCs taken from the trace reported as skipped: %v", skipped)
 		}
-		opt := DefaultOptions()
 		for gi, g := range groups {
 			if gi >= 3 {
 				break
 			}
 			cands := SelectForkPoint(tr, g, 10, 80)
 			for ci := 0; ci < len(cands) && ci < 3; ci++ {
-				built, err := Build(tr, cands[ci].PC, g, opt)
+				built, err := Build(tr, cands[ci].PC, g, SliceBase)
 				if err != nil {
 					continue // bounded-out or unsliceable: fine, just no panic
 				}
 				sl := built.Slice
-				if sl.StaticSize > opt.MaxSliceLen {
-					t.Errorf("slice %d insts exceeds MaxSliceLen %d", sl.StaticSize, opt.MaxSliceLen)
+				if sl.StaticSize > MaxSliceLen {
+					t.Errorf("slice %d insts exceeds MaxSliceLen %d", sl.StaticSize, MaxSliceLen)
 				}
-				if len(sl.LiveIns) > opt.MaxLiveIns {
-					t.Errorf("live-ins %v exceed MaxLiveIns %d", sl.LiveIns, opt.MaxLiveIns)
+				if len(sl.LiveIns) > MaxLiveIns {
+					t.Errorf("live-ins %v exceed MaxLiveIns %d", sl.LiveIns, MaxLiveIns)
 				}
 				cp := *sl // NewTable assigns Index; don't mutate the original
 				if _, err := slicehw.NewTable([]*slicehw.Slice{&cp}); err != nil {

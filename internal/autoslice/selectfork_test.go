@@ -222,7 +222,7 @@ func TestBuildNonZeroTestBranchKinds(t *testing.T) {
 		}
 		tr := traceOfImage(t, im, 0x1000, 2000)
 
-		built, err := Build(tr, forkPC, []uint64{branchPC}, DefaultOptions())
+		built, err := Build(tr, forkPC, []uint64{branchPC}, SliceBase)
 		if err != nil {
 			t.Fatalf("%v branch not sliceable: %v", c.op, err)
 		}

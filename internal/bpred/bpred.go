@@ -14,15 +14,15 @@
 // canonical spec (which the CPU config fingerprints), serializes its warm
 // state as an opaque CRC-guarded blob (which the checkpoint codec stores
 // without knowing the layout), and exposes its counter struct for the
-// stats registry. New predictors plug in through the registry
-// (RegisterDir/RegisterIndirect) — the core, checkpoint, and harness
-// layers need no changes.
+// stats registry. New predictors plug in through the registry's factory
+// tables (registry.go) — the core, checkpoint, and harness layers need
+// no changes.
 package bpred
 
 // Predictor is the seam shared by every predictor kind. The CPU, the
 // checkpoint codec, and the stats registry talk to predictors only
 // through this interface (plus the direction/indirect Predict/Update
-// pairs), so adding a predictor is registry registration + config only.
+// pairs), so adding a predictor is a registry entry + config only.
 type Predictor interface {
 	// Spec returns the canonical registry spec ("name" or "name:params")
 	// that reconstructs this predictor. It is embedded in config

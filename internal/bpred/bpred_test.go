@@ -152,7 +152,7 @@ func TestYAGSUnbiasedBranchIsHard(t *testing.T) {
 }
 
 func TestCascadedMonomorphic(t *testing.T) {
-	c := DefaultCascaded()
+	c := mustNew[*Cascaded](t, NewIndirect, "cascaded")
 	pc := uint64(0x8000)
 	c.Update(pc, 0, 0x9000)
 	if got := c.Predict(pc, 0); got != 0x9000 {
@@ -167,7 +167,7 @@ func TestCascadedMonomorphic(t *testing.T) {
 }
 
 func TestCascadedPolymorphic(t *testing.T) {
-	c := DefaultCascaded()
+	c := mustNew[*Cascaded](t, NewIndirect, "cascaded")
 	pc := uint64(0x8000)
 	// Target depends on path.
 	pathA, pathB := uint64(0x11), uint64(0x2200)
@@ -184,7 +184,7 @@ func TestCascadedPolymorphic(t *testing.T) {
 }
 
 func TestCascadedColdReturnsZero(t *testing.T) {
-	c := DefaultCascaded()
+	c := mustNew[*Cascaded](t, NewIndirect, "cascaded")
 	if got := c.Predict(0xF000, 0); got != 0 {
 		t.Errorf("cold predict = %#x", got)
 	}
@@ -366,7 +366,7 @@ func BenchmarkYAGSUpdate(b *testing.B) {
 }
 
 func BenchmarkCascadedPredict(b *testing.B) {
-	c := DefaultCascaded()
+	c := mustNew[*Cascaded](b, NewIndirect, "cascaded")
 	for i := 0; i < b.N; i++ {
 		c.Predict(uint64(i)<<2, uint64(i))
 	}

@@ -64,9 +64,6 @@ func NewCorrMine(entries, positions int, threshold uint8) *CorrMine {
 	}
 }
 
-// DefaultCorrMine tracks 1K branches over 16 history positions.
-func DefaultCorrMine() *CorrMine { return NewCorrMine(1024, 16, 48) }
-
 func (m *CorrMine) idx(pc uint64) uint64 { return (pc >> 2) & m.mask }
 
 // eventAt returns the j-th most recent retired branch (j=0 newest).
@@ -216,23 +213,4 @@ func (m *CorrMine) LoadState(blob []byte) error {
 		}
 	}
 	return closeBlob("corrmine", r)
-}
-
-func init() {
-	RegisterDir("corrmine", func(params string) (DirPredictor, error) {
-		p, err := intParams(params, []int{1024, 16, 48})
-		if err != nil {
-			return nil, err
-		}
-		if err := pow2("entries", p[0]); err != nil {
-			return nil, err
-		}
-		if p[1] <= 0 || p[1] > 256 {
-			return nil, fmt.Errorf("positions must be in 1..256, got %d", p[1])
-		}
-		if p[2] < 1 || p[2] > 127 {
-			return nil, fmt.Errorf("threshold must be in 1..127, got %d", p[2])
-		}
-		return NewCorrMine(p[0], p[1], uint8(p[2])), nil
-	})
 }

@@ -44,9 +44,6 @@ func NewCascaded(stage1Entries, stage2Entries int, tagBits, pathBits uint) *Casc
 	}
 }
 
-// DefaultCascaded returns the Table 1 configuration (32 Kb budget).
-func DefaultCascaded() *Cascaded { return NewCascaded(256, 512, 8, 10) }
-
 func (c *Cascaded) i1(pc uint64) uint64 { return (pc >> 2) & c.m1 }
 
 func (c *Cascaded) i2(pc, path uint64) uint64 {

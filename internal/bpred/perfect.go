@@ -3,7 +3,6 @@ package bpred
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/stats"
@@ -98,19 +97,3 @@ func (p *PerfectDir) SaveState() []byte { return p.fb.SaveState() }
 
 // LoadState implements Predictor.
 func (p *PerfectDir) LoadState(blob []byte) error { return p.fb.LoadState(blob) }
-
-func init() {
-	RegisterDir("perfect", func(params string) (DirPredictor, error) {
-		pcs := map[uint64]bool{}
-		if params != "" {
-			for _, part := range strings.Split(params, ",") {
-				pc, err := strconv.ParseUint(strings.TrimSpace(part), 0, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad PC %q: %v", part, err)
-				}
-				pcs[pc] = true
-			}
-		}
-		return NewPerfectDir(pcs), nil
-	})
-}

@@ -3,8 +3,8 @@ package bpred
 // The predictor registry maps spec strings — "name" or "name:params" —
 // to factories. Everything above this package (cpu.Config, the harness,
 // the cmd flags) selects predictors by spec string only, so shipping a
-// new predictor means writing it here and registering it; no core,
-// checkpoint, or harness changes.
+// new predictor means writing it and adding its factory to the tables
+// below; no core, checkpoint, or harness changes.
 
 import (
 	"fmt"
@@ -25,35 +25,6 @@ type DirFactory func(params string) (DirPredictor, error)
 
 // IndirectFactory builds an indirect target predictor.
 type IndirectFactory func(params string) (IndirectPredictor, error)
-
-var (
-	dirFactories      = map[string]DirFactory{}
-	indirectFactories = map[string]IndirectFactory{}
-)
-
-// RegisterDir adds a direction predictor under name. It panics on a
-// duplicate — registration happens at init time and a collision is a
-// programming error.
-func RegisterDir(name string, f DirFactory) {
-	if name == "" || f == nil {
-		panic("bpred: RegisterDir: empty name or nil factory")
-	}
-	if _, dup := dirFactories[name]; dup {
-		panic("bpred: RegisterDir: duplicate predictor " + name)
-	}
-	dirFactories[name] = f
-}
-
-// RegisterIndirect adds an indirect predictor under name.
-func RegisterIndirect(name string, f IndirectFactory) {
-	if name == "" || f == nil {
-		panic("bpred: RegisterIndirect: empty name or nil factory")
-	}
-	if _, dup := indirectFactories[name]; dup {
-		panic("bpred: RegisterIndirect: duplicate predictor " + name)
-	}
-	indirectFactories[name] = f
-}
 
 // DirNames returns the registered direction predictor names, sorted.
 func DirNames() []string { return sortedKeys(dirFactories) }
@@ -139,9 +110,16 @@ func pow2(name string, v int) error {
 	return nil
 }
 
-func init() {
-	RegisterDir("yags", func(params string) (DirPredictor, error) {
-		p, err := intParams(params, []int{8192, 2048, 6, 12})
+// yagsGeometry is Table 1's 64 Kb YAGS: choice entries, cache entries,
+// tag bits, history bits.
+var yagsGeometry = []int{8192, 2048, 6, 12}
+
+// dirFactories holds every direction predictor, keyed by spec name. Each
+// factory declares its default geometry, so a geometry is stated once,
+// and a duplicate name does not compile.
+var dirFactories = map[string]DirFactory{
+	"yags": func(params string) (DirPredictor, error) {
+		p, err := intParams(params, yagsGeometry)
 		if err != nil {
 			return nil, err
 		}
@@ -152,8 +130,8 @@ func init() {
 			return nil, err
 		}
 		return NewYAGS(p[0], p[1], uint(p[2]), uint(p[3])), nil
-	})
-	RegisterDir("bimodal", func(params string) (DirPredictor, error) {
+	},
+	"bimodal": func(params string) (DirPredictor, error) {
 		p, err := intParams(params, []int{8192})
 		if err != nil {
 			return nil, err
@@ -162,8 +140,8 @@ func init() {
 			return nil, err
 		}
 		return NewBimodal(p[0]), nil
-	})
-	RegisterDir("gshare", func(params string) (DirPredictor, error) {
+	},
+	"gshare": func(params string) (DirPredictor, error) {
 		p, err := intParams(params, []int{8192, 12})
 		if err != nil {
 			return nil, err
@@ -172,8 +150,61 @@ func init() {
 			return nil, err
 		}
 		return NewGShare(p[0], uint(p[1])), nil
-	})
-	RegisterIndirect("cascaded", func(params string) (IndirectPredictor, error) {
+	},
+	// value matches the YAGS-class budget: 1K tracked branches.
+	"value": func(params string) (DirPredictor, error) {
+		p, err := intParams(params, []int{1024, 4096, 8192})
+		if err != nil {
+			return nil, err
+		}
+		for _, g := range []struct {
+			name string
+			v    int
+		}{{"entries", p[0]}, {"context entries", p[1]}, {"fallback entries", p[2]}} {
+			if err := pow2(g.name, g.v); err != nil {
+				return nil, err
+			}
+		}
+		return NewValuePred(p[0], p[1], p[2]), nil
+	},
+	// corrmine tracks 1K branches over 16 history positions.
+	"corrmine": func(params string) (DirPredictor, error) {
+		p, err := intParams(params, []int{1024, 16, 48})
+		if err != nil {
+			return nil, err
+		}
+		if err := pow2("entries", p[0]); err != nil {
+			return nil, err
+		}
+		if p[1] <= 0 || p[1] > 256 {
+			return nil, fmt.Errorf("positions must be in 1..256, got %d", p[1])
+		}
+		if p[2] < 1 || p[2] > 127 {
+			return nil, fmt.Errorf("threshold must be in 1..127, got %d", p[2])
+		}
+		return NewCorrMine(p[0], p[1], uint8(p[2])), nil
+	},
+	// perfect takes a comma-separated PC list; none means every branch.
+	"perfect": func(params string) (DirPredictor, error) {
+		pcs := map[uint64]bool{}
+		if params != "" {
+			for _, part := range strings.Split(params, ",") {
+				pc, err := strconv.ParseUint(strings.TrimSpace(part), 0, 64)
+				if err != nil {
+					return nil, fmt.Errorf("bad PC %q: %v", part, err)
+				}
+				pcs[pc] = true
+			}
+		}
+		return NewPerfectDir(pcs), nil
+	},
+}
+
+// indirectFactories holds every indirect target predictor, keyed by spec
+// name.
+var indirectFactories = map[string]IndirectFactory{
+	// cascaded is Table 1's 32 Kb configuration.
+	"cascaded": func(params string) (IndirectPredictor, error) {
 		p, err := intParams(params, []int{256, 512, 8, 10})
 		if err != nil {
 			return nil, err
@@ -185,5 +216,5 @@ func init() {
 			return nil, err
 		}
 		return NewCascaded(p[0], p[1], uint(p[2]), uint(p[3])), nil
-	})
+	},
 }

@@ -34,6 +34,17 @@ func trainDir(p DirPredictor, n int, seed int64) {
 	}
 }
 
+// mustNew builds the registry's default-geometry predictor name through
+// newFn (NewDir or NewIndirect).
+func mustNew[T, P any](tb testing.TB, newFn func(string) (P, error), name string) T {
+	tb.Helper()
+	p, err := newFn(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return any(p).(T)
+}
+
 func trainIndirect(p IndirectPredictor, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var path uint64
@@ -271,7 +282,7 @@ func TestStateGeometryMismatch(t *testing.T) {
 // the *value* predicts the exit. After warm-up the exit iteration must be
 // predicted not-taken.
 func TestValuePredCountedLoopExit(t *testing.T) {
-	v := DefaultValuePred()
+	v := mustNew[*ValuePred](t, NewDir, "value")
 	const pc = 0x40
 	exitMisses := 0
 	for run := 0; run < 30; run++ {
@@ -298,7 +309,7 @@ func TestValuePredCountedLoopExit(t *testing.T) {
 // exist: branch B repeats the outcome of the preceding branch A. Bias
 // alone is 50/50; the position-correlation counters must find A.
 func TestCorrMineLearnsCrossBranchCorrelation(t *testing.T) {
-	m := DefaultCorrMine()
+	m := mustNew[*CorrMine](t, NewDir, "corrmine")
 	rng := rand.New(rand.NewSource(5))
 	const pcA, pcB = 0x100, 0x200
 	correct, total := 0, 0

@@ -64,9 +64,6 @@ func NewValuePred(entries, ctxEntries, fbEntries int) *ValuePred {
 	}
 }
 
-// DefaultValuePred matches the YAGS-class budget: 1K tracked branches.
-func DefaultValuePred() *ValuePred { return NewValuePred(1024, 4096, 8192) }
-
 func (v *ValuePred) idx(pc uint64) uint64 { return (pc >> 2) & v.mask }
 func (v *ValuePred) cidx(sig uint64) uint64 {
 	return (sig ^ sig>>16) & v.cmask
@@ -223,22 +220,4 @@ func (v *ValuePred) LoadState(blob []byte) error {
 		v.fb.table[i] = ctr(r.U8())
 	}
 	return closeBlob("value", r)
-}
-
-func init() {
-	RegisterDir("value", func(params string) (DirPredictor, error) {
-		p, err := intParams(params, []int{1024, 4096, 8192})
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range []struct {
-			name string
-			v    int
-		}{{"entries", p[0]}, {"context entries", p[1]}, {"fallback entries", p[2]}} {
-			if err := pow2(g.name, g.v); err != nil {
-				return nil, err
-			}
-		}
-		return NewValuePred(p[0], p[1], p[2]), nil
-	})
 }

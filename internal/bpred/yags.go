@@ -53,7 +53,10 @@ func NewYAGS(choiceEntries, cacheEntries int, tagBits, histBits uint) *YAGS {
 }
 
 // DefaultYAGS returns the Table 1 configuration (64 Kb budget).
-func DefaultYAGS() *YAGS { return NewYAGS(8192, 2048, 6, 12) }
+func DefaultYAGS() *YAGS {
+	g := yagsGeometry
+	return NewYAGS(g[0], g[1], uint(g[2]), uint(g[3]))
+}
 
 func (y *YAGS) choiceIdx(pc uint64) uint64 { return (pc >> 2) & y.cmask }
 

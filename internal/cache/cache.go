@@ -193,9 +193,5 @@ func (c *Cache) Stats() Stats { return c.stats }
 // the registry resets and snapshots it in place.
 func (c *Cache) Counters() *Stats { return &c.stats }
 
-// ResetStats zeroes the counters (used after warm-up, like the paper's 100M
-// instruction warm-up run).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Name returns the cache's name.
 func (c *Cache) Name() string { return c.name }

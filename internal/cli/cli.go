@@ -1,6 +1,6 @@
 // Package cli holds the plumbing the simulator's commands share: the
 // -cpuprofile lifecycle, the -oracle-report and -json writers, and
-// up-front validation of the -bpred/-ipred predictor specs.
+// up-front validation of the -bpred predictor spec.
 package cli
 
 import (
@@ -82,15 +82,11 @@ func PrintJSON(v any) {
 	}
 }
 
-// CheckPredictors resolves the direction and indirect predictor specs up
-// front, so a typo fails with the registry's name listing instead of deep
-// inside a run. On failure it prints the registry's error and exits 1.
-func CheckPredictors(dirSpec, indirectSpec string) {
-	_, err := bpred.NewDir(dirSpec)
-	if err == nil {
-		_, err = bpred.NewIndirect(indirectSpec)
-	}
-	if err != nil {
+// CheckPredictors resolves the direction predictor spec up front, so a
+// typo fails with the registry's name listing instead of deep inside a
+// run. On failure it prints the registry's error and exits 1.
+func CheckPredictors(dirSpec string) {
+	if _, err := bpred.NewDir(dirSpec); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		Exit(1)
 	}

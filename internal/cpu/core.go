@@ -95,7 +95,7 @@ func New(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, sliceTa
 // in spec order; the remaining contexts are helper slots shared by every
 // program's slices. Each program gets its own memory view, slice
 // hardware, and stats; the fetch policy arbitrates among the mains, each
-// weighted by MainFetchWeight.
+// weighted by mainFetchWeight.
 func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	if len(specs) < 1 {
 		return nil, fmt.Errorf("cpu: need at least one program")
@@ -133,7 +133,7 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	c.dirVal, _ = dir.(bpred.ValueObserver)
 
 	for i := 0; i < cfg.ThreadContexts; i++ {
-		fqCap, robCap := cfg.HelperFetchQCap, cfg.HelperWindowCap
+		fqCap, robCap := helperFetchQCap, cfg.HelperWindowCap
 		if i < len(specs) {
 			fqCap, robCap = cfg.FetchQueueCap, cfg.WindowSize
 		}
@@ -152,7 +152,7 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 		if sp.SliceTable != nil {
 			p.sliceTable = sp.SliceTable
 			p.corr = slicehw.NewCorrelator(cfg.PredQueueDepth)
-			p.conf = newConfidence(4096, cfg.ConfidenceThreshold)
+			p.conf = newConfidence(4096, confidenceThreshold)
 		}
 		p.mainStores = newInstRing(64)
 		p.initStatCache()
@@ -387,7 +387,7 @@ func (c *Core) stepCycle() {
 func (c *Core) sharesWindow(t *Thread) bool { return t.IsMain || !c.Cfg.DedicatedSliceResources }
 
 // dispatchStage moves fetched instructions into the window once they have
-// traversed the front end (FrontLatency cycles) and space exists.
+// traversed the front end (frontLatency cycles) and space exists.
 func (c *Core) dispatchStage() {
 	for _, t := range c.threads {
 		if !t.Alive {
@@ -403,7 +403,7 @@ func (c *Core) dispatchStage() {
 				break // helpers may not starve the main threads of window space
 			}
 			di := t.fetchq.front()
-			if di.FetchCycle+c.Cfg.FrontLatency > c.now {
+			if di.FetchCycle+frontLatency > c.now {
 				break
 			}
 			t.fetchq.popFront()

@@ -151,7 +151,7 @@ func (c *Core) fetchQCap(t *Thread) int {
 	if t.IsMain {
 		return c.Cfg.FetchQueueCap
 	}
-	return c.Cfg.HelperFetchQCap
+	return helperFetchQCap
 }
 
 // chooseFetchThread implements the biased ICOUNT policy, arbitrating
@@ -159,7 +159,7 @@ func (c *Core) fetchQCap(t *Thread) int {
 // actually fetch this cycle (e.g. a helper stalled at a PGI whose
 // prediction queue is full) must not win the slot — it would starve the
 // main threads, whose kills are what drain that queue. Each main thread
-// weighs MainFetchWeight, each helper 1; on a score tie a main thread
+// weighs mainFetchWeight, each helper 1; on a score tie a main thread
 // beats a helper, and among equal-scored mains the lowest thread index
 // (scan order) wins, keeping multi-program arbitration deterministic.
 func (c *Core) chooseFetchThread() *Thread {
@@ -174,7 +174,7 @@ func (c *Core) chooseFetchThread() *Thread {
 		}
 		w := 1.0
 		if t.IsMain {
-			w = c.Cfg.MainFetchWeight
+			w = mainFetchWeight
 		}
 		score := float64(t.inflight()) / w
 		if best == nil || score < bestScore || (score == bestScore && t.IsMain && !best.IsMain) {

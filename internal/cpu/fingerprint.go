@@ -16,15 +16,11 @@ import (
 // into the key.
 func (c Config) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s fw=%d iw=%d cw=%d win=%d ls=%d cx=%d front=%d fq=%d tc=%d",
+	fmt.Fprintf(&b, "%s fw=%d iw=%d cw=%d win=%d ls=%d fq=%d tc=%d hwc=%d pqd=%d",
 		c.Name, c.FetchWidth, c.IssueWidth, c.CommitWidth, c.WindowSize,
-		c.LdStPorts, c.ComplexUnits, c.FrontLatency, c.FetchQueueCap, c.ThreadContexts)
-	fmt.Fprintf(&b, " mul=%d div=%d mfw=%g hwc=%d hfq=%d pqd=%d",
-		c.MulLatency, c.DivLatency, c.MainFetchWeight, c.HelperWindowCap,
-		c.HelperFetchQCap, c.PredQueueDepth)
-	fmt.Fprintf(&b, " predsOff=%t confGate=%t confThr=%d dedicated=%t maxCyc=%d",
-		c.SlicePredictionsOff, c.ConfidenceGatedForks, c.ConfidenceThreshold,
-		c.DedicatedSliceResources, c.MaxCycles)
+		c.LdStPorts, c.FetchQueueCap, c.ThreadContexts, c.HelperWindowCap, c.PredQueueDepth)
+	fmt.Fprintf(&b, " predsOff=%t confGate=%t dedicated=%t maxCyc=%d",
+		c.SlicePredictionsOff, c.ConfidenceGatedForks, c.DedicatedSliceResources, c.MaxCycles)
 	// Predictor specs are normalized so "" and the explicit default name
 	// fingerprint identically; %q guards against separator characters in
 	// param lists (e.g. a perfect predictor's PC list).

@@ -1,6 +1,9 @@
 package cpu
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestFingerprintStability(t *testing.T) {
 	a, b := Config4Wide(), Config4Wide()
@@ -24,33 +27,70 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// TestFingerprintDistinguishes mutates every leaf field of Config, found
+// by reflection (Mem's and Perfect's fields included), so a field added
+// to Config but left out of the hand-written Fingerprint fails here
+// instead of silently aliasing memo entries and warm checkpoints.
 func TestFingerprintDistinguishes(t *testing.T) {
 	base := Config4Wide().Fingerprint()
-	mutations := map[string]func(*Config){
-		"width":       func(c *Config) { c.FetchWidth = 8 },
-		"window":      func(c *Config) { c.WindowSize = 256 },
-		"predsOff":    func(c *Config) { c.SlicePredictionsOff = true },
-		"confGate":    func(c *Config) { c.ConfidenceGatedForks = true },
-		"dedicated":   func(c *Config) { c.DedicatedSliceResources = true },
-		"queueDepth":  func(c *Config) { c.PredQueueDepth = 8 },
-		"contexts":    func(c *Config) { c.ThreadContexts = 6 },
-		"memLatency":  func(c *Config) { c.Mem.LatMem = 200 },
-		"allBranches": func(c *Config) { c.Perfect.AllBranches = true },
-		"branchPCs":   func(c *Config) { c.Perfect.BranchPCs = map[uint64]bool{0x1234: true} },
-		"loadPCs":     func(c *Config) { c.Perfect.LoadPCs = map[uint64]bool{0x1234: true} },
-		"bpred":       func(c *Config) { c.BPred = "value" },
-		"bpredParams": func(c *Config) { c.BPred = "yags:4096,1024,6,12" },
-		"ipred":       func(c *Config) { c.IndirectPred = "cascaded:128,256,8,10" },
+	var walk func(prefix string, index []int, typ reflect.Type)
+	walk = func(prefix string, index []int, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			idx := append(index[:len(index):len(index)], i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(prefix+f.Name+".", idx, f.Type)
+				continue
+			}
+			c := Config4Wide()
+			mutateLeaf(t, prefix+f.Name, reflect.ValueOf(&c).Elem().FieldByIndex(idx))
+			if c.Fingerprint() == base {
+				t.Errorf("%s%s: mutation not reflected in fingerprint", prefix, f.Name)
+			}
+		}
 	}
-	for name, mutate := range mutations {
+	walk("", nil, reflect.TypeOf(Config{}))
+
+	// Two spellings of one predictor kind at different geometries are
+	// different machines.
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.BPred = "yags:4096,1024,6,12" },
+		func(c *Config) { c.IndirectPred = "cascaded:128,256,8,10" },
+	} {
 		c := Config4Wide()
 		mutate(&c)
 		if c.Fingerprint() == base {
-			t.Errorf("%s: mutation not reflected in fingerprint", name)
+			t.Errorf("predictor params %q/%q not reflected in fingerprint", c.BPred, c.IndirectPred)
 		}
 	}
 	if Config4Wide().Fingerprint() == Config8Wide().Fingerprint() {
 		t.Error("4-wide and 8-wide fingerprint identically")
+	}
+}
+
+// mutateLeaf changes one scalar, string or PC-set field of a Config to a
+// different value.
+func mutateLeaf(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		key := reflect.New(v.Type().Key()).Elem()
+		key.SetUint(0x1234)
+		m.SetMapIndex(key, reflect.ValueOf(true))
+		v.Set(m)
+	default:
+		t.Fatalf("%s: no mutation for a %s field; extend mutateLeaf", name, v.Kind())
 	}
 }
 

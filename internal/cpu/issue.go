@@ -34,7 +34,7 @@ func (c *Core) issueStage() {
 			}
 			memUsed++
 		case di.Static.IsComplex():
-			if cplxUsed == c.Cfg.ComplexUnits {
+			if cplxUsed == complexUnits {
 				kept = append(kept, di)
 				continue
 			}
@@ -75,9 +75,9 @@ func (c *Core) issue(di *DynInst) {
 		c.unpend(di)
 		c.wakeStoreWaiters(di)
 	case in.IsComplex():
-		lat := c.Cfg.MulLatency
+		lat := uint64(mulLatency)
 		if in.Op == isa.DIV {
-			lat = c.Cfg.DivLatency
+			lat = divLatency
 		}
 		di.CompleteCycle = c.now + lat
 	default:

@@ -324,9 +324,6 @@ func specFor(p Params, w *workloads.Workload, cfg cpu.Config, withSlices bool) R
 	if cfg.BPred == "" {
 		cfg.BPred = p.BPred
 	}
-	if cfg.IndirectPred == "" {
-		cfg.IndirectPred = p.IndirectPred
-	}
 	return RunSpec{Workload: w.Name, Cfg: cfg, WithSlices: withSlices, Warm: warm, Run: run}
 }
 
@@ -352,7 +349,7 @@ func (e *Engine) profileFor(w *workloads.Workload, cfg cpu.Config) (profile.Resu
 		if err != nil {
 			return profile.Result{}, err
 		}
-		return profile.Characterize(res.Stats(), profile.DefaultOptions(spec.Run)), nil
+		return profile.Characterize(res.Stats(), spec.Run), nil
 	})
 	return r, err
 }

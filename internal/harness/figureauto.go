@@ -26,51 +26,32 @@ import (
 // differential oracle forced on, so a candidate is only ever accepted from
 // a divergence-free simulation.
 
-// AutoParams bounds the automatic pipeline.
-type AutoParams struct {
-	// TraceLen is the functional profiling-trace length the slices are
-	// constructed from. Fixed (not scaled with Params.Scale) so candidate
-	// construction is deterministic across measurement scales.
-	TraceLen int
-	// MinLead/MaxLead bound the fork-point search distance (§3.2's sweet
-	// spot), in dynamic instructions.
-	MinLead, MaxLead int
-	// ClusterGap joins problem PCs whose dynamic instances fall within
-	// this many trace instructions of each other into one slice group.
-	ClusterGap int
-	// MaxClusters caps how many clusters get candidates (simulation
-	// budget); MaxForkTries caps how many buildable candidates per
-	// cluster are measured.
-	MaxClusters, MaxForkTries int
-	// MaxSlices caps the accepted slices combined into the final set.
-	MaxSlices int
-	// MinAccuracy is the override-accuracy acceptance floor for
-	// prediction-generating candidates.
-	MinAccuracy float64
-	// MaxSliceLen / MaxLiveIns forward to autoslice.Options.
-	MaxSliceLen, MaxLiveIns int
-}
-
-// DefaultAutoParams mirrors the hand-construction bounds (§3.2).
-func DefaultAutoParams() AutoParams {
-	return AutoParams{
-		TraceLen:     80_000,
-		MinLead:      25,
-		MaxLead:      120,
-		ClusterGap:   50,
-		MaxClusters:  4,
-		MaxForkTries: 3,
-		MaxSlices:    3,
-		MinAccuracy:  0.85,
-		MaxSliceLen:  48,
-		MaxLiveIns:   4,
-	}
-}
-
-// Auto slice programs are laid out per cluster index, clear of the main
-// program, globals, and the hand slices.
+// Bounds of the automatic pipeline, mirroring the hand-construction
+// bounds (§3.2). The slice length and live-in bounds are autoslice's own.
 const (
-	autoSliceBase   = 0x180000
+	// autoTraceLen is the functional profiling-trace length the slices
+	// are constructed from. Fixed (not scaled with Params.Scale) so
+	// candidate construction is deterministic across measurement scales.
+	autoTraceLen = 80_000
+	// autoMinLead/autoMaxLead bound the fork-point search distance
+	// (§3.2's sweet spot), in dynamic instructions.
+	autoMinLead, autoMaxLead = 25, 120
+	// autoClusterGap joins problem PCs whose dynamic instances fall
+	// within this many trace instructions of each other into one slice
+	// group.
+	autoClusterGap = 50
+	// maxAutoClusters caps how many clusters get candidates (simulation
+	// budget); maxForkTries caps how many buildable candidates per
+	// cluster are measured.
+	maxAutoClusters, maxForkTries = 4, 3
+	// maxAutoSlices caps the accepted slices combined into the final set.
+	maxAutoSlices = 3
+	// minAccuracyPct is the override-accuracy acceptance floor for
+	// prediction-generating candidates.
+	minAccuracyPct = 85
+	// autoSliceStride spaces the per-candidate slice programs from
+	// autoslice.SliceBase, clear of the main program, globals, and the
+	// hand slices.
 	autoSliceStride = 0x1000
 )
 
@@ -145,10 +126,9 @@ type AutoBuild struct {
 	Builts []*autoslice.Built
 }
 
-// FigureAuto runs the closed loop with default bounds and returns the
-// auto-vs-hand rows.
+// FigureAuto runs the closed loop and returns the auto-vs-hand rows.
 func (e *Engine) FigureAuto(ws []*workloads.Workload) []FigureAutoRow {
-	builds := e.FigureAutoDetail(ws, DefaultAutoParams())
+	builds := e.FigureAutoDetail(ws)
 	rows := make([]FigureAutoRow, len(builds))
 	for i := range builds {
 		rows[i] = builds[i].Row
@@ -183,7 +163,7 @@ type autoPrep struct {
 // profile → trace → cluster → fork-select → build, registering one slice
 // set per surviving candidate. No simulation happens here beyond the
 // memoized profiling baseline.
-func (e *Engine) prepareAuto(w *workloads.Workload, p AutoParams) autoPrep {
+func (e *Engine) prepareAuto(w *workloads.Workload) autoPrep {
 	prep := autoPrep{row: FigureAutoRow{Program: w.Name}}
 	row := &prep.row
 
@@ -198,30 +178,30 @@ func (e *Engine) prepareAuto(w *workloads.Workload, p AutoParams) autoPrep {
 		return prep
 	}
 
-	tr, err := autoslice.CollectTrace(w.Image, w.NewMemory(), w.Entry, p.TraceLen)
+	tr, err := autoslice.CollectTrace(w.Image, w.NewMemory(), w.Entry, autoTraceLen)
 	if err != nil {
 		row.Note = "trace: " + err.Error()
 		return prep
 	}
 
-	groups, skipped := autoslice.ClusterProblemPCs(tr, pcs, p.ClusterGap)
+	groups, skipped := autoslice.ClusterProblemPCs(tr, pcs, autoClusterGap)
 	row.SkippedPCs = len(skipped)
 	row.Clusters = len(groups)
 	if len(groups) == 0 {
 		row.Note = "no problem instances in the trace"
 		return prep
 	}
-	if len(groups) > p.MaxClusters {
-		groups = groups[:p.MaxClusters]
+	if len(groups) > maxAutoClusters {
+		groups = groups[:maxAutoClusters]
 	}
 
 	mainProg := w.Image.Programs()[0]
 	for ci, g := range groups {
-		forks := autoslice.SelectForkPoint(tr, g, p.MinLead, p.MaxLead)
+		forks := autoslice.SelectForkPoint(tr, g, autoMinLead, autoMaxLead)
 		kept := 0
 		var keptLeads []float64
 		for _, fc := range forks {
-			if kept >= p.MaxForkTries {
+			if kept >= maxForkTries {
 				break
 			}
 			// Adjacent PCs in the ranking are the same fork position ±1
@@ -237,11 +217,8 @@ func (e *Engine) prepareAuto(w *workloads.Workload, p AutoParams) autoPrep {
 			if close {
 				continue
 			}
-			built, err := autoslice.Build(tr, fc.PC, g, autoslice.Options{
-				MaxSliceLen: p.MaxSliceLen,
-				MaxLiveIns:  p.MaxLiveIns,
-				SliceBase:   autoSliceBase + uint64(len(prep.builts))*autoSliceStride,
-			})
+			base := autoslice.SliceBase + uint64(len(prep.builts))*autoSliceStride
+			built, err := autoslice.Build(tr, fc.PC, g, base)
 			if err != nil {
 				continue
 			}
@@ -292,7 +269,7 @@ func (e *Engine) prepareAuto(w *workloads.Workload, p AutoParams) autoPrep {
 // judgeCandidate fills a candidate's measured columns and decides
 // acceptance. Only oracle-clean (err == nil), covering, accurate,
 // net-positive candidates survive.
-func judgeCandidate(c *AutoCandidate, base *RunResult, res *RunResult, err error, p AutoParams) {
+func judgeCandidate(c *AutoCandidate, base *RunResult, res *RunResult, err error) {
 	if err != nil {
 		var de *oracle.DivergenceError
 		if errors.As(err, &de) {
@@ -304,19 +281,16 @@ func judgeCandidate(c *AutoCandidate, base *RunResult, res *RunResult, err error
 	}
 	s := res.Stats()
 	bs := base.Stats()
-	c.Overrides = s.PredsUsed + s.PredsLateUsed
+	c.Overrides = s.PredsConsumed()
 	c.Prefetches = s.SlicePrefetches
 	c.IPC = s.IPC()
 	c.SpeedupPct = speedupPct(bs.Cycles, s.Cycles)
 	c.cycles = s.Cycles
-	resolved := s.PredsCorrect + s.PredsIncorrect
-	if resolved > 0 {
-		c.AccuracyPct = float64(s.PredsCorrect) / float64(resolved) * 100
-	}
+	c.AccuracyPct = s.OverrideAccuracyPct()
 	switch {
 	case c.Overrides == 0 && c.Prefetches == 0:
 		c.Reason = "no coverage"
-	case c.PGIs > 0 && resolved > 0 && c.AccuracyPct < p.MinAccuracy*100:
+	case c.PGIs > 0 && s.PredsCorrect+s.PredsIncorrect > 0 && c.AccuracyPct < minAccuracyPct:
 		c.Reason = "accuracy below floor"
 	case s.Cycles >= bs.Cycles:
 		c.Reason = "slower than baseline"
@@ -326,10 +300,10 @@ func judgeCandidate(c *AutoCandidate, base *RunResult, res *RunResult, err error
 	}
 }
 
-// FigureAutoDetail runs the closed loop with explicit bounds and returns
-// the rows plus the constructed slice programs. Phases: (1) baseline and
-// hand-slice runs for every workload in one parallel batch (shared with
-// Figure 11 / Table 4); (2) candidate construction per workload; (3) one
+// FigureAutoDetail runs the closed loop and returns the rows plus the
+// constructed slice programs. Phases: (1) baseline and hand-slice runs
+// for every workload in one parallel batch (shared with Figure 11 /
+// Table 4); (2) candidate construction per workload; (3) one
 // parallel, oracle-validated batch over every candidate everywhere; (4)
 // acceptance, with one repair round for near-misses — candidates below
 // the accuracy floor re-measure with predictions suppressed (prefetch
@@ -337,7 +311,7 @@ func judgeCandidate(c *AutoCandidate, base *RunResult, res *RunResult, err error
 // confidence-gated forks; (5) an oracle-validated run of each workload's
 // combined winner set, falling back to the best single winner if
 // combining loses.
-func (e *Engine) FigureAutoDetail(ws []*workloads.Workload, p AutoParams) []AutoBuild {
+func (e *Engine) FigureAutoDetail(ws []*workloads.Workload) []AutoBuild {
 	// Phase 1: baselines and hand-slice legs.
 	baseSpecs := make([]RunSpec, 0, 2*len(ws))
 	for _, w := range ws {
@@ -348,7 +322,7 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload, p AutoParams) []Auto
 	// Phase 2: construction (serial; purely functional and fast).
 	preps := make([]autoPrep, len(ws))
 	for i, w := range ws {
-		preps[i] = e.prepareAuto(w, p)
+		preps[i] = e.prepareAuto(w)
 	}
 
 	// Phase 3: every candidate across every workload, one validated batch.
@@ -374,7 +348,7 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload, p AutoParams) []Auto
 		prep := &preps[i]
 		base := baseRes[2*i]
 		for k := range prep.row.Candidates {
-			judgeCandidate(&prep.row.Candidates[k], base, candRes[off+k], candErrs[off+k], p)
+			judgeCandidate(&prep.row.Candidates[k], base, candRes[off+k], candErrs[off+k])
 			prep.res = append(prep.res, candRes[off+k])
 			c := &prep.row.Candidates[k]
 			if c.Accepted {
@@ -409,7 +383,7 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload, p AutoParams) []Auto
 		if ref.kind == "nopred" {
 			c.PGIs = 0 // PGI allocation suppressed: a pure prefetch slice
 		}
-		judgeCandidate(&c, baseRes[2*ref.wi], repairRes[j], repairErrs[j], p)
+		judgeCandidate(&c, baseRes[2*ref.wi], repairRes[j], repairErrs[j])
 		prep.row.Candidates = append(prep.row.Candidates, c)
 		prep.cluster = append(prep.cluster, prep.cluster[ref.orig])
 		prep.builtOf = append(prep.builtOf, prep.builtOf[ref.orig])
@@ -455,8 +429,8 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload, p AutoParams) []Auto
 			}
 			return winners[a] < winners[b]
 		})
-		if len(winners) > p.MaxSlices {
-			winners = winners[:p.MaxSlices]
+		if len(winners) > maxAutoSlices {
+			winners = winners[:maxAutoSlices]
 		}
 		singleBest[i] = -1
 		if len(winners) > 0 {
@@ -558,9 +532,7 @@ func fillHand(row *FigureAutoRow, w *workloads.Workload, base, hand *RunResult) 
 	hs := hand.Stats()
 	row.HandIPC = hs.IPC()
 	row.HandSpeedupPct = speedupPct(base.Stats().Cycles, hs.Cycles)
-	if resolved := hs.PredsCorrect + hs.PredsIncorrect; resolved > 0 {
-		row.HandAccuracyPct = float64(hs.PredsCorrect) / float64(resolved) * 100
-	}
+	row.HandAccuracyPct = hs.OverrideAccuracyPct()
 }
 
 // fillAuto fills the accepted-configuration columns from the chosen
@@ -575,11 +547,9 @@ func fillAuto(row *FigureAutoRow, prep *autoPrep, chosen []int, base, res *RunRe
 	s := res.Stats()
 	row.AutoIPC = s.IPC()
 	row.AutoSpeedupPct = speedupPct(base.Stats().Cycles, s.Cycles)
-	row.AutoOverrides = s.PredsUsed + s.PredsLateUsed
+	row.AutoOverrides = s.PredsConsumed()
 	row.AutoPrefetches = s.SlicePrefetches
-	if resolved := s.PredsCorrect + s.PredsIncorrect; resolved > 0 {
-		row.AutoAccuracyPct = float64(s.PredsCorrect) / float64(resolved) * 100
-	}
+	row.AutoAccuracyPct = s.OverrideAccuracyPct()
 	row.OracleValidated = true
 }
 

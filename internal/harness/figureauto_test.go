@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/autoslice"
 )
 
 // TestFigureAutoClosedLoop is the end-to-end closed-loop check: profile →
@@ -36,10 +38,10 @@ func TestFigureAutoClosedLoop(t *testing.T) {
 					t.Errorf("%s: accepted candidate %s has no coverage", r.Program, c.Name)
 				}
 			}
-			if c.Static > DefaultAutoParams().MaxSliceLen {
+			if c.Static > autoslice.MaxSliceLen {
 				t.Errorf("%s: candidate %s static size %d exceeds bound", r.Program, c.Name, c.Static)
 			}
-			if c.LiveIns > DefaultAutoParams().MaxLiveIns {
+			if c.LiveIns > autoslice.MaxLiveIns {
 				t.Errorf("%s: candidate %s live-ins %d exceeds bound", r.Program, c.Name, c.LiveIns)
 			}
 		}

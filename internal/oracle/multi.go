@@ -87,13 +87,18 @@ func (m *MultiOracle) Divergences() []Divergence {
 }
 
 // Err returns nil when every leg ran clean, else a *DivergenceError
-// carrying all recorded reports in slot order.
+// carrying all recorded reports in slot order and every leg's count of
+// reports past its cap.
 func (m *MultiOracle) Err() error {
 	divs := m.Divergences()
 	if len(divs) == 0 {
 		return nil
 	}
-	return &DivergenceError{Divs: divs}
+	e := &DivergenceError{Divs: divs}
+	for _, o := range m.legs {
+		e.Dropped += o.dropped
+	}
+	return e
 }
 
 // VerifyFinal compares every program's drained register file against its

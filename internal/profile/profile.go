@@ -15,23 +15,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Options tunes the classification.
-type Options struct {
-	// MinPDEs is the non-trivial event count threshold. Scale it with the
-	// measured region length.
-	MinPDEs uint64
-	// MinRate is the per-execution PDE rate threshold (the paper's 10%).
-	MinRate float64
-}
+// minRate is the per-execution PDE rate threshold (the paper's 10%).
+const minRate = 0.10
 
-// DefaultOptions mirrors the paper's classification for our (scaled-down)
-// measurement regions.
-func DefaultOptions(regionInsts uint64) Options {
-	minPDEs := regionInsts / 10000 // ≥0.01% of the region
-	if minPDEs < 16 {
-		minPDEs = 16
-	}
-	return Options{MinPDEs: minPDEs, MinRate: 0.10}
+// minPDEs is the non-trivial event count threshold for a measured region
+// of regionInsts instructions: 0.01% of the region, and at least 16, which
+// mirrors the paper's classification for our scaled-down regions.
+func minPDEs(regionInsts uint64) uint64 {
+	return max(regionInsts/10000, 16)
 }
 
 // Result is one workload's problem-instruction characterization — the
@@ -57,8 +48,10 @@ type Result struct {
 	BranchPCs map[uint64]bool
 }
 
-// Characterize classifies the per-PC statistics of one measured run.
-func Characterize(s *stats.Sim, opt Options) Result {
+// Characterize classifies the per-PC statistics of one measured run of
+// regionInsts instructions.
+func Characterize(s *stats.Sim, regionInsts uint64) Result {
+	floor := minPDEs(regionInsts)
 	r := Result{
 		LoadPCs:   make(map[uint64]bool),
 		BranchPCs: make(map[uint64]bool),
@@ -73,7 +66,7 @@ func Characterize(s *stats.Sim, opt Options) Result {
 		case st.IsLoad:
 			totalLoadExecs += st.Execs
 			totalMisses += st.Misses
-			if st.Misses >= opt.MinPDEs && st.MissRate() >= opt.MinRate {
+			if st.Misses >= floor && st.MissRate() >= minRate {
 				r.MemSI++
 				r.LoadPCs[st.PC] = true
 				probLoadExecs += st.Execs
@@ -82,7 +75,7 @@ func Characterize(s *stats.Sim, opt Options) Result {
 		case st.IsBranch:
 			totalBrExecs += st.Execs
 			totalMispredicts += st.Mispredicts
-			if st.Mispredicts >= opt.MinPDEs && st.MispredictRate() >= opt.MinRate {
+			if st.Mispredicts >= floor && st.MispredictRate() >= minRate {
 				r.BrSI++
 				r.BranchPCs[st.PC] = true
 				probBrExecs += st.Execs

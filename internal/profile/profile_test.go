@@ -27,7 +27,7 @@ func TestCharacterizeSynthetic(t *testing.T) {
 	gb.IsBranch = true
 	gb.Execs, gb.Mispredicts = 20000, 50
 
-	r := Characterize(s, Options{MinPDEs: 100, MinRate: 0.10})
+	r := Characterize(s, 1_000_000) // a 100-event floor
 	if r.MemSI != 1 || !r.LoadPCs[0x1000] || r.LoadPCs[0x1004] {
 		t.Errorf("mem selection wrong: %+v", r)
 	}
@@ -48,7 +48,7 @@ func TestCharacterizeSynthetic(t *testing.T) {
 }
 
 func TestCharacterizeEmptyStats(t *testing.T) {
-	r := Characterize(stats.New(), DefaultOptions(100000))
+	r := Characterize(stats.New(), 100000)
 	if r.MemSI != 0 || r.BrSI != 0 {
 		t.Errorf("empty stats produced problem instructions: %+v", r)
 	}
@@ -81,7 +81,7 @@ func TestProblemConcentrationOnWorkloads(t *testing.T) {
 			core.Run(30_000)
 			core.ResetStats()
 			s := core.Run(80_000)
-			r := Characterize(s, DefaultOptions(80_000))
+			r := Characterize(s, 80_000)
 			if name != "eon" {
 				if r.MemSI == 0 || r.MemSI > 20 {
 					t.Errorf("MemSI = %d", r.MemSI)
@@ -122,7 +122,7 @@ func TestPerfectingProblemInstructionsHelps(t *testing.T) {
 	core := cpu.MustNew(cpu.Config4Wide(), w.Image, w.NewMemory(), w.Entry, nil)
 	core.Run(30_000)
 	core.ResetStats()
-	r := Characterize(core.Run(80_000), DefaultOptions(80_000))
+	r := Characterize(core.Run(80_000), 80_000)
 
 	prob := run(cpu.Perfect{LoadPCs: r.LoadPCs, BranchPCs: r.BranchPCs})
 	perf := run(cpu.Perfect{AllBranches: true, AllLoads: true})

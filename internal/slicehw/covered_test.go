@@ -58,7 +58,7 @@ func TestCoveredBranchPCsCachedAutoslice(t *testing.T) {
 		t.Fatal(err)
 	}
 	hand := w.Slices[0]
-	built, err := autoslice.Build(tr, hand.ForkPC, []uint64{hand.PGIs[0].BranchPC}, autoslice.DefaultOptions())
+	built, err := autoslice.Build(tr, hand.ForkPC, []uint64{hand.PGIs[0].BranchPC}, autoslice.SliceBase)
 	if err != nil {
 		t.Fatal(err)
 	}

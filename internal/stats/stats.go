@@ -104,6 +104,20 @@ func (s *Sim) IPC() float64 {
 	return float64(s.MainRetired) / float64(s.Cycles)
 }
 
+// PredsConsumed returns how many branch instances used a slice
+// prediction, on time or late.
+func (s *Sim) PredsConsumed() uint64 { return s.PredsUsed + s.PredsLateUsed }
+
+// OverrideAccuracyPct returns the percentage of resolved slice
+// predictions that were correct, or 0 when none resolved.
+func (s *Sim) OverrideAccuracyPct() float64 {
+	n := s.PredsCorrect + s.PredsIncorrect
+	if n == 0 {
+		return 0
+	}
+	return float64(s.PredsCorrect) / float64(n) * 100
+}
+
 // MispredictRate returns mispredictions per retired conditional branch.
 func (s *Sim) MispredictRate() float64 {
 	if s.Branches == 0 {
