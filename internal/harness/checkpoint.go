@@ -250,7 +250,11 @@ const ckptMagic = "SPECSLCK"
 
 // ckptSchemaVersion versions the container *and* the payload encoding.
 // Bump it whenever cpu.Checkpoint or its binary codec changes shape, so
-// stale caches from older builds are rebuilt instead of misdecoded.
+// stale caches from older builds are rebuilt instead of misdecoded. Bump
+// it too when a machine constant in internal/cpu/config.go changes: those
+// constants are not part of Config.Fingerprint, so the warm keys (and the
+// store's file names) stay the same and only the version turns a stale
+// store away.
 //
 // v2: the hand-coded YAGS/cascaded predictor tables were replaced by
 // opaque self-describing predictor sections (spec + SaveState blob).
