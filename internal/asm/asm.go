@@ -238,9 +238,6 @@ func (b *Builder) Jmp(ra isa.Reg) { b.Raw(isa.Inst{Op: isa.JMP, Ra: ra}) }
 // Ret emits a return through isa.RA.
 func (b *Builder) Ret() { b.Raw(isa.Inst{Op: isa.RET, Ra: isa.RA}) }
 
-// Fork emits an explicit fork instruction for slice index idx.
-func (b *Builder) Fork(idx int) { b.Raw(isa.Inst{Op: isa.FORK, Imm: int32(idx)}) }
-
 // Nop emits a NOP.
 func (b *Builder) Nop() { b.Raw(isa.Inst{Op: isa.NOP}) }
 

@@ -216,7 +216,7 @@ func TestRASSaveRestore(t *testing.T) {
 	r := NewRAS(64)
 	r.Push(0x1000)
 	r.Push(0x2000)
-	cp := r.Save()
+	cp := r.Mark()
 	// Wrong-path activity: one pop, one garbage push.
 	r.Pop()
 	r.Push(0xDEAD)
@@ -236,7 +236,7 @@ func TestRASRepairFullHeight(t *testing.T) {
 	r := NewRAS(64)
 	r.Push(0x1000)
 	r.Push(0x2000)
-	cp := r.Save()
+	cp := r.Mark()
 	r.Pop()
 	r.Pop()
 	r.Push(0xDEAD) // overwrites the slot that held 0x1000
@@ -255,15 +255,15 @@ func TestRASRepairNestedCheckpoints(t *testing.T) {
 	// checkpoints, exactly as nested squashes replay them.
 	r := NewRAS(8)
 	r.Push(0x100)
-	cpOld := r.Save()
+	cpOld := r.Mark()
 	r.Push(0x200)
-	cpMid := r.Save()
+	cpMid := r.Mark()
 	r.Pop()
 	r.Pop()
 	r.Push(0xAAA)
 	r.Push(0xBBB)
 	r.Restore(cpMid)
-	if got := r.Save(); got.SP != cpMid.SP {
+	if got := r.Mark(); got.SP != cpMid.SP {
 		t.Fatalf("sp after mid restore = %d, want %d", got.SP, cpMid.SP)
 	}
 	r.Restore(cpOld)
@@ -278,12 +278,12 @@ func TestRASCommitTrimsJournal(t *testing.T) {
 	r := NewRAS(64)
 	for i := 0; i < 100; i++ {
 		r.Push(uint64(0x1000 + i*8))
-		r.Commit(r.Save()) // everything so far is committed
+		r.Commit(r.Mark()) // everything so far is committed
 	}
 	if got := len(r.jbuf) - r.jhead; got != 0 {
 		t.Fatalf("live journal after full commit = %d entries, want 0", got)
 	}
-	cp := r.Save()
+	cp := r.Mark()
 	r.Pop()
 	r.Pop()
 	r.Push(0xDEAD)
@@ -304,7 +304,7 @@ func TestRASRepairAcrossOverflowWrap(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Push(uint64(0x100 + i*8))
 	}
-	cp := r.Save()
+	cp := r.Mark()
 	for i := 0; i < 4; i++ {
 		r.Push(0xD000 + uint64(i)) // wraps, clobbering all four live slots
 	}

@@ -81,8 +81,8 @@ func (r *RAS) Pop() uint64 {
 	return r.stack[r.wrap(r.sp)]
 }
 
-// Save captures a checkpoint.
-func (r *RAS) Save() RASState {
+// Mark captures a speculation-repair checkpoint.
+func (r *RAS) Mark() RASState {
 	return RASState{SP: r.sp, J: r.jtail()}
 }
 

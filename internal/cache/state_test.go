@@ -10,9 +10,23 @@ import (
 	"repro/internal/wire"
 )
 
-// TestCacheStateValidLinesOnly: State lists only valid lines, and a cache
-// whose array held other lines behaves, after SetState, exactly like the
-// one the state was captured from — invalid lines carry nothing.
+// saveCache returns c's saved line array.
+func saveCache(c *Cache) []byte {
+	var w wire.Writer
+	c.save(&w)
+	return w.Bytes()
+}
+
+// loadCache loads b into c; trailing bytes are an error.
+func loadCache(c *Cache, b []byte) error {
+	r := wire.NewReader(b)
+	c.load(r)
+	return r.Done()
+}
+
+// TestCacheStateValidLinesOnly: save lists only valid lines, and a cache
+// whose array held other lines behaves, after load, exactly like the one
+// it was saved from — invalid lines carry nothing.
 func TestCacheStateValidLinesOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := MustCache("src", 8192, 2, 64)
@@ -25,17 +39,18 @@ func TestCacheStateValidLinesOnly(t *testing.T) {
 			src.Extract(uint64(rng.Intn(1 << 16)))
 		}
 	}
-	st := src.State()
+	enc := saveCache(src)
 	valid := 0
 	for _, l := range src.lines {
 		if l.valid {
 			valid++
 		}
 	}
-	if len(st.Lines) != valid || st.NumLines != len(src.lines) {
-		t.Fatalf("state lists %d of %d lines, cache has %d valid", len(st.Lines), st.NumLines, valid)
+	// Line count, listed-line count, 21-byte lines, clock.
+	if n := binary.LittleEndian.Uint64(enc[8:]); int(n) != valid || len(enc) != 24+21*valid {
+		t.Fatalf("save lists %d lines in %d bytes, cache has %d valid", n, len(enc), valid)
 	}
-	if err := dst.SetState(st); err != nil {
+	if err := loadCache(dst, enc); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(src.lines, dst.lines) {
@@ -62,7 +77,7 @@ func TestPVBStateRoundTrip(t *testing.T) {
 		dst.Fill(a*64+4096, true, OriginNone)
 	}
 	src.Extract(11 * 64)
-	if err := dst.SetState(src.State()); err != nil {
+	if err := loadCache(dst, saveCache(src)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(src.lines, dst.lines) || src.clock != dst.clock {
@@ -71,29 +86,33 @@ func TestPVBStateRoundTrip(t *testing.T) {
 }
 
 // TestCacheSetStateRejectsBadState: a line count or index that does not fit
-// the array is an error.
+// the array is an error at load.
 func TestCacheSetStateRejectsBadState(t *testing.T) {
 	c := MustCache("c", 4096, 2, 64)
-	st := c.State()
-	st.NumLines++
-	if err := c.SetState(st); err == nil {
+	c.Fill(0x1000, false, OriginNone)
+	enc := saveCache(c)
+	bad := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint64(bad, uint64(len(c.lines)+1))
+	if err := loadCache(c, bad); err == nil {
 		t.Error("line-count mismatch accepted")
 	}
-	st = CacheState{NumLines: len(c.lines), Lines: []LineState{{Index: uint32(len(c.lines))}}}
-	if err := c.SetState(st); err == nil {
+	bad = append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(bad[16:], uint32(len(c.lines)))
+	if err := loadCache(c, bad); err == nil {
 		t.Error("out-of-range line index accepted")
 	}
 }
 
 // warmHierarchy runs demand scans (which start prefetch streams), random
 // demand and helper loads, stores and instruction fetches through a fresh
-// hierarchy, then drains it to a quiesced point as a checkpoint would.
-func warmHierarchy(t *testing.T) *Hierarchy {
+// hierarchy of p's geometry, then drains it to a quiesced point as a
+// checkpoint would.
+func warmHierarchy(t testing.TB, p Params, accesses int) *Hierarchy {
 	t.Helper()
-	h := NewHierarchy(DefaultParams())
+	h := NewHierarchy(p)
 	rng := rand.New(rand.NewSource(5))
 	now := uint64(0)
-	for i := 0; i < 6000; i++ {
+	for i := 0; i < accesses; i++ {
 		switch rng.Intn(4) {
 		case 0:
 			h.Access(0x400000+uint64(i)*64, false, KindDemand, now)
@@ -118,96 +137,163 @@ func warmHierarchy(t *testing.T) *Hierarchy {
 	return h
 }
 
-func encodeHier(s HierState) []byte {
+// smallParams is a tiny hierarchy, as in the CPU's small-checkpoint
+// tests: 8-line L1D and L1I, 16-line L2, 4-entry PVB, 2 streams. It saves
+// to well under 1 KB, so a fuzzer gets through many mutations a second.
+func smallParams() Params {
+	p := DefaultParams()
+	p.L1Bytes, p.ICBytes, p.L2Bytes = 512, 512, 2048
+	p.PVBEntries, p.Streams, p.WriteBufEntries = 4, 2, 4
+	return p
+}
+
+func saveHier(h *Hierarchy) []byte {
 	var w wire.Writer
-	s.Encode(&w)
+	h.Save(&w)
 	return w.Bytes()
 }
 
-func decodeHier(b []byte) (HierState, error) {
+// loadHier loads b into a fresh hierarchy of p's geometry; trailing bytes
+// are an error.
+func loadHier(p Params, b []byte) (*Hierarchy, error) {
+	h := NewHierarchy(p)
 	r := wire.NewReader(b)
-	s := DecodeHierState(r)
-	return s, r.Done()
+	if err := h.Load(r); err != nil {
+		return nil, err
+	}
+	return h, r.Done()
 }
 
-// TestHierStateCodecRoundTrip: a warmed hierarchy's state decodes to
-// itself, re-encodes to the same bytes, and restores into a fresh
-// hierarchy that captures the same state; every strict prefix of the
-// encoding is an error.
+// origins counts the L1D and PVB lines that carry an origin.
+func origins(h *Hierarchy) int {
+	n := 0
+	for _, c := range []*Cache{h.L1D, h.PVB} {
+		for _, l := range c.lines {
+			if l.valid && l.orig != OriginNone {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestHierStateCodecRoundTrip: a warmed hierarchy's save loads into a
+// fresh hierarchy whose lines, streams and bus cursor equal the original's
+// and which saves the same bytes; every strict prefix of the encoding is
+// an error.
 func TestHierStateCodecRoundTrip(t *testing.T) {
-	st := warmHierarchy(t).State()
-	if len(st.L1D.Lines) == 0 || len(st.PVB.Lines) == 0 || len(st.Origin) < 2 || st.MemFree == 0 {
-		t.Fatalf("warm-up left too little state to test: %d L1D lines, %d PVB lines, %d origins, MemFree %d",
-			len(st.L1D.Lines), len(st.PVB.Lines), len(st.Origin), st.MemFree)
+	src := warmHierarchy(t, DefaultParams(), 6000)
+	validL1D, validPVB := 0, 0
+	for _, l := range src.L1D.lines {
+		if l.valid {
+			validL1D++
+		}
 	}
-	enc := encodeHier(st)
-	dec, err := decodeHier(enc)
+	for _, l := range src.PVB.lines {
+		if l.valid {
+			validPVB++
+		}
+	}
+	if validL1D == 0 || validPVB == 0 || origins(src) < 2 || src.memFree == 0 {
+		t.Fatalf("warm-up left too little state to test: %d L1D lines, %d PVB lines, %d origins, memFree %d",
+			validL1D, validPVB, origins(src), src.memFree)
+	}
+	enc := saveHier(src)
+	h, err := loadHier(DefaultParams(), enc)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("load: %v", err)
 	}
-	if !reflect.DeepEqual(dec, st) {
-		t.Fatal("decoded state differs from the captured one")
+	for _, c := range [][2]*Cache{{src.L1D, h.L1D}, {src.L1I, h.L1I}, {src.L2, h.L2}, {src.PVB, h.PVB}} {
+		if !reflect.DeepEqual(c[0].lines, c[1].lines) || c[0].clock != c[1].clock {
+			t.Errorf("%s did not round-trip", c[0].name)
+		}
 	}
-	if !bytes.Equal(encodeHier(dec), enc) {
-		t.Error("re-encoding changed the bytes")
+	if !reflect.DeepEqual(src.Pref.streams, h.Pref.streams) || src.Pref.clock != h.Pref.clock || src.memFree != h.memFree {
+		t.Error("stream table or bus cursor did not round-trip")
 	}
-	h := NewHierarchy(DefaultParams())
-	if err := h.SetState(dec); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if !reflect.DeepEqual(h.State(), st) {
-		t.Error("restored hierarchy captures a different state")
+	if !bytes.Equal(saveHier(h), enc) {
+		t.Error("re-saving changed the bytes")
 	}
 	for n := 0; n < len(enc); n += 1 + n/64 {
-		if _, err := decodeHier(enc[:n]); err == nil {
+		if _, err := loadHier(DefaultParams(), enc[:n]); err == nil {
 			t.Fatalf("%d-byte prefix of %d accepted", n, len(enc))
 		}
 	}
 }
 
 // TestHierStateCodecRejectsCorruption: a line index out of range or out of
-// order, a dirty flag other than 0 or 1, origin lines out of order and an
-// origin that is no prefetching agent are errors, so every accepted
-// encoding is canonical.
+// order, a line outside its tag's set or repeating a tag in its set, a
+// dirty flag other than 0 or 1, a stream table of another size,
+// origin lines out of order or not line-aligned and an origin that is no
+// prefetching agent are errors at Load, so every accepted encoding is
+// canonical.
 func TestHierStateCodecRejectsCorruption(t *testing.T) {
-	st := warmHierarchy(t).State()
-	enc := encodeHier(st)
+	h := warmHierarchy(t, DefaultParams(), 6000)
+	enc := saveHier(h)
 	// L1D leads: line count, listed-line count, then 21-byte lines
 	// (index u32, tag u64, dirty u8, LRU u64).
 	const line0, lineSize = 16, 21
-	last := line0 + lineSize*(len(st.L1D.Lines)-1)
-	origin0 := len(enc) - 8 - 9*len(st.Origin)
+	nL1D := int(binary.LittleEndian.Uint64(enc[8:]))
+	last := line0 + lineSize*(nL1D-1)
+	// The origins close the encoding, 9 bytes each before the bus cursor;
+	// the stream table sits before their count, after the PVB's clock.
+	origin0 := len(enc) - 8 - 9*origins(h)
+	streams := origin0 - 8 - 8 - 25*len(h.Pref.streams) - 8
 	for _, tc := range []struct {
 		name string
 		bad  func(b []byte)
 	}{
-		{"index out of range", func(b []byte) { binary.LittleEndian.PutUint32(b[last:], uint32(st.L1D.NumLines)) }},
+		{"index out of range", func(b []byte) { binary.LittleEndian.PutUint32(b[last:], uint32(len(h.L1D.lines))) }},
 		{"index repeated", func(b []byte) { copy(b[line0+lineSize:line0+lineSize+4], b[line0:line0+4]) }},
 		{"dirty byte 2", func(b []byte) { b[line0+12] = 2 }},
+		{"tag outside its set", func(b []byte) { b[line0+4] ^= 1 }},
+		{"tag repeated in a set", func(b []byte) { copy(b[line0+lineSize+4:line0+lineSize+12], b[line0+4:line0+12]) }},
+		{"stream table resized", func(b []byte) { binary.LittleEndian.PutUint64(b[streams:], uint64(len(h.Pref.streams)-1)) }},
 		{"origin repeated", func(b []byte) { copy(b[origin0+9:origin0+17], b[origin0:origin0+8]) }},
 		{"origin none", func(b []byte) { b[origin0+8] = byte(OriginNone) }},
+		{"origin not line-aligned", func(b []byte) { b[origin0] |= 1 }},
 	} {
 		bad := append([]byte(nil), enc...)
 		tc.bad(bad)
-		if _, err := decodeHier(bad); err == nil {
+		if _, err := loadHier(DefaultParams(), bad); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
 
 // TestHierStateRejectsNonResidentOrigin: an origin that names a line in
-// neither the L1D nor the PVB decodes, but restoring it is an error.
+// neither the L1D nor the PVB is an error at Load.
 func TestHierStateRejectsNonResidentOrigin(t *testing.T) {
-	st := warmHierarchy(t).State()
-	enc := encodeHier(st)
+	enc := saveHier(warmHierarchy(t, DefaultParams(), 6000))
 	// The last origin line, 8+9 bytes before the end, becomes one far
 	// above every resident line.
 	binary.LittleEndian.PutUint64(enc[len(enc)-8-9:], 0xfff0_0000_0000_0000)
-	dec, err := decodeHier(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if err := NewHierarchy(DefaultParams()).SetState(dec); err == nil {
+	if _, err := loadHier(DefaultParams(), enc); err == nil {
 		t.Error("origin of a non-resident line restored")
 	}
+}
+
+// FuzzHierarchyLoad: no input makes Load panic, and every input Load
+// accepts (with nothing left over) is canonical — Save writes it back
+// byte for byte. Seeded with a small warmed hierarchy's save, whole,
+// truncated and bit-flipped.
+func FuzzHierarchyLoad(f *testing.F) {
+	p := smallParams()
+	enc := saveHier(warmHierarchy(f, p, 400))
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	for _, off := range []int{0, 16, 20, len(enc) / 2, len(enc) - 9, len(enc) - 1} {
+		bad := append([]byte(nil), enc...)
+		bad[off] ^= 0x01
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, err := loadHier(p, b)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(saveHier(h), b) {
+			t.Fatal("an accepted encoding does not re-save to itself")
+		}
+	})
 }

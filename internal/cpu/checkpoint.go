@@ -1,18 +1,20 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/asm"
 	"repro/internal/bpred"
-	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
+	"repro/internal/wire"
 )
 
 // This file implements warm-state checkpointing: Quiesce drains the
-// pipeline to an architecturally clean point, Checkpoint serializes the
+// pipeline to an architecturally clean point, Checkpoint captures the
 // machine state that survives that point, and Restore rebuilds an
 // equivalent core from a checkpoint. The harness uses the trio to simulate
 // each warm region once and share it across every measurement that only
@@ -23,15 +25,13 @@ import (
 //     rebased, so time-stamped machine state like LRU clocks, icStallUntil,
 //     and the memory-bus cursor stays directly comparable);
 //   - the main thread's architectural state: PC, registers, branch/path
-//     history, I-cache stall deadline, and every thread context's full
+//     history and I-cache stall deadline;
+//   - the components' warm state, as bytes each component writes and
+//     reads itself (Components): every thread context's full
 //     return-address stack (helper RAS contents persist across helper
-//     reuse — Thread.reset does not clear them);
-//   - predictor tables: YAGS, the cascaded indirect predictor, and the
-//     fork-confidence table;
-//   - the memory hierarchy: L1I/L1D/L2/PVB valid lines, the stream
-//     prefetcher's stream table, the line-origin attribution map, and the
-//     memory-bus cursor;
-//   - the prediction correlator (flattened; see slicehw.CorrState);
+//     reuse — Thread.reset does not clear them), the direction and
+//     indirect predictors, the fork-confidence table, the memory
+//     hierarchy and the prediction correlator;
 //   - the memory image, as a copy-on-write page snapshot whose encoding
 //     lists only the pages that differ from the workload's pristine image
 //     (mem.Snapshot.Encode).
@@ -41,11 +41,16 @@ import (
 //     boundary anyway);
 //   - in-flight pipeline state — none exists: Quiesce proves the windows,
 //     fetch queues, write buffer, in-flight fills, and pending prefetch
-//     arrivals empty before Checkpoint will serialize anything.
+//     arrivals empty before Checkpoint will save anything.
+//
+// The components are checked only where they are read: Restore loads
+// each one straight from the bytes into the new core, and every Load
+// validates what it reads (geometry, index ranges, ordering, CRCs), so a
+// checkpoint from the disk store is trusted no further than a restore.
 
-// Checkpoint is a serializable snapshot of warmed machine state taken at a
-// quiesced point. Checkpoints are immutable once taken and safe to restore
-// from concurrently.
+// Checkpoint is a snapshot of warmed machine state taken at a quiesced
+// point. Checkpoints are immutable once taken and safe to restore from
+// concurrently.
 type Checkpoint struct {
 	Now uint64 // cycle counter at the quiesced point
 	Seq uint64 // next dynamic-instruction sequence number
@@ -60,58 +65,127 @@ type Checkpoint struct {
 	Regs         [isa.NumRegs]uint64
 	Hist, Path   uint64
 	ICStallUntil uint64
-	// ThreadRAS holds every thread context's full return-address stack,
-	// index-aligned with the core's contexts (main first).
-	ThreadRAS []bpred.RASStackState
 
-	// Predictors, as opaque self-describing sections: the spec identifies
-	// the predictor (and must match the restoring config's choice), the
-	// blob is its SaveState output. The codec and this struct know nothing
-	// about any predictor's layout — a new predictor checkpoints without
-	// touching either.
-	Dir      PredState
-	Indirect PredState
-	// Conf is the fork-confidence table; nil when the core had no slice
-	// hardware.
-	Conf []uint8
-
-	// Hier is the whole memory hierarchy: caches, PVB, stream prefetcher,
-	// line origins and the memory-bus cursor.
-	Hier cache.HierState
-
-	// Corr is the flattened prediction correlator; nil when the core had no
-	// slice hardware (or the checkpoint came from a functional warm, which
-	// models no slices).
-	Corr *slicehw.CorrState
+	// Components is the components' warm state in saveComponents' order:
+	// the return-address stacks, the predictor sections, the confidence
+	// table, the hierarchy and the correlator. Only Restore reads it.
+	Components []byte
 
 	// Mem is the copy-on-write memory snapshot. A decoded checkpoint holds
 	// it as an unresolved delta until Mem.Rebase resolves it.
 	Mem *mem.Snapshot
 }
 
-// PredState is one predictor's checkpoint section: its canonical spec
-// plus its opaque SaveState blob (which carries its own CRC trailer).
-type PredState struct {
-	Spec string
-	Blob []byte
+// saveComponents writes every component's warm state: the count of thread
+// contexts and each one's return-address stack (main first), the
+// direction and indirect predictor sections, the fork-confidence table
+// and the memory hierarchy, then the correlator. The confidence table and
+// the correlator each sit behind a presence flag, clear when the core has
+// no slice hardware.
+func (c *Core) saveComponents(w *wire.Writer) error {
+	p := c.progs[0]
+	w.U64(uint64(len(c.threads)))
+	for _, t := range c.threads {
+		t.RAS.Save(w)
+	}
+	savePred(w, c.dir)
+	savePred(w, c.indirect)
+	w.Bool(p.conf != nil)
+	if p.conf != nil {
+		w.Blob(p.conf.table)
+	}
+	c.hier.Save(w)
+	w.Bool(p.corr != nil)
+	if p.corr == nil {
+		return nil
+	}
+	return p.corr.Save(w)
 }
 
-func capturePred(p bpred.Predictor) PredState {
-	return PredState{Spec: p.Spec(), Blob: p.SaveState()}
+// loadComponents reads what saveComponents wrote into the core's
+// components; the first error wins and trailing bytes are an error. A
+// checkpoint without a confidence table or correlator leaves a core's
+// slice hardware cold; one with them refuses a core without it.
+func (c *Core) loadComponents(r *wire.Reader, sliceTable *slicehw.Table) error {
+	p := c.progs[0]
+	if r.Expect(uint64(len(c.threads)), "thread contexts"); r.Err() != nil {
+		return r.Err()
+	}
+	for _, t := range c.threads {
+		if err := t.RAS.Load(r); err != nil {
+			return err
+		}
+	}
+	if err := loadPred(r, c.dir, "direction"); err != nil {
+		return err
+	}
+	if err := loadPred(r, c.indirect, "indirect"); err != nil {
+		return err
+	}
+	if r.Bool() {
+		table := r.Raw(r.Count(1))
+		switch {
+		case r.Err() != nil:
+			return r.Err()
+		case p.conf == nil:
+			return errors.New("checkpoint has a confidence table but core has no slice hardware")
+		case len(table) != len(p.conf.table):
+			return fmt.Errorf("confidence table has %d entries, core has %d", len(table), len(p.conf.table))
+		}
+		copy(p.conf.table, table)
+	}
+	if err := c.hier.Load(r); err != nil {
+		return fmt.Errorf("hierarchy: %w", err)
+	}
+	if r.Bool() {
+		if p.corr == nil {
+			return errors.New("checkpoint has correlator state but core has no slice hardware")
+		}
+		if err := p.corr.Load(r, sliceTable); err != nil {
+			return fmt.Errorf("correlator: %w", err)
+		}
+	}
+	return r.Done()
 }
 
-// restorePred loads one predictor section into the core's constructed
-// predictor, refusing a spec mismatch: a checkpoint warmed under one
-// predictor must never leak into a run configured for another.
-func restorePred(p bpred.Predictor, st PredState, kind string) error {
-	if st.Spec != p.Spec() {
-		return fmt.Errorf("cpu: restore: checkpoint %s predictor %q does not match configured %q",
-			kind, st.Spec, p.Spec())
+// savePred writes one length-prefixed, CRC-guarded predictor section: the
+// predictor's spec string and its opaque SaveState blob. The checkpoint
+// knows no predictor layout — any registered predictor's state travels
+// through here unchanged — and the section CRC (covering spec + blob)
+// catches a flipped byte even before the blob's own trailer does.
+func savePred(w *wire.Writer, p bpred.Predictor) {
+	var body wire.Writer
+	body.Blob([]byte(p.Spec()))
+	body.Blob(p.SaveState())
+	b := body.Bytes()
+	w.U64(uint64(len(b)))
+	w.U32(crc32.ChecksumIEEE(b))
+	w.Raw(b)
+}
+
+// loadPred reads one predictor section into the core's constructed
+// predictor. Beyond the section CRC and shape it refuses a spec mismatch
+// — a checkpoint warmed under one predictor must never leak into a run
+// configured for another — and LoadState checks the blob itself.
+func loadPred(r *wire.Reader, p bpred.Predictor, kind string) error {
+	n := r.Count(1)
+	want := r.U32()
+	body := r.Raw(n)
+	if r.Err() != nil {
+		return r.Err()
 	}
-	if err := p.LoadState(st.Blob); err != nil {
-		return fmt.Errorf("cpu: restore: %w", err)
+	if crc32.ChecksumIEEE(body) != want {
+		return fmt.Errorf("%s predictor section CRC mismatch", kind)
 	}
-	return nil
+	br := wire.NewReader(body)
+	spec, blob := br.Raw(br.Count(1)), br.Raw(br.Count(1))
+	if br.Done() != nil {
+		return fmt.Errorf("malformed %s predictor section", kind)
+	}
+	if string(spec) != p.Spec() {
+		return fmt.Errorf("checkpoint %s predictor %q does not match configured %q", kind, spec, p.Spec())
+	}
+	return p.LoadState(blob)
 }
 
 // quiesceGuard bounds the drain loop; a pipeline that cannot drain within
@@ -187,7 +261,11 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 	if p.mainStores.len() != 0 {
 		return nil, fmt.Errorf("cpu: %d committed-store records survived the drain", p.mainStores.len())
 	}
-	ck := &Checkpoint{
+	var w wire.Writer
+	if err := c.saveComponents(&w); err != nil {
+		return nil, err
+	}
+	return &Checkpoint{
 		Now:          c.now,
 		Seq:          c.seq,
 		MainHalted:   p.halted,
@@ -197,25 +275,9 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 		Hist:         c.main.Hist,
 		Path:         c.main.Path,
 		ICStallUntil: c.main.icStallUntil,
-		Dir:          capturePred(c.dir),
-		Indirect:     capturePred(c.indirect),
-		Hier:         c.hier.State(),
+		Components:   w.Bytes(),
 		Mem:          p.mem.Snapshot(),
-	}
-	for _, t := range c.threads {
-		ck.ThreadRAS = append(ck.ThreadRAS, t.RAS.StackState())
-	}
-	if p.conf != nil {
-		ck.Conf = append([]uint8(nil), p.conf.table...)
-	}
-	if p.corr != nil {
-		st, err := p.corr.State()
-		if err != nil {
-			return nil, err
-		}
-		ck.Corr = st
-	}
-	return ck, nil
+	}, nil
 }
 
 // Restore builds a core equivalent to the one Checkpoint captured, under
@@ -257,46 +319,8 @@ func Restore(cfg Config, image *asm.Image, ck *Checkpoint, sliceTable *slicehw.T
 	m.icStallUntil = ck.ICStallUntil
 	m.Fetching = !ck.MainHalted
 
-	if len(ck.ThreadRAS) != len(c.threads) {
-		return nil, fmt.Errorf("cpu: restore: checkpoint has %d thread contexts, config has %d",
-			len(ck.ThreadRAS), len(c.threads))
-	}
-	for i, t := range c.threads {
-		if err := t.RAS.SetStackState(ck.ThreadRAS[i]); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := restorePred(c.dir, ck.Dir, "direction"); err != nil {
-		return nil, err
-	}
-	if err := restorePred(c.indirect, ck.Indirect, "indirect"); err != nil {
-		return nil, err
-	}
-	if ck.Conf != nil {
-		conf := c.progs[0].conf
-		if conf == nil {
-			return nil, fmt.Errorf("cpu: restore: checkpoint has a confidence table but core has no slice hardware")
-		}
-		if len(ck.Conf) != len(conf.table) {
-			return nil, fmt.Errorf("cpu: restore: confidence table has %d entries, core has %d",
-				len(ck.Conf), len(conf.table))
-		}
-		copy(conf.table, ck.Conf)
-	}
-
-	if err := c.hier.SetState(ck.Hier); err != nil {
-		return nil, err
-	}
-
-	if ck.Corr != nil {
-		corr := c.progs[0].corr
-		if corr == nil {
-			return nil, fmt.Errorf("cpu: restore: checkpoint has correlator state but core has no slice hardware")
-		}
-		if err := corr.SetState(ck.Corr, sliceTable); err != nil {
-			return nil, err
-		}
+	if err := c.loadComponents(wire.NewReader(ck.Components), sliceTable); err != nil {
+		return nil, fmt.Errorf("cpu: restore: %w", err)
 	}
 	return c, nil
 }

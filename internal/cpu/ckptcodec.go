@@ -1,14 +1,9 @@
 package cpu
 
 import (
-	"errors"
 	"fmt"
-	"hash/crc32"
 
-	"repro/internal/bpred"
-	"repro/internal/cache"
 	"repro/internal/mem"
-	"repro/internal/slicehw"
 	"repro/internal/wire"
 )
 
@@ -17,10 +12,11 @@ import (
 // every slice in its semantic order, so encoding the same checkpoint twice
 // yields identical bytes (the on-disk store CRCs them). The harness owns
 // the file container (magic, schema version, key, CRC); this codec owns
-// the header fields, the predictor sections, the confidence table and the
-// order of the sections. Every other section is encoded by the package
-// that owns its state: return-address stacks by bpred, the cache
-// hierarchy by cache, the correlator by slicehw, memory by mem.
+// the scalar header and the order of the sections. The components'
+// section is already bytes (Checkpoint.Components, written and checked by
+// each component's own Save and Load) and travels behind one length, so
+// decoding finds the memory section without parsing it; memory is encoded
+// by mem.
 
 // EncodeBinary serializes the checkpoint.
 func (ck *Checkpoint) EncodeBinary() []byte {
@@ -36,32 +32,17 @@ func (ck *Checkpoint) EncodeBinary() []byte {
 	w.U64(ck.Hist)
 	w.U64(ck.Path)
 	w.U64(ck.ICStallUntil)
-	bpred.EncodeRASStacks(&w, ck.ThreadRAS)
-
-	encodePredSection(&w, ck.Dir)
-	encodePredSection(&w, ck.Indirect)
-
-	w.Bool(ck.Conf != nil)
-	if ck.Conf != nil {
-		w.Blob(ck.Conf)
-	}
-
-	ck.Hier.Encode(&w)
-
-	w.Bool(ck.Corr != nil)
-	if ck.Corr != nil {
-		ck.Corr.Encode(&w)
-	}
-
+	w.Blob(ck.Components)
 	ck.Mem.Encode(&w)
 	return w.Bytes()
 }
 
 // DecodeCheckpoint parses a stream produced by EncodeBinary. Corrupt input
-// yields an error, never a panic or a silently wrong checkpoint (the
-// on-disk container's CRC catches flipped bits; this guards truncation and
-// structural nonsense). Every accepted stream is canonical: it re-encodes
-// to the same bytes.
+// yields an error, never a panic (the on-disk container's CRC catches
+// flipped bits; this guards truncation and structural nonsense). Every
+// accepted stream re-encodes to the same bytes. The components' section
+// is not parsed here: Restore checks it as it loads it, so a decoded
+// checkpoint is trusted only once it has restored.
 //
 // The memory comes back as the encoding holds it. A checkpoint whose
 // memory descends from a root image (every workload's does) decodes to an
@@ -81,58 +62,10 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	ck.Hist = r.U64()
 	ck.Path = r.U64()
 	ck.ICStallUntil = r.U64()
-	ck.ThreadRAS = bpred.DecodeRASStacks(r)
-
-	ck.Dir = decodePredSection(r)
-	ck.Indirect = decodePredSection(r)
-
-	if r.Bool() {
-		ck.Conf = r.Blob()
-		if ck.Conf == nil {
-			ck.Conf = []uint8{}
-		}
-	}
-
-	ck.Hier = cache.DecodeHierState(r)
-
-	if r.Bool() {
-		ck.Corr = slicehw.DecodeCorrState(r)
-	}
-
+	ck.Components = r.Blob()
 	ck.Mem = mem.DecodeSnapshot(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("cpu: corrupt checkpoint: %w", err)
 	}
 	return ck, nil
-}
-
-// encodePredSection writes one length-prefixed, CRC-guarded predictor
-// section: the predictor's spec string and its opaque state blob. The
-// container knows no predictor layout — any registered predictor's state
-// travels through here unchanged — and the section CRC (covering spec +
-// blob) catches a flipped byte even before the blob's own trailer does.
-func encodePredSection(w *wire.Writer, s PredState) {
-	var body wire.Writer
-	body.Blob([]byte(s.Spec))
-	body.Blob(s.Blob)
-	b := body.Bytes()
-	w.U64(uint64(len(b)))
-	w.U32(crc32.ChecksumIEEE(b))
-	w.Raw(b)
-}
-
-func decodePredSection(r *wire.Reader) PredState {
-	n := r.Count(1)
-	want := r.U32()
-	body := r.Raw(n)
-	if r.Err() == nil && crc32.ChecksumIEEE(body) != want {
-		r.Fail(errors.New("predictor section CRC mismatch"))
-	}
-	// Once r has failed it keeps its first error; br's verdict adds nothing.
-	br := wire.NewReader(body)
-	spec, blob := br.Blob(), br.Blob()
-	if br.Done() != nil {
-		r.Fail(errors.New("malformed predictor section"))
-	}
-	return PredState{Spec: string(spec), Blob: blob}
 }

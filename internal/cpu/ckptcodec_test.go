@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/slicehw"
 	"repro/internal/workloads"
 )
 
@@ -46,8 +48,8 @@ func vpr(t testing.TB) *workloads.Workload {
 // loop of loads, stores, branches and calls over one data page. It
 // encodes to a few KB against vpr's ~100 KB, so a fuzzer seeded with it
 // gets through many more mutations per second. The memory is a delta over
-// the returned root.
-func smallCheckpoint(t testing.TB) (*Checkpoint, *mem.Snapshot) {
+// the returned root; the configuration and image restore it.
+func smallCheckpoint(t testing.TB) (*Checkpoint, *mem.Snapshot, Config, *asm.Image) {
 	t.Helper()
 	const data = 0x40000
 	b := asm.NewBuilder(0x1000)
@@ -89,7 +91,7 @@ func smallCheckpoint(t testing.TB) (*Checkpoint, *mem.Snapshot) {
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	return ck, root
+	return ck, root, cfg, im
 }
 
 // decodeRebased decodes enc and resolves its memory against w's image,
@@ -187,7 +189,7 @@ func TestCodecWarmCheckpointsEveryWorkload(t *testing.T) {
 		other := all[(i+1)%len(all)]
 		t.Run(w.Name, func(t *testing.T) {
 			cfg := Config4Wide()
-			fck, err := FunctionalWarm(cfg, w.Image, w.NewMemory(), w.Entry, warm, nil)
+			fck, err := FunctionalWarm(cfg, w.Image, w.NewMemory(), w.Entry, warm)
 			if err != nil {
 				t.Fatalf("functional warm: %v", err)
 			}
@@ -240,7 +242,8 @@ func TestCodecTruncation(t *testing.T) {
 
 // TestCodecRoundTripEveryPredictor: the predictor sections are opaque to
 // the codec, so a checkpoint warmed under any registered direction
-// predictor must round-trip byte-identically — this is what lets a new
+// predictor must round-trip byte-identically and restore into a core that
+// checkpoints the same component bytes — this is what lets a new
 // predictor land without touching the codec.
 func TestCodecRoundTripEveryPredictor(t *testing.T) {
 	w := vpr(t)
@@ -250,45 +253,74 @@ func TestCodecRoundTripEveryPredictor(t *testing.T) {
 		ck := makeCheckpointCfg(t, cfg)
 		enc := ck.EncodeBinary()
 		dec := decodeRebased(t, w, enc)
-		if dec.Dir.Spec != ck.Dir.Spec || !bytes.Equal(dec.Dir.Blob, ck.Dir.Blob) {
-			t.Errorf("%s: direction predictor section did not round-trip", name)
-		}
-		if dec.Indirect.Spec != ck.Indirect.Spec || !bytes.Equal(dec.Indirect.Blob, ck.Indirect.Blob) {
-			t.Errorf("%s: indirect predictor section did not round-trip", name)
-		}
 		if !bytes.Equal(dec.EncodeBinary(), enc) {
 			t.Errorf("%s: re-encoding changed the bytes", name)
+		}
+		r, err := Restore(cfg, w.Image, dec, w.SliceTable())
+		if err != nil {
+			t.Errorf("%s: restore: %v", name, err)
+			continue
+		}
+		again, err := r.Checkpoint()
+		if err != nil {
+			t.Fatalf("%s: re-checkpoint: %v", name, err)
+		}
+		if !bytes.Equal(again.Components, ck.Components) {
+			t.Errorf("%s: the restored core's component sections differ", name)
 		}
 	}
 }
 
 // TestCodecPredictorSectionCorruption: a flipped byte anywhere in a
-// predictor section (spec or blob) must fail the decode — the section CRC
-// guards the container even before the blob's own trailer is checked.
+// predictor section (spec or blob) must fail the restore — the section
+// CRC guards the checkpoint even before the blob's own trailer is checked.
+// The codec does not look inside the section, so the decode succeeds and
+// Restore is where the corruption is caught.
 func TestCodecPredictorSectionCorruption(t *testing.T) {
+	w := vpr(t)
 	ck := makeCheckpoint(t)
 	enc := ck.EncodeBinary()
-	start := bytes.Index(enc, []byte(ck.Dir.Spec))
+	spec := MustNew(Config4Wide(), w.Image, w.NewMemory(), w.Entry, nil).dir.Spec()
+	start := bytes.Index(enc, []byte(spec))
 	if start < 0 {
 		t.Fatal("direction predictor spec not found in the encoding")
 	}
-	end := start + len(ck.Dir.Spec) + 8 + len(ck.Dir.Blob)
+	// The spec, the blob's u64 length, the blob.
+	end := start + len(spec) + 8 + int(binary.LittleEndian.Uint64(enc[start+len(spec):]))
 	for off := start; off < end; off += 13 {
 		bad := append([]byte(nil), enc...)
 		bad[off] ^= 0x01
-		if _, err := DecodeCheckpoint(bad); err == nil {
+		dec := decodeRebased(t, w, bad)
+		if _, err := Restore(Config4Wide(), w.Image, dec, w.SliceTable()); err == nil {
 			t.Fatalf("flipped byte at offset %d (section %d..%d) not detected", off, start, end)
 		}
 	}
 }
 
-// FuzzDecodeCheckpoint: no input makes decode or rebase panic, and every
-// input the decoder accepts is canonical — it re-encodes to itself. Seeded
-// with a real vpr encoding and a small-geometry one (smallCheckpoint),
-// each whole, truncated and bit-flipped.
+// fuzzTarget is what a fuzzed checkpoint restores against: a root image
+// for its memory, and the configuration, program image and slice table
+// its seed was warmed under.
+type fuzzTarget struct {
+	root  *mem.Snapshot
+	cfg   Config
+	image *asm.Image
+	table *slicehw.Table
+}
+
+// FuzzDecodeCheckpoint: no input makes decode, rebase or restore panic,
+// and every input that decodes, rebases and restores is canonical: the
+// restored core checkpoints back to the same bytes, apart from
+// WarmRetired (the retired count of the run that built the checkpoint,
+// which Restore ignores). Seeded with a real vpr encoding and a
+// small-geometry one (smallCheckpoint), each whole, truncated and
+// bit-flipped.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	small, smallRoot := smallCheckpoint(f)
-	roots := []*mem.Snapshot{vpr(f).MemImage(), smallRoot}
+	small, smallRoot, smallCfg, smallImage := smallCheckpoint(f)
+	w := vpr(f)
+	targets := []fuzzTarget{
+		{w.MemImage(), Config4Wide(), w.Image, w.SliceTable()},
+		{smallRoot, smallCfg, smallImage, nil},
+	}
 	for _, enc := range [][]byte{makeCheckpoint(f).EncodeBinary(), small.EncodeBinary()} {
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
@@ -307,9 +339,27 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if !bytes.Equal(ck.EncodeBinary(), b) {
 			t.Fatal("an accepted encoding does not re-encode to itself")
 		}
-		for _, root := range roots {
-			if m, err := ck.Mem.Rebase(root); err == nil && !m.Resolved() {
+		for _, tg := range targets {
+			m, err := ck.Mem.Rebase(tg.root)
+			if err != nil {
+				continue
+			}
+			if !m.Resolved() {
 				t.Fatal("rebase succeeded but left the memory unresolved")
+			}
+			rck := *ck
+			rck.Mem = m
+			c, err := Restore(tg.cfg, tg.image, &rck, tg.table)
+			if err != nil {
+				continue
+			}
+			again, err := c.Checkpoint()
+			if err != nil {
+				t.Fatalf("re-checkpoint of a restored core: %v", err)
+			}
+			again.WarmRetired = ck.WarmRetired
+			if !bytes.Equal(again.EncodeBinary(), b) {
+				t.Fatal("a restored checkpoint does not re-checkpoint to the same bytes")
 			}
 		}
 	})

@@ -266,13 +266,11 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 		// slices stop at a null dereference.
 		p.S.HelperFaults++
 		t.Fetching = false
-	} else if di.Out.Fork {
-		c.forkByIndex(di, di.Out.SliceIndex)
 	}
 
 	di.HistAfter = t.Hist
 	di.PathAfter = t.Path
-	di.RASAfter = t.RAS.Save()
+	di.RASAfter = t.RAS.Mark()
 	di.LoopAfter = t.LoopCount
 
 	t.PC = nextPC
@@ -346,19 +344,6 @@ func (c *Core) fork(di *DynInst, s *slicehw.Slice) {
 		h.Regs[r] = di.Thread.Regs[r]
 	}
 	di.Forked = append(di.Forked, h)
-}
-
-// forkByIndex services an explicit FORK instruction.
-func (c *Core) forkByIndex(di *DynInst, idx int) {
-	p := di.Thread.prog
-	if p.sliceTable == nil {
-		return
-	}
-	slices := p.sliceTable.Slices()
-	if idx < 0 || idx >= len(slices) {
-		return
-	}
-	c.fork(di, slices[idx])
 }
 
 // predictCtrl predicts a fetched control instruction and returns the next

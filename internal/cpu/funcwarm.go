@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/slicehw"
 )
 
 // FunctionalWarm fast-forwards through a warm region without the detailed
@@ -33,13 +32,14 @@ import (
 //     test for the documented bound).
 //   - No wrong-path execution: caches miss the pollution and prefetch
 //     training that speculative fetch would have produced.
-//   - No slices run, so the correlator and fork-confidence table start the
-//     measurement cold (Restore accepts the nil states).
-func FunctionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, maxInsts uint64, sliceTable *slicehw.Table) (*Checkpoint, error) {
+//   - No slices run, so the core is built without slice hardware and the
+//     checkpoint holds no correlator or fork-confidence table: a restored
+//     core with slice hardware starts the measurement with them cold.
+func FunctionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, maxInsts uint64) (*Checkpoint, error) {
 	// Build the core first: it owns the hierarchy/predictor geometry the
 	// checkpoint must match, and its Quiesce drains the write buffer and
 	// in-flight prefetches the touch-warming leaves behind.
-	c, err := New(cfg.WarmConfig(), image, memory, entry, sliceTable)
+	c, err := New(cfg.WarmConfig(), image, memory, entry, nil)
 	if err != nil {
 		return nil, err
 	}

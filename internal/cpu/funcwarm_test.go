@@ -1,8 +1,8 @@
 package cpu
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/progen"
+	"repro/internal/wire"
 )
 
 // TestFunctionalWarmFaultSkipsHierarchy is the regression test for the
@@ -43,7 +44,7 @@ func TestFunctionalWarmFaultSkipsHierarchy(t *testing.T) {
 
 	warmMem := mem.New()
 	warmMem.WriteU64(data, 77)
-	ck, err := FunctionalWarm(Config4Wide(), im, warmMem, p.Base, 1<<20, nil)
+	ck, err := FunctionalWarm(Config4Wide(), im, warmMem, p.Base, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck, err := FunctionalWarm(cfg, im, mem.New(), p.Base, 1<<20, nil)
+	ck, err := FunctionalWarm(cfg, im, mem.New(), p.Base, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +163,15 @@ func TestFunctionalWarmStoreDrainTiming(t *testing.T) {
 	if ck.Now != now {
 		t.Errorf("checkpoint Now = %d, replica says %d", ck.Now, now)
 	}
-	if !reflect.DeepEqual(ck.Hier.L1D, h.L1D.State()) {
-		t.Error("L1D state diverges from the cycle-major replica")
+	core, err := Restore(cfg, im, ck, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ck.Hier.L2, h.L2.State()) {
-		t.Error("L2 state diverges from the cycle-major replica")
+	var got, want wire.Writer
+	core.Hier().Save(&got)
+	h.Save(&want)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("hierarchy state diverges from the cycle-major replica")
 	}
 }
 
@@ -185,7 +190,7 @@ func TestFunctionalWarmArchStateMatchesInterp(t *testing.T) {
 		for _, maxInsts := range []uint64{137, 1 << 20} {
 			mc := mem.New()
 			init(mc)
-			ck, err := FunctionalWarm(cfg, im, mc, entry, maxInsts, nil)
+			ck, err := FunctionalWarm(cfg, im, mc, entry, maxInsts)
 			if err != nil {
 				t.Fatalf("seed %d max %d: warm: %v", seed, maxInsts, err)
 			}

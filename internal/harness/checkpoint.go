@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/slicehw"
 	"repro/internal/wire"
@@ -75,7 +74,8 @@ type CheckpointStats struct {
 	// in-memory cache or the on-disk store); WarmMisses counts warm regions
 	// actually simulated.
 	WarmHits, WarmMisses uint64
-	// Restores counts cores rebuilt from a checkpoint.
+	// Restores counts cores rebuilt from a checkpoint to measure (the
+	// validation restore of a disk-loaded entry is not one).
 	Restores uint64
 	// DiskLoads/DiskStores count on-disk store reads/writes that succeeded;
 	// DiskBytes is the total bytes moved in either direction.
@@ -143,7 +143,7 @@ func (cp *Checkpointer) Warm(w *workloads.Workload, cfg cpu.Config, withSlices b
 // resolve serves one warm prefix from the on-disk store, or simulates it
 // and persists the result. Warm calls it once per key.
 func (cp *Checkpointer) resolve(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64, key string) (*cpu.Checkpoint, WarmSource, error) {
-	if ck, n := cp.diskLoad(key, w); ck != nil {
+	if ck, n := cp.diskLoad(key, w, cfg, withSlices); ck != nil {
 		cp.mu.Lock()
 		cp.st.WarmHits++
 		cp.st.DiskLoads++
@@ -166,35 +166,6 @@ func (cp *Checkpointer) resolve(w *workloads.Workload, cfg cpu.Config, withSlice
 	return ck, WarmFromSim, err
 }
 
-// WarmedCoreCkptAt returns a fresh core restored to the end of the warm
-// prefix into image with slice table table (nil: no slice hardware), ready
-// to measure under cfg, along with the warm checkpoint. Every call
-// restores its own core; one checkpoint serves any number of concurrent
-// calls. The checkpoint is the shared cache entry — read-only — and
-// captures the core's exact architectural state at the start of the
-// measured region, which is what the differential oracle seeds from.
-//
-// The warm prefix is always the workload's own (keyed by withSlices), but
-// image and table need not be: the checkpoint's PC and memory state lie
-// entirely inside the main program, so any image that embeds the main
-// program accepts the restore — this is how automatically constructed
-// slice candidates get measured from a shared baseline warm prefix while
-// their own confidence/correlator hardware starts cold at the boundary.
-func (cp *Checkpointer) WarmedCoreCkptAt(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64, image *asm.Image, table *slicehw.Table) (*cpu.Core, *cpu.Checkpoint, WarmSource, error) {
-	ck, src, err := cp.Warm(w, cfg, withSlices, warm)
-	if err != nil {
-		return nil, nil, src, err
-	}
-	core, err := cpu.Restore(cfg, image, ck, table)
-	if err != nil {
-		return nil, nil, src, err
-	}
-	cp.mu.Lock()
-	cp.st.Restores++
-	cp.mu.Unlock()
-	return core, ck, src, nil
-}
-
 // build simulates one warm prefix and checkpoints the quiesced machine.
 // persist reports whether the checkpoint is safe to write to the on-disk
 // store: a warm region truncated by the MaxCycles guard produces a
@@ -205,9 +176,9 @@ func (cp *Checkpointer) build(w *workloads.Workload, cfg cpu.Config, withSlices 
 	switch cp.Mode {
 	case WarmFunctional:
 		// The functional path models no slices; the restored measurement
-		// core starts with a cold correlator (Restore accepts the nil
-		// states), which is part of the documented accuracy gap.
-		ck, err = cpu.FunctionalWarm(cfg, w.Image, w.NewMemory(), w.Entry, warm, nil)
+		// core starts with a cold correlator and confidence table, which
+		// is part of the documented accuracy gap.
+		ck, err = cpu.FunctionalWarm(cfg, w.Image, w.NewMemory(), w.Entry, warm)
 		return ck, err == nil, err
 	}
 	var table *slicehw.Table
@@ -242,7 +213,9 @@ func (cp *Checkpointer) build(w *workloads.Workload, cfg cpu.Config, withSlices 
 //	payLen  u64
 //	payload [payLen]byte   cpu.Checkpoint.EncodeBinary
 //
-// Loads verify magic, version, key, and CRC before decoding; any mismatch
+// Loads verify magic, version, key, and CRC before decoding, and restore
+// the decoded checkpoint once under the warm configuration before using
+// it, so every component section passes its own Load checks; any failure
 // (bit rot, a checkpoint from an older schema, a colliding file name)
 // produces one warning and falls back to simulating the warm region.
 
@@ -262,7 +235,10 @@ const ckptMagic = "SPECSLCK"
 // SHA-256, and each cache level lists only its valid lines.
 // v4: line origins are derived from the L1D and PVB lines (no stale
 // entries), and the PVB, a one-set cache, fills its first free slot.
-const ckptSchemaVersion = 4
+// v5: the component sections (return-address stacks, predictors,
+// confidence table, hierarchy, correlator) sit behind one u64 length, so
+// decoding skips them and restore checks them.
+const ckptSchemaVersion = 5
 
 func ckptPath(dir, key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -275,10 +251,12 @@ func warnf(format string, args ...any) {
 
 // diskLoad returns the stored checkpoint for key, its memory rebased onto
 // w's pristine image, or nil (with a warning for anything other than a
-// simple absence). n is the file size on success. A corrupt entry, or one
-// encoded over a different image, is left in place: the rebuild that
-// follows replaces it.
-func (cp *Checkpointer) diskLoad(key string, w *workloads.Workload) (ck *cpu.Checkpoint, n int) {
+// simple absence). n is the file size on success. The entry is restored
+// once under cfg's warm configuration, with the warm prefix's slice table,
+// before it is returned: only Restore checks the component sections. A
+// corrupt entry, or one encoded over a different image, is left in place:
+// the rebuild that follows replaces it.
+func (cp *Checkpointer) diskLoad(key string, w *workloads.Workload, cfg cpu.Config, withSlices bool) (ck *cpu.Checkpoint, n int) {
 	if cp.Dir == "" {
 		return nil, 0
 	}
@@ -296,6 +274,13 @@ func (cp *Checkpointer) diskLoad(key string, w *workloads.Workload) (ck *cpu.Che
 	}
 	if err == nil {
 		ck.Mem, err = ck.Mem.Rebase(w.MemImage())
+	}
+	if err == nil {
+		var table *slicehw.Table
+		if withSlices {
+			table = w.SliceTable()
+		}
+		_, err = cpu.Restore(cfg.WarmConfig(), w.Image, ck, table)
 	}
 	if err != nil {
 		warnf("ignoring checkpoint %s: %v", filepath.Base(path), err)

@@ -109,48 +109,96 @@ func TestCheckpointDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointDiskCorruption: one flipped byte must be rejected (CRC) and
-// fall back to simulating, still yielding the correct result.
+// TestCheckpointDiskCorruption: a store entry that fails its checks is
+// warned about, ignored and rebuilt, never restored into a measurement —
+// both a flipped payload bit (caught by the container CRC) and a corrupt
+// byte inside the hierarchy section under a recomputed CRC (caught by the
+// validation restore, since decoding does not parse the component
+// sections). The fallback measures exactly as the clean run did, and the
+// rewritten entry loads again.
 func TestCheckpointDiskCorruption(t *testing.T) {
-	dir := t.TempDir()
 	cfg := cpu.Config4Wide()
 	const warm, run = 22_500, 60_000
+	key := WarmKeyFor("vpr", false, warm, WarmDetailed, cfg)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, b []byte) []byte
+	}{
+		{"payload-bit", func(t *testing.T, b []byte) []byte {
+			b[len(b)-10] ^= 0x40 // flip one payload bit
+			return b
+		}},
+		{"hierarchy-section", func(t *testing.T, b []byte) []byte {
+			payload, err := parseCkptFile(b, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := cpu.DecodeCheckpoint(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp := ck.Components
+			// Skip the return-address stacks, the two predictor
+			// sections and the confidence table to reach the hierarchy.
+			r := wire.NewReader(comp)
+			for i, n := 0, int(r.U64()); i < n; i++ {
+				r.Raw(int(r.U64())*8 + 8)
+			}
+			for i := 0; i < 2; i++ {
+				n := r.U64()
+				r.U32()
+				r.Raw(int(n))
+			}
+			if r.Bool() {
+				r.Raw(int(r.U64()))
+			}
+			if r.Err() != nil {
+				t.Fatal(r.Err())
+			}
+			// The L1D's line count and listed-line count, then the first
+			// line: index, tag, then its dirty byte.
+			comp[len(comp)-r.Len()+16+12] = 2
+			return ckptFile(key, ck.EncodeBinary())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			good := measureVia(t, NewCheckpointer(dir, WarmDetailed), "vpr", cfg, false, warm, run)
 
-	good := measureVia(t, NewCheckpointer(dir, WarmDetailed), "vpr", cfg, false, warm, run)
+			files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("want exactly one checkpoint file, got %v (%v)", files, err)
+			}
+			b, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(files[0], tc.corrupt(t, b), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("want exactly one checkpoint file, got %v (%v)", files, err)
-	}
-	b, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-10] ^= 0x40 // flip one payload bit
-	if err := os.WriteFile(files[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cp := NewCheckpointer(dir, WarmDetailed)
-	after := measureVia(t, cp, "vpr", cfg, false, warm, run)
-	st := cp.Stats()
-	if st.DiskLoads != 0 {
-		t.Errorf("corrupt entry was loaded (DiskLoads=%d)", st.DiskLoads)
-	}
-	if st.WarmMisses != 1 {
-		t.Errorf("corrupt entry did not fall back to simulating (WarmMisses=%d)", st.WarmMisses)
-	}
-	if !reflect.DeepEqual(good, after) {
-		t.Error("fallback after corruption produced a different snapshot")
-	}
-	// The fallback rewrites the entry; a third checkpointer loads it again.
-	if st.DiskStores != 1 {
-		t.Errorf("fallback did not rewrite the corrupt entry (DiskStores=%d)", st.DiskStores)
-	}
-	third := NewCheckpointer(dir, WarmDetailed)
-	measureVia(t, third, "vpr", cfg, false, warm, run)
-	if st := third.Stats(); st.DiskLoads != 1 {
-		t.Errorf("rewritten entry not loadable (DiskLoads=%d)", st.DiskLoads)
+			cp := NewCheckpointer(dir, WarmDetailed)
+			after := measureVia(t, cp, "vpr", cfg, false, warm, run)
+			st := cp.Stats()
+			if st.DiskLoads != 0 {
+				t.Errorf("corrupt entry was loaded (DiskLoads=%d)", st.DiskLoads)
+			}
+			if st.WarmMisses != 1 {
+				t.Errorf("corrupt entry did not fall back to simulating (WarmMisses=%d)", st.WarmMisses)
+			}
+			if !reflect.DeepEqual(good, after) {
+				t.Error("fallback after corruption produced a different snapshot")
+			}
+			// The fallback rewrites the entry; a third checkpointer loads it again.
+			if st.DiskStores != 1 {
+				t.Errorf("fallback did not rewrite the corrupt entry (DiskStores=%d)", st.DiskStores)
+			}
+			third := NewCheckpointer(dir, WarmDetailed)
+			measureVia(t, third, "vpr", cfg, false, warm, run)
+			if st := third.Stats(); st.DiskLoads != 1 || st.Restores != 1 {
+				t.Errorf("rewritten entry not loadable (DiskLoads=%d, Restores=%d)", st.DiskLoads, st.Restores)
+			}
+		})
 	}
 }
 

@@ -88,7 +88,9 @@ func (p Params) regions(w *workloads.Workload) (warm, run uint64) {
 // table instead of the workload's hand-built slices: the warm prefix is
 // the plain baseline one (the warm region never executes slice code, and
 // the candidate hardware starting cold at the measurement boundary is the
-// conservative choice when deciding whether to accept an auto slice).
+// conservative choice when deciding whether to accept an auto slice). The
+// baseline checkpoint's PC and memory lie entirely inside the main
+// program, so any image that embeds the main program accepts the restore.
 // A region truncated by the MaxCycles guard is returned with a warning:
 // it would silently skew every number derived from it.
 func RunOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices bool, warm, run uint64, o OracleOptions, set *SliceSet, tr stats.Tracer) (*cpu.Core, WarmSource, error) {
@@ -100,10 +102,17 @@ func RunOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices
 	case withSlices:
 		table = w.SliceTable()
 	}
-	core, ck, src, err := cp.WarmedCoreCkptAt(w, cfg, withSlices, warm, image, table)
+	ck, src, err := cp.Warm(w, cfg, withSlices, warm)
 	if err != nil {
 		return nil, src, err
 	}
+	core, err := cpu.Restore(cfg, image, ck, table)
+	if err != nil {
+		return nil, src, err
+	}
+	cp.mu.Lock()
+	cp.st.Restores++
+	cp.mu.Unlock()
 	if tr != nil {
 		core.SetTracer(tr)
 	}

@@ -214,8 +214,6 @@ func TestStepGolden(t *testing.T) {
 		{name: "ret", in: isa.Inst{Op: isa.RET, Ra: isa.RA},
 			regs: map[isa.Reg]uint64{isa.RA: 0x4000}},
 
-		{name: "fork", in: isa.Inst{Op: isa.FORK, Imm: 3}},
-		{name: "fork/negative-index", in: isa.Inst{Op: isa.FORK, Imm: -1}},
 		{name: "halt", in: isa.Inst{Op: isa.HALT}},
 	}
 

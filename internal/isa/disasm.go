@@ -40,8 +40,6 @@ func (in *Inst) Disasm(pc uint64) string {
 		return fmt.Sprintf("%s %s", op, in.Ra)
 	case in.Op == CALLR:
 		return fmt.Sprintf("%s %s, %s", op, in.Rd, in.Ra)
-	case in.Op == FORK:
-		return fmt.Sprintf("%s %d", op, in.Imm)
 	}
 	return fmt.Sprintf("%s rd=%s ra=%s rb=%s imm=%d", op, in.Rd, in.Ra, in.Rb, in.Imm)
 }

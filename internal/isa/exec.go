@@ -44,11 +44,6 @@ type Outcome struct {
 
 	// Halt is set by HALT.
 	Halt bool
-
-	// Fork is set by an explicit FORK instruction; SliceIndex is its
-	// immediate.
-	Fork       bool
-	SliceIndex int
 }
 
 // NextPC returns the address of the next instruction given this outcome.
@@ -230,9 +225,6 @@ func Execute(in *Inst, pc uint64, st State, o *Outcome) {
 		o.Target = a
 		setReg(pc + InstBytes)
 
-	case FORK:
-		o.Fork = true
-		o.SliceIndex = int(in.Imm)
 	case HALT:
 		o.Halt = true
 	}

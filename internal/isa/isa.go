@@ -124,12 +124,6 @@ const (
 	CALLR // indirect call: rd = return address, jump through ra
 	RET   // return: jump through ra (consults the return address stack)
 
-	// FORK marks an explicit slice fork point (the binary-compatible CAM
-	// variant in the paper needs no opcode; this one exists for the
-	// "explicit fork instruction" hardware variant and ablations). imm is
-	// the slice index.
-	FORK
-
 	// HALT stops the executing thread.
 	HALT
 
@@ -154,7 +148,7 @@ var opNames = [numOps]string{
 	ST: "st", STW: "stw", STB: "stb",
 	BEQ: "beq", BNE: "bne", BLT: "blt", BLE: "ble", BGT: "bgt", BGE: "bge",
 	BR: "br", JMP: "jmp", CALL: "call", CALLR: "callr", RET: "ret",
-	FORK: "fork", HALT: "halt",
+	HALT: "halt",
 }
 
 func (o Op) String() string {

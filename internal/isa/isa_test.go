@@ -298,12 +298,7 @@ func TestCallsAndReturns(t *testing.T) {
 
 func TestForkAndHalt(t *testing.T) {
 	st := newFakeState()
-	in := Inst{Op: FORK, Imm: 3}
 	var o Outcome
-	Execute(&in, 0x1000, st, &o)
-	if !o.Fork || o.SliceIndex != 3 {
-		t.Errorf("fork outcome %+v", o)
-	}
 	h := Inst{Op: HALT}
 	Execute(&h, 0x1000, st, &o)
 	if !o.Halt {

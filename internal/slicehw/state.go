@@ -1,336 +1,271 @@
 package slicehw
 
-// Checkpointable correlator state. The correlator is a graph of pointers
-// (queues → preds → instances → slices), so the checkpoint flattens it:
-// predictions become a flat list, and instances, per-branch queues, and the
-// per-slice live lists reference predictions and instances by index. Slices
-// themselves are static configuration and are referenced by Slice.Index,
-// resolved against the workload's slice table at restore.
+// Warm-checkpoint state of the correlator. The correlator is a graph of
+// pointers (queues → preds → instances → slices), so Save writes it flat:
+// predictions as one list, and instances, per-branch queues and the
+// per-slice live lists referencing predictions and instances by index.
+// Slices themselves are static configuration and are written as their
+// Slice.Index, resolved against the workload's slice table by Load. Load
+// rebuilds the graph straight from the bytes into a fresh correlator; the
+// bytes are the checkpoint's only form.
 //
-// State may only be taken at a quiesced point: no in-flight CPU
-// instructions may hold correlator handles. Concretely, every Pred.Consumer
-// must be nil (consuming branches retired or squashed) — a non-nil consumer
-// is a *DynInst of a drained pipeline and cannot be serialized. Pending
+// Save may only run at a quiesced point: no in-flight CPU instructions
+// may hold correlator handles. Concretely, every Pred.Consumer must be nil
+// (consuming branches retired or squashed) — a non-nil consumer is a
+// *DynInst of a drained pipeline and cannot be serialized. Pending
 // KillRecords need no representation: kills commit at retire or are undone
 // at squash, both of which have happened by the time the pipeline is
 // drained.
 //
 // Entries marked removed are physically gone from their queues and
-// behaviorally inert, so the checkpoint omits them (preserving relative
-// order of the survivors). Empty queues are likewise omitted: a nil queue
-// and an empty queue answer every correlator operation identically.
+// behaviorally inert, so Save omits them (preserving relative order of
+// the survivors). Empty queues and empty live lists are likewise omitted:
+// a missing one and an empty one answer every correlator operation
+// identically.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/wire"
 )
 
-// PredSnap is one serialized prediction entry. Inst indexes CorrState.Insts.
-type PredSnap struct {
-	BranchPC uint64
-	Filled   bool
-	Dir      bool
-	Used     bool
-	UsedDir  bool
-	Killed   bool
-	Inst     int
-}
-
-// InstSnap is one serialized slice activation. Slice is the Slice.Index;
-// Entries index CorrState.Preds in allocation order.
-type InstSnap struct {
-	ID            uint64
-	Slice         int
-	SkipLoopKill  int
-	SkipSliceKill int
-	Finished      bool
-	Entries       []int
-}
-
-// QueueSnap is one per-branch queue; Entries index CorrState.Preds in queue
-// order.
-type QueueSnap struct {
-	BranchPC uint64
-	Entries  []int
-}
-
-// LiveSnap is the ordered live-instance list for one slice; Insts index
-// CorrState.Insts, oldest fork first (the order oldestLive depends on).
-type LiveSnap struct {
-	Slice int
-	Insts []int
-}
-
-// CorrState is the flattened correlator.
-type CorrState struct {
-	NextID uint64
-	Preds  []PredSnap
-	Insts  []InstSnap
-	Queues []QueueSnap
-	Live   []LiveSnap
-}
-
-// State flattens the correlator deterministically (live lists sorted by
-// slice index, queues by branch PC — map iteration order must not leak
-// into the serialized bytes). It fails if any prediction still names a
-// consumer — the caller has not drained the pipeline.
-func (c *Correlator) State() (*CorrState, error) {
-	st := &CorrState{NextID: c.nextID}
-
-	sortedSlices := make([]*Slice, 0, len(c.liveBySlice))
-	for s := range c.liveBySlice {
-		sortedSlices = append(sortedSlices, s)
-	}
-	sort.Slice(sortedSlices, func(i, j int) bool { return sortedSlices[i].Index < sortedSlices[j].Index })
-
-	// Index live instances. Every surviving prediction's instance is live:
-	// RemoveInstance removes its entries, and CommitKill removes an
-	// instance's entries before dropping it from the live list.
-	instIdx := make(map[*Instance]int)
-	for _, s := range sortedSlices {
-		for _, inst := range c.liveBySlice[s] {
-			if _, dup := instIdx[inst]; !dup {
-				instIdx[inst] = len(st.Insts)
-				st.Insts = append(st.Insts, InstSnap{
-					ID:            inst.ID,
-					Slice:         inst.Slice.Index,
-					SkipLoopKill:  inst.skipLoopKill,
-					SkipSliceKill: inst.skipSliceKill,
-					Finished:      inst.finished,
-				})
-			}
+// Save writes the correlator deterministically: the ID cursor, then the
+// predictions, instances, queues and live lists, each behind a count.
+// Live lists go in ascending slice index and queues in ascending branch
+// PC (map iteration order must not leak into the bytes); instances are
+// numbered in live-list order and predictions queue by queue. It fails if
+// any prediction still names a consumer — the caller has not drained the
+// pipeline — and writes nothing then.
+func (c *Correlator) Save(w *wire.Writer) error {
+	live := make([]*Slice, 0, len(c.liveBySlice))
+	for s, l := range c.liveBySlice {
+		if len(l) > 0 {
+			live = append(live, s)
 		}
 	}
-
-	sortedQueues := make([]*queue, 0, len(c.queues))
+	slices.SortFunc(live, func(a, b *Slice) int { return cmp.Compare(a.Index, b.Index) })
+	queues := make([]*queue, 0, len(c.queues))
 	for _, q := range c.queues {
 		if len(q.entries) > 0 {
-			sortedQueues = append(sortedQueues, q)
+			queues = append(queues, q)
 		}
 	}
-	sort.Slice(sortedQueues, func(i, j int) bool { return sortedQueues[i].branchPC < sortedQueues[j].branchPC })
+	slices.SortFunc(queues, func(a, b *queue) int { return cmp.Compare(a.branchPC, b.branchPC) })
 
-	// Flatten predictions queue by queue, in queue order.
+	// Every surviving prediction's instance is live: RemoveInstance
+	// removes its entries, and CommitKill removes an instance's entries
+	// before dropping it from the live list.
+	var insts []*Instance
+	instIdx := make(map[*Instance]int)
+	for _, s := range live {
+		for _, inst := range c.liveBySlice[s] {
+			if _, dup := instIdx[inst]; !dup {
+				instIdx[inst] = len(insts)
+				insts = append(insts, inst)
+			}
+		}
+	}
+	var preds []*Pred
 	predIdx := make(map[*Pred]int)
-	for _, q := range sortedQueues {
-		qs := QueueSnap{BranchPC: q.branchPC}
+	for _, q := range queues {
 		for _, p := range q.entries {
 			if p.Consumer != nil {
-				return nil, fmt.Errorf("slicehw: prediction for %#x still has a consumer; correlator not quiesced", p.BranchPC)
+				return fmt.Errorf("slicehw: prediction for %#x still has a consumer; correlator not quiesced", p.BranchPC)
 			}
-			ii, ok := instIdx[p.inst]
-			if !ok {
-				return nil, fmt.Errorf("slicehw: prediction for %#x belongs to a non-live instance", p.BranchPC)
+			if _, ok := instIdx[p.inst]; !ok {
+				return fmt.Errorf("slicehw: prediction for %#x belongs to a non-live instance", p.BranchPC)
 			}
-			predIdx[p] = len(st.Preds)
-			st.Preds = append(st.Preds, PredSnap{
-				BranchPC: p.BranchPC,
-				Filled:   p.Filled,
-				Dir:      p.Dir,
-				Used:     p.Used,
-				UsedDir:  p.UsedDir,
-				Killed:   p.Killed,
-				Inst:     ii,
-			})
-			qs.Entries = append(qs.Entries, predIdx[p])
+			predIdx[p] = len(preds)
+			preds = append(preds, p)
 		}
-		st.Queues = append(st.Queues, qs)
 	}
-
-	// Wire instance entry lists (allocation order, removed entries omitted).
-	for _, s := range sortedSlices {
-		for _, inst := range c.liveBySlice[s] {
-			ii := instIdx[inst]
-			if len(st.Insts[ii].Entries) > 0 {
-				continue // shared instance already wired
-			}
-			for _, p := range inst.entries {
-				if p.removed {
-					continue
-				}
-				pi, ok := predIdx[p]
-				if !ok {
-					return nil, fmt.Errorf("slicehw: instance %d holds an entry missing from its queue", inst.ID)
-				}
-				st.Insts[ii].Entries = append(st.Insts[ii].Entries, pi)
+	for _, inst := range insts {
+		for _, p := range inst.entries {
+			if _, ok := predIdx[p]; !ok && !p.removed {
+				return fmt.Errorf("slicehw: instance %d holds an entry missing from its queue", inst.ID)
 			}
 		}
 	}
 
-	// Live lists in oldest-first order, keyed by slice index.
-	for _, s := range sortedSlices {
-		live := c.liveBySlice[s]
-		if len(live) == 0 {
-			continue
-		}
-		ls := LiveSnap{Slice: s.Index}
-		for _, inst := range live {
-			ls.Insts = append(ls.Insts, instIdx[inst])
-		}
-		st.Live = append(st.Live, ls)
-	}
-	return st, nil
-}
-
-// SetState rebuilds the correlator from a flattened checkpoint, resolving
-// slice indices against table. The correlator must be freshly built (same
-// maxPerBranch as at capture; the harness guarantees this via the warm
-// config fingerprint).
-func (c *Correlator) SetState(st *CorrState, table *Table) error {
-	if st == nil {
-		return nil
-	}
-	slices := table.Slices()
-
-	insts := make([]*Instance, len(st.Insts))
-	for i, is := range st.Insts {
-		if is.Slice < 0 || is.Slice >= len(slices) {
-			return fmt.Errorf("slicehw: checkpoint references slice %d of %d", is.Slice, len(slices))
-		}
-		insts[i] = &Instance{
-			ID:            is.ID,
-			Slice:         slices[is.Slice],
-			skipLoopKill:  is.SkipLoopKill,
-			skipSliceKill: is.SkipSliceKill,
-			finished:      is.Finished,
-		}
-	}
-
-	preds := make([]*Pred, len(st.Preds))
-	for i, ps := range st.Preds {
-		if ps.Inst < 0 || ps.Inst >= len(insts) {
-			return fmt.Errorf("slicehw: checkpoint prediction references instance %d of %d", ps.Inst, len(insts))
-		}
-		preds[i] = &Pred{
-			BranchPC: ps.BranchPC,
-			Filled:   ps.Filled,
-			Dir:      ps.Dir,
-			Used:     ps.Used,
-			UsedDir:  ps.UsedDir,
-			Killed:   ps.Killed,
-			inst:     insts[ps.Inst],
-		}
-	}
-
-	c.nextID = st.NextID
-	c.queues = make(map[uint64]*queue, len(st.Queues))
-	for _, qs := range st.Queues {
-		q := &queue{branchPC: qs.BranchPC}
-		for _, pi := range qs.Entries {
-			if pi < 0 || pi >= len(preds) {
-				return fmt.Errorf("slicehw: checkpoint queue references prediction %d of %d", pi, len(preds))
-			}
-			q.entries = append(q.entries, preds[pi])
-		}
-		c.queues[qs.BranchPC] = q
-	}
-	for ii, is := range st.Insts {
-		for _, pi := range is.Entries {
-			if pi < 0 || pi >= len(preds) {
-				return fmt.Errorf("slicehw: checkpoint instance references prediction %d of %d", pi, len(preds))
-			}
-			insts[ii].entries = append(insts[ii].entries, preds[pi])
-		}
-	}
-	c.liveBySlice = make(map[*Slice][]*Instance, len(st.Live))
-	for _, ls := range st.Live {
-		if ls.Slice < 0 || ls.Slice >= len(slices) {
-			return fmt.Errorf("slicehw: checkpoint live list references slice %d of %d", ls.Slice, len(slices))
-		}
-		var live []*Instance
-		for _, ii := range ls.Insts {
-			if ii < 0 || ii >= len(insts) {
-				return fmt.Errorf("slicehw: checkpoint live list references instance %d of %d", ii, len(insts))
-			}
-			live = append(live, insts[ii])
-		}
-		c.liveBySlice[slices[ls.Slice]] = live
-	}
-	return nil
-}
-
-// Encode writes the flattened correlator in its own order: the ID
-// cursor, then predictions, instances, queues and live lists, each behind
-// a count.
-func (st *CorrState) Encode(w *wire.Writer) {
-	w.U64(st.NextID)
-	w.U64(uint64(len(st.Preds)))
-	for _, p := range st.Preds {
+	w.U64(c.nextID)
+	w.U64(uint64(len(preds)))
+	for _, p := range preds {
 		w.U64(p.BranchPC)
 		w.Bool(p.Filled)
 		w.Bool(p.Dir)
 		w.Bool(p.Used)
 		w.Bool(p.UsedDir)
 		w.Bool(p.Killed)
-		w.U64(uint64(p.Inst))
+		w.U64(uint64(instIdx[p.inst]))
 	}
-	w.U64(uint64(len(st.Insts)))
-	for _, in := range st.Insts {
-		w.U64(in.ID)
-		w.U64(uint64(in.Slice))
-		w.U64(uint64(in.SkipLoopKill))
-		w.U64(uint64(in.SkipSliceKill))
-		w.Bool(in.Finished)
-		encodeInts(w, in.Entries)
-	}
-	w.U64(uint64(len(st.Queues)))
-	for _, q := range st.Queues {
-		w.U64(q.BranchPC)
-		encodeInts(w, q.Entries)
-	}
-	w.U64(uint64(len(st.Live)))
-	for _, l := range st.Live {
-		w.U64(uint64(l.Slice))
-		encodeInts(w, l.Insts)
-	}
-}
-
-// DecodeCorrState reads what Encode wrote; errors latch in r. Indices
-// are range-checked against the slice table by SetState, not here.
-func DecodeCorrState(r *wire.Reader) *CorrState {
-	st := &CorrState{NextID: r.U64()}
-	for i, n := 0, r.Count(21); i < n && r.Err() == nil; i++ {
-		st.Preds = append(st.Preds, PredSnap{
-			BranchPC: r.U64(), Filled: r.Bool(), Dir: r.Bool(),
-			Used: r.Bool(), UsedDir: r.Bool(), Killed: r.Bool(),
-			Inst: int(r.U64()),
-		})
-	}
-	for i, n := 0, r.Count(41); i < n && r.Err() == nil; i++ {
-		in := InstSnap{
-			ID: r.U64(), Slice: int(r.U64()),
-			SkipLoopKill: int(r.U64()), SkipSliceKill: int(r.U64()),
-			Finished: r.Bool(),
+	w.U64(uint64(len(insts)))
+	for _, inst := range insts {
+		w.U64(inst.ID)
+		w.U64(uint64(inst.Slice.Index))
+		w.U64(uint64(inst.skipLoopKill))
+		w.U64(uint64(inst.skipSliceKill))
+		w.Bool(inst.finished)
+		n := 0
+		for _, p := range inst.entries {
+			if !p.removed {
+				n++
+			}
 		}
-		in.Entries = decodeInts(r)
-		st.Insts = append(st.Insts, in)
+		w.U64(uint64(n))
+		for _, p := range inst.entries {
+			if !p.removed {
+				w.U64(uint64(predIdx[p]))
+			}
+		}
 	}
-	for i, n := 0, r.Count(16); i < n && r.Err() == nil; i++ {
-		q := QueueSnap{BranchPC: r.U64()}
-		q.Entries = decodeInts(r)
-		st.Queues = append(st.Queues, q)
+	w.U64(uint64(len(queues)))
+	for _, q := range queues {
+		w.U64(q.branchPC)
+		w.U64(uint64(len(q.entries)))
+		for _, p := range q.entries {
+			w.U64(uint64(predIdx[p]))
+		}
 	}
-	for i, n := 0, r.Count(16); i < n && r.Err() == nil; i++ {
-		l := LiveSnap{Slice: int(r.U64())}
-		l.Insts = decodeInts(r)
-		st.Live = append(st.Live, l)
+	w.U64(uint64(len(live)))
+	for _, s := range live {
+		w.U64(uint64(s.Index))
+		w.U64(uint64(len(c.liveBySlice[s])))
+		for _, inst := range c.liveBySlice[s] {
+			w.U64(uint64(instIdx[inst]))
+		}
 	}
-	return st
+	return nil
 }
 
-func encodeInts(w *wire.Writer, xs []int) {
-	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.U64(uint64(x))
-	}
-}
+// Load reads what Save wrote into a freshly built correlator (same
+// maxPerBranch as at capture; the harness guarantees this via the warm
+// config fingerprint), resolving slice indices against table. Errors
+// latch in r and the first is returned. It accepts only what Save can
+// write, so Save writes every accepted encoding back byte for byte:
+//   - every slice, instance and prediction index is in range, and each
+//     prediction is listed once, among the entries of the instance that
+//     owns it;
+//   - queues are non-empty, at most maxPerBranch long and in strictly
+//     ascending branch PC, hold only predictions for their branch, and
+//     together list every prediction once, in order;
+//   - live lists are non-empty and in strictly ascending slice index,
+//     hold only instances of their slice, and together list every
+//     instance once, in order.
+func (c *Correlator) Load(r *wire.Reader, table *Table) error {
+	sl := table.Slices()
+	fail := func(format string, args ...any) { r.Fail(fmt.Errorf("slicehw: "+format, args...)) }
+	c.nextID = r.U64()
 
-func decodeInts(r *wire.Reader) []int {
-	var xs []int
-	for i, n := 0, r.Count(8); i < n && r.Err() == nil; i++ {
-		xs = append(xs, int(r.U64()))
+	preds := make([]*Pred, r.Count(21))
+	owner := make([]uint64, len(preds))
+	for i := range preds {
+		preds[i] = &Pred{BranchPC: r.U64(), Filled: r.Bool(), Dir: r.Bool(), Used: r.Bool(), UsedDir: r.Bool(), Killed: r.Bool()}
+		owner[i] = r.U64()
 	}
-	return xs
+
+	insts := make([]*Instance, r.Count(41))
+	listed := make([]bool, len(preds))
+	for i := range insts {
+		id, si := r.U64(), r.U64()
+		inst := &Instance{ID: id, skipLoopKill: int(r.U64()), skipSliceKill: int(r.U64()), finished: r.Bool()}
+		if r.Err() == nil && si >= uint64(len(sl)) {
+			fail("checkpoint references slice %d of %d", si, len(sl))
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		inst.Slice = sl[si]
+		for j, m := 0, r.Count(8); j < m; j++ {
+			pi := r.U64()
+			if r.Err() == nil && (pi >= uint64(len(preds)) || owner[pi] != uint64(i) || listed[pi]) {
+				fail("instance %d entry %d names prediction %d of %d: out of range, another instance's or listed twice", i, j, pi, len(preds))
+			}
+			if r.Err() != nil {
+				return r.Err()
+			}
+			listed[pi] = true
+			inst.entries = append(inst.entries, preds[pi])
+		}
+		insts[i] = inst
+	}
+	for i, p := range preds {
+		if r.Err() == nil && !listed[i] {
+			fail("prediction %d is not listed by its instance %d of %d", i, owner[i], len(insts))
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		p.inst = insts[owner[i]]
+	}
+
+	c.queues = make(map[uint64]*queue)
+	next := 0 // the prediction the next queue entry must name
+	for i, m, prev := 0, r.Count(16), uint64(0); i < m; i++ {
+		pc, k := r.U64(), r.Count(8)
+		switch {
+		case r.Err() != nil:
+		case i > 0 && pc <= prev:
+			fail("queue %#x out of order", pc)
+		case k == 0 || k > c.maxPerBranch:
+			fail("queue %#x holds %d entries, max %d", pc, k, c.maxPerBranch)
+		}
+		q := &queue{branchPC: pc, entries: make([]*Pred, 0, k)}
+		for j := 0; j < k && r.Err() == nil; j++ {
+			switch pi := r.U64(); {
+			case r.Err() != nil:
+			case pi != uint64(next) || next >= len(preds):
+				fail("queue %#x names prediction %d, want %d of %d", pc, pi, next, len(preds))
+			case preds[next].BranchPC != pc:
+				fail("queue %#x holds a prediction for %#x", pc, preds[next].BranchPC)
+			default:
+				q.entries = append(q.entries, preds[next])
+				next++
+			}
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		c.queues[pc] = q
+		prev = pc
+	}
+	if r.Err() == nil && next != len(preds) {
+		fail("queues hold %d of %d predictions", next, len(preds))
+	}
+
+	c.liveBySlice = make(map[*Slice][]*Instance)
+	next = 0 // the instance the next live-list entry must name
+	for i, m, prev := 0, r.Count(16), uint64(0); i < m; i++ {
+		si, k := r.U64(), r.Count(8)
+		switch {
+		case r.Err() != nil:
+		case si >= uint64(len(sl)) || i > 0 && si <= prev:
+			fail("checkpoint live list references slice %d of %d, out of order or range", si, len(sl))
+		case k == 0:
+			fail("live list of slice %d is empty", si)
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		live := make([]*Instance, 0, k)
+		for j := 0; j < k && r.Err() == nil; j++ {
+			switch ii := r.U64(); {
+			case r.Err() != nil:
+			case ii != uint64(next) || next >= len(insts):
+				fail("live list of slice %d names instance %d, want %d of %d", si, ii, next, len(insts))
+			case insts[next].Slice != sl[si]:
+				fail("live list of slice %d holds an instance of slice %d", si, insts[next].Slice.Index)
+			default:
+				live = append(live, insts[next])
+				next++
+			}
+		}
+		c.liveBySlice[sl[si]] = live
+		prev = si
+	}
+	if r.Err() == nil && next != len(insts) {
+		fail("live lists hold %d of %d instances", next, len(insts))
+	}
+	return r.Err()
 }
