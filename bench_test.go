@@ -1,7 +1,7 @@
 // Package repro's top-level tests hold what simbench, the repository's
 // benchmark (`bash simbench/run.sh`, metrics named in BENCHMARK.json), does
 // not: the enforced allocation budget of the detailed cycle loop, and the
-// three hardware ablations EXPERIMENTS.md cites (`go test -run '^$' -bench
+// two hardware ablations EXPERIMENTS.md cites (`go test -run '^$' -bench
 // Ablation .`), which sweep one slice-hardware parameter each and report
 // the IPC it buys. Timing the simulator is simbench's job alone.
 package repro
@@ -125,27 +125,6 @@ func BenchmarkAblationThreadContexts(b *testing.B) {
 				if i == 0 {
 					b.ReportMetric(s.IPC(), "IPC")
 					b.ReportMetric(float64(s.ForksIgnored), "forks_ignored")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPredictionsOff isolates prefetching from prediction
-// (Table 4's "fraction of speedup from loads").
-func BenchmarkAblationPredictionsOff(b *testing.B) {
-	w := pickOne(b, "twolf")
-	for _, predsOff := range []bool{false, true} {
-		b.Run(fmt.Sprintf("predsOff=%v", predsOff), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := cpu.Config4Wide()
-				cfg.SlicePredictionsOff = predsOff
-				core := cpu.MustNew(cfg, w.Image, w.NewMemory(), w.Entry, w.SliceTable())
-				core.Run(30_000)
-				core.ResetStats()
-				s := core.Run(60_000)
-				if i == 0 {
-					b.ReportMetric(s.IPC(), "IPC")
 				}
 			}
 		})

@@ -329,13 +329,14 @@ func Restore(cfg Config, image *asm.Image, ck *Checkpoint, sliceTable *slicehw.T
 // region is simulated. Two configurations with equal WarmConfig
 // fingerprints can share one warm checkpoint.
 //
-// Measurement-only fields — stripped here because the core reads them
-// dynamically through c.Cfg and nothing latches them into warm state:
+// Measurement-only fields — stripped here because nothing latches them
+// into warm state:
 //   - Name: a display label.
-//   - Perfect: consulted per fetched/issued/retired instruction
-//     (predictCtrl, loadLatency, retireInst). Warm runs use the realistic
-//     machine; perfect modes are limit studies applied to the measured
-//     region only.
+//   - Perfect: resolved into the program table when a core is built and
+//     consulted per fetched/issued/retired instruction (predictCtrl,
+//     loadLatency, retireInst). Restore builds its core under the
+//     measurement config. Warm runs use the realistic machine; perfect
+//     modes are limit studies applied to the measured region only.
 //
 // Everything else is warm-relevant: structural sizes fix the state arrays
 // (and are latched at New), latencies and policies shape every cache/

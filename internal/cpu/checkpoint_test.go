@@ -16,7 +16,8 @@ import (
 // straightThrough is the reference methodology: warm under the warm config,
 // quiesce, swap in the measurement config, reset stats, measure. The
 // checkpointed methodology (Checkpoint + Restore) must be indistinguishable
-// from it.
+// from it. The program tables latch Config.Perfect at New, so the swap
+// rebuilds them.
 func straightThrough(t *testing.T, w *workloads.Workload, cfg Config, withSlices bool, warm, run uint64) stats.Snapshot {
 	t.Helper()
 	var table = w.SliceTable()
@@ -29,6 +30,9 @@ func straightThrough(t *testing.T, w *workloads.Workload, cfg Config, withSlices
 		t.Fatalf("quiesce: %v", err)
 	}
 	c.Cfg = cfg
+	for _, p := range c.progs {
+		p.pcs = newPCTable(p.image, p.sliceTable, &c.Cfg)
+	}
 	c.ResetStats()
 	c.Run(run)
 	return c.Snapshot()

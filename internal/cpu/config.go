@@ -20,30 +20,6 @@ type Perfect struct {
 	LoadPCs     map[uint64]bool
 }
 
-// CoversBranch reports whether the branch at pc is perfected. The empty
-// fast path matters: this runs per fetched and per retired branch, and
-// most configurations perfect nothing.
-func (p *Perfect) CoversBranch(pc uint64) bool {
-	if p.AllBranches {
-		return true
-	}
-	if len(p.BranchPCs) == 0 {
-		return false
-	}
-	return p.BranchPCs[pc]
-}
-
-// CoversLoad reports whether the load at pc is perfected.
-func (p *Perfect) CoversLoad(pc uint64) bool {
-	if p.AllLoads {
-		return true
-	}
-	if len(p.LoadPCs) == 0 {
-		return false
-	}
-	return p.LoadPCs[pc]
-}
-
 // Parameters both of the paper's machines share (Table 1) and no
 // experiment varies. Config.Fingerprint does not cover them, so changing
 // one requires bumping ckptSchemaVersion in internal/harness/checkpoint.go;
@@ -109,12 +85,6 @@ type Config struct {
 	// only when their covered problem instructions are actually likely to
 	// miss or mispredict, cutting the opportunity cost of slice execution.
 	ConfidenceGatedForks bool
-
-	// DedicatedSliceResources models §6.3's other variant: helper
-	// threads get their own fetch port and window partition instead of
-	// competing with the main thread, "eliminating execution overhead at
-	// the expense of additional hardware". Function units stay shared.
-	DedicatedSliceResources bool
 
 	// BPred selects the direction predictor by registry spec —
 	// "name" or "name:params", e.g. "yags", "value", "gshare:4096,10"

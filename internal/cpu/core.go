@@ -14,6 +14,9 @@ import (
 // Core is one simulated SMT processor, running one or more programs
 // (progs) plus their slice helper threads.
 type Core struct {
+	// Cfg is the configuration the core was built with. The program
+	// tables latch its per-PC facts (Perfect, SlicePredictionsOff) at New,
+	// so the core is not reconfigured by assigning to it.
 	Cfg  Config
 	hier *cache.Hierarchy
 
@@ -155,8 +158,7 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 			p.conf = newConfidence(4096, confidenceThreshold)
 		}
 		p.mainStores = newInstRing(64)
-		p.initStatCache()
-		p.initSliceFlags()
+		p.pcs = newPCTable(sp.Image, sp.SliceTable, &cfg)
 		t := c.threads[i]
 		t.IsMain = true
 		t.Alive = true
@@ -246,7 +248,7 @@ func (c *Core) ResetStats() {
 	for _, p := range c.progs {
 		// The reset replaced the Sim.Static map; drop the cached pointers
 		// into the old one.
-		p.invalidateStatCache()
+		p.pcs.clearStats()
 	}
 	for _, p := range c.progs[1:] {
 		stats.Zero(p.S)
@@ -381,11 +383,6 @@ func (c *Core) stepCycle() {
 	c.reapHelpers()
 }
 
-// sharesWindow reports whether t's instructions occupy the shared window:
-// a main thread's always, a helper's unless slice resources are dedicated
-// (§6.3).
-func (c *Core) sharesWindow(t *Thread) bool { return t.IsMain || !c.Cfg.DedicatedSliceResources }
-
 // dispatchStage moves fetched instructions into the window once they have
 // traversed the front end (frontLatency cycles) and space exists.
 func (c *Core) dispatchStage() {
@@ -394,10 +391,8 @@ func (c *Core) dispatchStage() {
 			continue
 		}
 		for t.fetchq.len() > 0 {
-			if c.sharesWindow(t) {
-				if c.window >= c.Cfg.WindowSize {
-					break
-				}
+			if c.window >= c.Cfg.WindowSize {
+				break
 			}
 			if !t.IsMain && c.helperWindow >= c.Cfg.HelperWindowCap {
 				break // helpers may not starve the main threads of window space
@@ -410,9 +405,7 @@ func (c *Core) dispatchStage() {
 			di.Dispatched = true
 			di.DispatchCycle = c.now
 			t.rob.pushBack(di)
-			if c.sharesWindow(t) {
-				c.window++
-			}
+			c.window++
 			if !t.IsMain {
 				c.helperWindow++
 			}

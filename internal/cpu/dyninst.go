@@ -15,7 +15,10 @@ import (
 type DynInst struct {
 	Thread *Thread
 	Static *isa.Inst
-	PC     uint64
+	// row is the instruction's program-table entry (pctable.go), resolved
+	// at fetch; issue and retire read its per-PC facts through it.
+	row *pcRow
+	PC  uint64
 	// Seq is the Von Neumann number: a global fetch-order sequence number
 	// used for ordering and squash-range identification (§5.2).
 	Seq uint64
@@ -49,9 +52,9 @@ type DynInst struct {
 	UsedPred     *slicehw.Pred
 	UsedOverride bool
 	KillRecs     []*slicehw.KillRecord
-	AllocPred    *slicehw.Pred
-	IsPGI        bool
-	PGIRef       slicehw.PGIRef
+	// AllocPred is the prediction a helper's PGI allocated at fetch (its
+	// row's pgi names the PGI); the PGI's value fills it at completion.
+	AllocPred *slicehw.Pred
 
 	// Helper threads forked when this instruction was fetched.
 	Forked []*Thread

@@ -16,59 +16,26 @@ func (c *Core) fetchStage() {
 		return // Quiesce: drain in-flight work without fetching anything new
 	}
 	// Helper teardown happens before selection, in thread-index order, so
-	// it never depends on which selection scan visits a thread first.
+	// it never depends on the order selection visits threads.
 	c.retireDoneHelpers()
-	t := c.chooseFetchThread()
-	if t == nil {
-		if c.Cfg.DedicatedSliceResources {
-			c.fetchDedicatedHelper(nil)
-		}
-		return
-	}
-	c.fetchFrom(t)
-	// With dedicated slice resources (§6.3), helpers have their own fetch
-	// port: one helper fetches every cycle without consuming the main
-	// thread's slot.
-	if c.Cfg.DedicatedSliceResources {
-		c.fetchDedicatedHelper(t)
+	if t := c.chooseFetchThread(); t != nil {
+		c.fetchFrom(t)
 	}
 }
 
 // retireDoneHelpers retires, in thread-index order, every fetching helper
 // parked at a PGI whose slice instance is already done (its kill fired;
-// further predictions would misalign the queue). Hoisted out of the
-// selection predicates: when teardown was a side effect of
-// helperPGIStalled, fetchDedicatedHelper's scan could retire a helper it
-// never selected, making teardown order depend on scan order.
+// further predictions would misalign the queue). It runs before
+// selection so that helperPGIStalled stays a pure predicate and teardown
+// never depends on which thread selection visits first.
 func (c *Core) retireDoneHelpers() {
 	for _, t := range c.threads {
 		if t.IsMain || !t.Alive || !t.Fetching {
 			continue
 		}
-		if c.atPGI(t) && t.Instance.Done() {
+		if c.atPGI(t) != nil && t.Instance.Done() {
 			t.Fetching = false
 		}
-	}
-}
-
-// fetchDedicatedHelper fetches from the best eligible helper other than
-// the thread that already fetched this cycle.
-func (c *Core) fetchDedicatedHelper(already *Thread) {
-	var best *Thread
-	for _, t := range c.threads {
-		if t.IsMain || t == already || !t.Alive || !t.Fetching ||
-			t.icStallUntil > c.now || t.fetchq.len() >= c.fetchQCap(t) {
-			continue
-		}
-		if c.helperPGIStalled(t) {
-			continue
-		}
-		if best == nil || t.inflight() < best.inflight() {
-			best = t
-		}
-	}
-	if best != nil {
-		c.fetchFrom(best)
 	}
 }
 
@@ -96,8 +63,8 @@ func (c *Core) fetchFrom(t *Thread) {
 			t.icStallUntil = c.now + lat
 			return
 		}
-		in, ok := p.image.At(pc)
-		if !ok {
+		r := p.pcs.at(pc)
+		if r == nil {
 			// Fetch ran off the code image (a wrong path, or a slice
 			// falling off its end). Stop; a squash will restore Fetching.
 			t.Fetching = false
@@ -107,25 +74,26 @@ func (c *Core) fetchFrom(t *Thread) {
 		// slice kill fired) terminates — later predictions would misalign
 		// the queue. A live helper stalls while the queue is full rather
 		// than dropping the prediction, for the same reason.
-		if !t.IsMain && c.atPGI(t) {
+		if !t.IsMain && r.pgi != nil {
 			if t.Instance.Done() {
 				t.Fetching = false
 				return
 			}
-			if ref, _ := p.sliceTable.PGIAt(pc); !p.corr.CanAllocate(ref.PGI.BranchPC) {
+			if !p.corr.CanAllocate(r.pgi.PGI.BranchPC) {
 				return
 			}
 		}
-		c.fetchOne(t, in, pc)
+		c.fetchOne(t, r, pc)
 	}
 }
 
-// atPGI reports whether helper t is parked at a PGI: its next fetch is a
-// prediction-generating instruction and predictions are on. sfPGI is set
-// exactly on the PCs PGIAt resolves, so the flag alone identifies one.
-func (c *Core) atPGI(t *Thread) bool {
-	p := t.prog
-	return p.sliceTable != nil && !c.Cfg.SlicePredictionsOff && p.sliceFlags(t.PC)&sfPGI != 0
+// atPGI returns the PGI helper t is parked at — its next fetch generates
+// a prediction — or nil. The row's pgi is nil when predictions are off.
+func (c *Core) atPGI(t *Thread) *slicehw.PGIRef {
+	if r := t.prog.pcs.at(t.PC); r != nil {
+		return r.pgi
+	}
+	return nil
 }
 
 // helperPGIStalled reports whether a helper's next fetch is a PGI that
@@ -133,17 +101,16 @@ func (c *Core) atPGI(t *Thread) bool {
 // retireDoneHelpers' job — this predicate is pure), or its prediction
 // queue cannot allocate.
 func (c *Core) helperPGIStalled(t *Thread) bool {
-	if !c.atPGI(t) {
+	ref := c.atPGI(t)
+	if ref == nil {
 		return false
 	}
-	p := t.prog
 	if t.Instance.Done() {
 		// A kill that landed after this cycle's teardown pass; the helper
 		// just doesn't fetch this cycle and is retired next cycle.
 		return true
 	}
-	ref, _ := p.sliceTable.PGIAt(t.PC)
-	return !p.corr.CanAllocate(ref.PGI.BranchPC)
+	return !t.prog.corr.CanAllocate(ref.PGI.BranchPC)
 }
 
 // fetchQCap returns the fetch-queue capacity for a thread.
@@ -184,11 +151,13 @@ func (c *Core) chooseFetchThread() *Thread {
 	return best
 }
 
-// fetchOne fetches, functionally executes, and predicts one instruction.
-func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
+// fetchOne fetches, functionally executes, and predicts the instruction
+// of row r at pc.
+func (c *Core) fetchOne(t *Thread, r *pcRow, pc uint64) {
 	p := t.prog
+	in := r.inst
 	di := c.allocInst()
-	di.Thread, di.Static, di.PC, di.Seq, di.FetchCycle = t, in, pc, c.seq, c.now
+	di.Thread, di.Static, di.row, di.PC, di.Seq, di.FetchCycle = t, in, r, pc, c.seq, c.now
 	c.seq++
 
 	if t.IsMain {
@@ -196,12 +165,8 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 		c.sliceHooksAtFetch(di)
 	} else {
 		p.S.HelperFetched++
-		if c.atPGI(t) {
-			if ref, ok := p.sliceTable.PGIAt(pc); ok {
-				di.IsPGI = true
-				di.PGIRef = ref
-				di.AllocPred = p.corr.Allocate(t.Instance, ref.PGI.BranchPC)
-			}
+		if r.pgi != nil {
+			di.AllocPred = p.corr.Allocate(t.Instance, r.pgi.PGI.BranchPC)
 		}
 		// Helper-thread loop accounting against the slice's iteration
 		// bound (§3.2, slice termination).
@@ -280,32 +245,22 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 // sliceHooksAtFetch services the slice table CAMs for a main-thread fetch:
 // forks and prediction kills (§4.2, §5.1).
 func (c *Core) sliceHooksAtFetch(di *DynInst) {
+	h := di.row.hooks
+	if h == nil {
+		return
+	}
 	p := di.Thread.prog
-	if p.sliceTable == nil {
-		return
+	for _, s := range h.forks {
+		c.fork(di, s)
 	}
-	pc := di.PC
-	f := p.sliceFlags(pc)
-	if f == 0 {
-		return
-	}
-	if f&sfFork != 0 {
-		for _, s := range p.sliceTable.ForksAt(pc) {
-			c.fork(di, s)
+	for _, s := range h.loopKills {
+		if rec := p.corr.KillLoop(s); rec != nil {
+			di.KillRecs = append(di.KillRecs, rec)
 		}
 	}
-	if f&sfLoopKill != 0 {
-		for _, s := range p.sliceTable.LoopKillsAt(pc) {
-			if rec := p.corr.KillLoop(s); rec != nil {
-				di.KillRecs = append(di.KillRecs, rec)
-			}
-		}
-	}
-	if f&sfSliceKill != 0 {
-		for _, s := range p.sliceTable.SliceKillsAt(pc) {
-			if rec := p.corr.KillSlice(s); rec != nil {
-				di.KillRecs = append(di.KillRecs, rec)
-			}
+	for _, s := range h.sliceKills {
+		if rec := p.corr.KillSlice(s); rec != nil {
+			di.KillRecs = append(di.KillRecs, rec)
 		}
 	}
 }
@@ -360,7 +315,7 @@ func (c *Core) predictCtrl(t *Thread, di *DynInst) uint64 {
 		actual := di.Out.Taken
 		var pred bool
 		switch {
-		case t.IsMain && c.Cfg.Perfect.CoversBranch(pc):
+		case t.IsMain && di.row.perfectBranch:
 			pred = actual
 		case t.IsMain:
 			if c.dirPrime != nil {
@@ -412,7 +367,7 @@ func (c *Core) predictCtrl(t *Thread, di *DynInst) uint64 {
 	case in.Op == isa.JMP || in.Op == isa.CALLR:
 		di.PathBefore = t.Path
 		var pred uint64
-		if t.IsMain && c.Cfg.Perfect.CoversBranch(pc) {
+		if t.IsMain && di.row.perfectBranch {
 			pred = di.Out.Target
 		} else if t.IsMain {
 			pred = c.indirect.Predict(p.saltPC(pc), t.Path)

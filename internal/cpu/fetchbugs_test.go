@@ -62,11 +62,10 @@ func TestUnpredictedIndirectDefersPathPush(t *testing.T) {
 
 // TestHelperPGIStalledIsPure is the regression test for the
 // selection-predicate side effect: helperPGIStalled used to clear
-// t.Fetching when it found a done slice instance, so which selection scan
-// (chooseFetchThread vs fetchDedicatedHelper) visited the helper first
-// decided when teardown happened. The predicate must report the stall
-// without touching the thread; the hoisted retireDoneHelpers pass owns
-// teardown.
+// t.Fetching when it found a done slice instance, so which thread the
+// selection scan visited first decided when teardown happened. The
+// predicate must report the stall without touching the thread; the
+// hoisted retireDoneHelpers pass owns teardown.
 func TestHelperPGIStalledIsPure(t *testing.T) {
 	w := buildMini(t, 50)
 	m := mem.New()
@@ -97,8 +96,7 @@ func TestHelperPGIStalledIsPure(t *testing.T) {
 	if !h.Fetching {
 		t.Error("helperPGIStalled cleared t.Fetching — selection predicate has a side effect again")
 	}
-	// Calling it repeatedly (as both selection scans do in one cycle)
-	// must be idempotent on thread state.
+	// Calling it repeatedly must be idempotent on thread state.
 	core.helperPGIStalled(h)
 	if !h.Fetching {
 		t.Error("second predicate call mutated the thread")

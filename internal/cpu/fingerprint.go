@@ -19,8 +19,8 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(&b, "%s fw=%d iw=%d cw=%d win=%d ls=%d fq=%d tc=%d hwc=%d pqd=%d",
 		c.Name, c.FetchWidth, c.IssueWidth, c.CommitWidth, c.WindowSize,
 		c.LdStPorts, c.FetchQueueCap, c.ThreadContexts, c.HelperWindowCap, c.PredQueueDepth)
-	fmt.Fprintf(&b, " predsOff=%t confGate=%t dedicated=%t maxCyc=%d",
-		c.SlicePredictionsOff, c.ConfidenceGatedForks, c.DedicatedSliceResources, c.MaxCycles)
+	fmt.Fprintf(&b, " predsOff=%t confGate=%t maxCyc=%d",
+		c.SlicePredictionsOff, c.ConfidenceGatedForks, c.MaxCycles)
 	// Predictor specs are normalized so "" and the explicit default name
 	// fingerprint identically; %q guards against separator characters in
 	// param lists (e.g. a perfect predictor's PC list).

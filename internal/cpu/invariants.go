@@ -22,21 +22,19 @@ import (
 // from a RetireObserver (the instruction currently being retired is
 // mid-release and is exempted from liveness checks).
 func (c *Core) CheckInvariants() error {
-	// Window accounting vs. actual ring occupancy.
-	helperROB, mainROB, wantWindow := 0, 0, 0
+	// Window accounting vs. actual ring occupancy: every ROB shares the
+	// one window.
+	helperROB, mainROB := 0, 0
 	for _, t := range c.threads {
 		if t.IsMain {
 			mainROB += t.rob.len()
 		} else {
 			helperROB += t.rob.len()
 		}
-		if c.sharesWindow(t) {
-			wantWindow += t.rob.len()
-		}
 	}
-	if c.window != wantWindow {
-		return fmt.Errorf("cpu: window=%d but ROB occupancy says %d (main %d, helper %d, dedicated=%t)",
-			c.window, wantWindow, mainROB, helperROB, c.Cfg.DedicatedSliceResources)
+	if c.window != mainROB+helperROB {
+		return fmt.Errorf("cpu: window=%d but ROB occupancy says %d (main %d, helper %d)",
+			c.window, mainROB+helperROB, mainROB, helperROB)
 	}
 	if c.helperWindow != helperROB {
 		return fmt.Errorf("cpu: helperWindow=%d but helper ROBs hold %d", c.helperWindow, helperROB)

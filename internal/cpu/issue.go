@@ -108,7 +108,7 @@ func (c *Core) loadLatency(di *DynInst) uint64 {
 	if di.Out.Fault {
 		return latL1
 	}
-	if di.Thread.IsMain && c.Cfg.Perfect.CoversLoad(di.PC) {
+	if di.Thread.IsMain && di.row.perfectLoad {
 		di.PerfectLoad = true
 		return latL1
 	}
@@ -185,7 +185,7 @@ func (c *Core) completeStage() {
 		if di.Static.IsCtrl() {
 			c.resolveCtrl(di)
 		}
-		if di.IsPGI && di.AllocPred != nil {
+		if di.AllocPred != nil {
 			c.fillPGI(di)
 		}
 	}
@@ -242,7 +242,7 @@ func (c *Core) fillPGI(di *DynInst) {
 	p := di.Thread.prog
 	val := di.Out.Value
 	dir := val != 0
-	if di.PGIRef.PGI.TakenIfZero {
+	if di.row.pgi.PGI.TakenIfZero {
 		dir = val == 0
 	}
 	res := p.corr.Fill(di.AllocPred, dir)

@@ -93,7 +93,7 @@ func newInstChunk() []DynInst {
 // Resetting is selective: a full-struct copy (`*d = DynInst{...}`) was the
 // hottest single line of the cycle loop, and most fields don't need it.
 // Fields fetchOne assigns unconditionally before anything can read them —
-// Thread, Static, PC, Seq, FetchCycle, Out, HistAfter, PathAfter,
+// Thread, Static, row, PC, Seq, FetchCycle, Out, HistAfter, PathAfter,
 // RASAfter, LoopAfter — keep their stale values through allocation. The
 // cycle timestamps (DispatchCycle, IssueCycle, CompleteCycle) and the
 // undo-log payloads (undoReg*, undoMem* other than the valid bits) are
@@ -112,8 +112,7 @@ func (d *DynInst) scrub() {
 	d.NoTargetPred, d.Mispredicted = false, false
 	d.HistBefore, d.PathBefore = 0, 0
 	d.UsedPred, d.UsedOverride = nil, false
-	d.AllocPred, d.IsPGI = nil, false
-	d.PGIRef = slicehw.PGIRef{}
+	d.AllocPred = nil
 	d.undoRegValid, d.undoMemValid = false, false
 	d.prevWriter, d.nextWriter = nil, nil
 	d.deps = [3]*DynInst{}

@@ -62,8 +62,9 @@ type progState struct {
 	corr       *slicehw.Correlator
 	conf       *confidence
 
-	statSegs  []staticSeg // per-program Sim.ByPC cache
-	sliceSegs []sliceSeg  // per-PC slice-table flag cache (sliceflags.go)
+	// pcs is the program table (pctable.go): every per-PC fact the cycle
+	// loop consults about this program.
+	pcs pcTable
 
 	// mainStores is the queue of this program's in-flight main-thread
 	// stores with a recorded memory effect, for committedRead: pushed at

@@ -45,9 +45,7 @@ func (c *Core) retireInst(di *DynInst) {
 	di.Retired = true
 	t := di.Thread
 	p := t.prog
-	if c.sharesWindow(t) {
-		c.window--
-	}
+	c.window--
 	if !t.IsMain {
 		c.helperWindow--
 	}
@@ -73,7 +71,7 @@ func (c *Core) retireInst(di *DynInst) {
 	}
 	in := di.Static
 	pc := di.PC
-	st := p.staticFor(pc)
+	st := p.static(di.row, pc)
 	st.Execs++
 
 	switch {
@@ -110,7 +108,7 @@ func (c *Core) retireInst(di *DynInst) {
 		// observation comes first, mirroring program order: the source
 		// value existed before the outcome resolved. The shared tables are
 		// indexed through the program's PC salt, matching predictCtrl.
-		if !c.Cfg.Perfect.CoversBranch(pc) {
+		if !di.row.perfectBranch {
 			if c.dirVal != nil {
 				c.dirVal.ObserveValue(p.saltPC(pc), condOf(in.Op), di.CondVal)
 			}
@@ -134,7 +132,7 @@ func (c *Core) retireInst(di *DynInst) {
 		if di.Mispredicted || di.NoTargetPred {
 			p.S.IndirectMisses++
 		}
-		if !c.Cfg.Perfect.CoversBranch(pc) {
+		if !di.row.perfectBranch {
 			c.indirect.Update(p.saltPC(pc), di.PathBefore, di.Out.Target)
 		}
 

@@ -78,9 +78,7 @@ func (c *Core) squashInst(x *DynInst) {
 		c.squashHelper(h)
 	}
 	if x.Dispatched {
-		if c.sharesWindow(x.Thread) {
-			c.window--
-		}
+		c.window--
 		if !x.Thread.IsMain {
 			c.helperWindow--
 		}

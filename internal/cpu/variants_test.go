@@ -82,41 +82,11 @@ func TestConfidenceGateOnPredictableKernel(t *testing.T) {
 	}
 }
 
-func TestDedicatedSliceResources(t *testing.T) {
-	w := buildMini(t, 400)
-
-	shared := runMini(t, w, Config4Wide())
-	dedCfg := Config4Wide()
-	dedCfg.DedicatedSliceResources = true
-	ded := runMini(t, w, dedCfg)
-
-	// §6.3: dedicated resources remove the slice's fetch/window
-	// opportunity cost, so the dedicated machine must not be slower.
-	if float64(ded.S.Cycles) > float64(shared.S.Cycles)*1.02 {
-		t.Errorf("dedicated resources slower: %d vs %d cycles", ded.S.Cycles, shared.S.Cycles)
-	}
-	// Helpers must still work and architectural state must still be exact
-	// (checked via the functional reference).
-	if ded.S.Forks == 0 || ded.S.HelperFetched == 0 {
-		t.Error("helpers idle under dedicated resources")
-	}
-	m := mem.New()
-	w.initMem(m)
-	ref, err := RunFunctional(w.image, m, w.entry, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ded.S.MainRetired != ref.Retired {
-		t.Errorf("retired %d vs reference %d", ded.S.MainRetired, ref.Retired)
-	}
-}
-
 func TestVariantsCompose(t *testing.T) {
 	// All the §6.3 variants together still complete and stay exact.
 	w := buildMini(t, 200)
 	cfg := Config8Wide()
 	cfg.ConfidenceGatedForks = true
-	cfg.DedicatedSliceResources = true
 	core := runMini(t, w, cfg)
 	m := mem.New()
 	w.initMem(m)

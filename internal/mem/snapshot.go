@@ -203,10 +203,11 @@ func DecodeSnapshot(r *wire.Reader) *Snapshot {
 }
 
 // Rebase resolves s against root, the image it was encoded over. It checks
-// root's digest and the resolved page count, then returns a snapshot that
-// shares root's pages and overlays the delta's. A snapshot that is already
-// resolved is returned as is once its root digest matches; a root-less
-// snapshot matches only root == nil.
+// root's digest, that no delta page repeats the root's contents, and the
+// resolved page count, then returns a snapshot that shares root's pages
+// and overlays the delta's. A snapshot that is already resolved is
+// returned as is once its root digest matches; a root-less snapshot
+// matches only root == nil.
 func (s *Snapshot) Rebase(root *Snapshot) (*Snapshot, error) {
 	var want [sha256.Size]byte
 	if root != nil {
@@ -226,6 +227,11 @@ func (s *Snapshot) Rebase(root *Snapshot) (*Snapshot, error) {
 		r.pages[pn] = p
 	}
 	for pn, p := range s.pages {
+		// Encode never lists a page that matches its root's, so a delta
+		// that does is not an encoding Encode could have written.
+		if q := root.pages[pn]; q != nil && *q == *p {
+			return nil, fmt.Errorf("mem: snapshot page %#x repeats its root's contents", pn)
+		}
 		r.pages[pn] = p
 	}
 	if uint64(len(r.pages)) != s.total {
