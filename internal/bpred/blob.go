@@ -28,3 +28,24 @@ func closeBlob(kind string, r *wire.Reader) error {
 	}
 	return nil
 }
+
+// readCtr reads a 2-bit saturating counter. A byte above 3 is a counter
+// no SaveState writes, so it fails the blob.
+func readCtr(r *wire.Reader) ctr {
+	v := r.U8()
+	if v > 3 {
+		r.Fail(fmt.Errorf("bpred: 2-bit counter byte %d", v))
+		return 0
+	}
+	return ctr(v)
+}
+
+// readCond reads a branch condition, failing the blob on an undefined one.
+func readCond(r *wire.Reader) Cond {
+	c := Cond(r.U8())
+	if c > CondGE {
+		r.Fail(fmt.Errorf("bpred: branch condition byte %d", c))
+		return CondNone
+	}
+	return c
+}

@@ -13,16 +13,17 @@
 // Every predictor sits behind the Predictor seam: it names itself with a
 // canonical spec (which the CPU config fingerprints), serializes its warm
 // state as an opaque CRC-guarded blob (which the checkpoint codec stores
-// without knowing the layout), and exposes its counter struct for the
-// stats registry. New predictors plug in through the registry's factory
-// tables (registry.go) — the core, checkpoint, and harness layers need
-// no changes.
+// without knowing the layout), and exposes a pointer to its counter
+// struct, which the core resets and snapshots. New predictors plug in
+// through the registry's factory tables (registry.go); one whose counter
+// type is new also adds a stats.BpredStats section and its case in
+// BpredStats.Set.
 package bpred
 
-// Predictor is the seam shared by every predictor kind. The CPU, the
-// checkpoint codec, and the stats registry talk to predictors only
-// through this interface (plus the direction/indirect Predict/Update
-// pairs), so adding a predictor is a registry entry + config only.
+// Predictor is the seam shared by every predictor kind. The CPU and the
+// checkpoint codec talk to predictors only through this interface (plus
+// the direction/indirect Predict/Update pairs), so adding a predictor is
+// a registry entry + config only.
 type Predictor interface {
 	// Spec returns the canonical registry spec ("name" or "name:params")
 	// that reconstructs this predictor. It is embedded in config
@@ -35,10 +36,10 @@ type Predictor interface {
 	// LoadState restores a SaveState blob, failing on corruption or a
 	// geometry mismatch.
 	LoadState(b []byte) error
-	// Counters returns the stats.Snapshot field path (e.g. "Bpred.YAGS")
-	// and the counter struct to register there, or ("", nil) if the
-	// predictor keeps no counters.
-	Counters() (field string, ptr any)
+	// Counters returns a pointer to the predictor's live counter struct
+	// (e.g. *stats.YAGSStats). The core zeroes it at ResetStats, and
+	// stats.BpredStats.Set copies it into the Snapshot section of its type.
+	Counters() any
 }
 
 // DirPredictor predicts conditional branch directions.

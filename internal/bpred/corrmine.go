@@ -158,7 +158,7 @@ func (m *CorrMine) Spec() string {
 }
 
 // Counters implements Predictor.
-func (m *CorrMine) Counters() (string, any) { return "Bpred.CorrMine", &m.Stats }
+func (m *CorrMine) Counters() any { return &m.Stats }
 
 // SaveState implements Predictor.
 func (m *CorrMine) SaveState() []byte {

@@ -47,7 +47,7 @@ func (b *Bimodal) Update(pc, _ uint64, taken bool) {
 func (b *Bimodal) Spec() string { return fmt.Sprintf("bimodal:%d", len(b.table)) }
 
 // Counters implements Predictor.
-func (b *Bimodal) Counters() (string, any) { return "Bpred.Dir", &b.Stats }
+func (b *Bimodal) Counters() any { return &b.Stats }
 
 // SaveState implements Predictor.
 func (b *Bimodal) SaveState() []byte {
@@ -67,7 +67,7 @@ func (b *Bimodal) LoadState(blob []byte) error {
 	}
 	r.Expect(uint64(len(b.table)), "entries")
 	for i := range b.table {
-		b.table[i] = ctr(r.U8())
+		b.table[i] = readCtr(r)
 	}
 	return closeBlob("bimodal", r)
 }
@@ -117,7 +117,7 @@ func (g *GShare) Update(pc, hist uint64, taken bool) {
 func (g *GShare) Spec() string { return fmt.Sprintf("gshare:%d,%d", len(g.table), g.histBits) }
 
 // Counters implements Predictor.
-func (g *GShare) Counters() (string, any) { return "Bpred.Dir", &g.Stats }
+func (g *GShare) Counters() any { return &g.Stats }
 
 // SaveState implements Predictor.
 func (g *GShare) SaveState() []byte {
@@ -139,7 +139,7 @@ func (g *GShare) LoadState(blob []byte) error {
 	r.Expect(uint64(len(g.table)), "entries")
 	r.Expect(uint64(g.histBits), "history bits")
 	for i := range g.table {
-		g.table[i] = ctr(r.U8())
+		g.table[i] = readCtr(r)
 	}
 	return closeBlob("gshare", r)
 }

@@ -97,7 +97,7 @@ func (c *Cascaded) Spec() string {
 }
 
 // Counters implements Predictor.
-func (c *Cascaded) Counters() (string, any) { return "Bpred.Indirect", &c.Stats }
+func (c *Cascaded) Counters() any { return &c.Stats }
 
 // SaveState implements Predictor.
 func (c *Cascaded) SaveState() []byte {

@@ -89,7 +89,7 @@ func (p *PerfectDir) Spec() string {
 func PerfectSpec(pcs map[uint64]bool) string { return NewPerfectDir(pcs).Spec() }
 
 // Counters implements Predictor.
-func (p *PerfectDir) Counters() (string, any) { return "Bpred.Perfect", &p.Stats }
+func (p *PerfectDir) Counters() any { return &p.Stats }
 
 // SaveState implements Predictor: the warm state is the fallback's
 // tables (the PC set is configuration, carried by the spec).

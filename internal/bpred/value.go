@@ -164,7 +164,7 @@ func (v *ValuePred) Spec() string {
 }
 
 // Counters implements Predictor.
-func (v *ValuePred) Counters() (string, any) { return "Bpred.Value", &v.Stats }
+func (v *ValuePred) Counters() any { return &v.Stats }
 
 // SaveState implements Predictor.
 func (v *ValuePred) SaveState() []byte {
@@ -203,21 +203,21 @@ func (v *ValuePred) LoadState(blob []byte) error {
 	for i := range v.entries {
 		v.entries[i] = valEntry{
 			pc:         r.U64(),
-			cond:       Cond(r.U8()),
+			cond:       readCond(r),
 			last:       r.U64(),
 			stride:     r.U64(),
-			strideConf: ctr(r.U8()),
-			conf:       ctr(r.U8()),
+			strideConf: readCtr(r),
+			conf:       readCtr(r),
 			sig:        r.U64(),
 		}
 	}
 	r.Expect(uint64(len(v.ctx)), "context entries")
 	for i := range v.ctx {
-		v.ctx[i] = ctxEntry{tag: r.U16(), val: r.U64(), conf: ctr(r.U8()), valid: r.Bool()}
+		v.ctx[i] = ctxEntry{tag: r.U16(), val: r.U64(), conf: readCtr(r), valid: r.Bool()}
 	}
 	r.Expect(uint64(len(v.fb.table)), "fallback entries")
 	for i := range v.fb.table {
-		v.fb.table[i] = ctr(r.U8())
+		v.fb.table[i] = readCtr(r)
 	}
 	return closeBlob("value", r)
 }

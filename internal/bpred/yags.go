@@ -129,7 +129,7 @@ func (y *YAGS) Spec() string {
 }
 
 // Counters implements Predictor.
-func (y *YAGS) Counters() (string, any) { return "Bpred.YAGS", &y.Stats }
+func (y *YAGS) Counters() any { return &y.Stats }
 
 // SaveState implements Predictor.
 func (y *YAGS) SaveState() []byte {
@@ -159,12 +159,12 @@ func (y *YAGS) LoadState(blob []byte) error {
 	}
 	r.Expect(uint64(len(y.choice)), "choice entries")
 	for i := range y.choice {
-		y.choice[i] = ctr(r.U8())
+		y.choice[i] = readCtr(r)
 	}
 	for _, entries := range [][]yagsEntry{y.t, y.nt} {
 		r.Expect(uint64(len(entries)), "cache entries")
 		for i := range entries {
-			entries[i] = yagsEntry{tag: r.U16(), c: ctr(r.U8()), valid: r.Bool()}
+			entries[i] = yagsEntry{tag: r.U16(), c: readCtr(r), valid: r.Bool()}
 		}
 	}
 	return closeBlob("yags", r)

@@ -189,8 +189,8 @@ func (c *Cache) Extract(addr uint64) (present, dirty bool, orig Origin) {
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Counters returns the live counter struct for telemetry registration:
-// the registry resets and snapshots it in place.
+// Counters returns the live counter struct, which the core's ResetStats
+// zeroes in place.
 func (c *Cache) Counters() *Stats { return &c.stats }
 
 // Name returns the cache's name.

@@ -29,9 +29,9 @@ func straightThrough(t *testing.T, w *workloads.Workload, cfg Config, withSlices
 	if err := c.Quiesce(); err != nil {
 		t.Fatalf("quiesce: %v", err)
 	}
-	c.Cfg = cfg
+	c.cfg = cfg
 	for _, p := range c.progs {
-		p.pcs = newPCTable(p.image, p.sliceTable, &c.Cfg)
+		p.pcs = newPCTable(p.image, p.sliceTable, &c.cfg)
 	}
 	c.ResetStats()
 	c.Run(run)

@@ -14,10 +14,10 @@ import (
 // Core is one simulated SMT processor, running one or more programs
 // (progs) plus their slice helper threads.
 type Core struct {
-	// Cfg is the configuration the core was built with. The program
-	// tables latch its per-PC facts (Perfect, SlicePredictionsOff) at New,
-	// so the core is not reconfigured by assigning to it.
-	Cfg  Config
+	// cfg is the configuration the core was built with; Config returns
+	// a copy. The program tables, thread rings, predictors and correlator
+	// are built from it at New, so a built core is never reconfigured.
+	cfg  Config
 	hier *cache.Hierarchy
 
 	// The prediction seam: the core talks to the direction and indirect
@@ -76,12 +76,6 @@ type Core struct {
 	// through Snapshot().Progs.
 	S *stats.Sim
 
-	// registry maps every live counter struct of this core onto Snapshot
-	// fields; ResetStats and Snapshot derive from it, so a counter added
-	// to any registered component is reset and exported automatically.
-	// It covers program 0; extra programs' counters are reset by hand in
-	// ResetStats and exported via Snapshot().Progs.
-	registry stats.Registry
 	// tracer receives the core's own pipeline events (fork, squash,
 	// early-resolution, retire-stall); nil when tracing is off.
 	tracer stats.Tracer
@@ -127,7 +121,7 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
 	c := &Core{
-		Cfg:      cfg,
+		cfg:      cfg,
 		hier:     cache.NewHierarchy(cfg.Mem),
 		dir:      dir,
 		indirect: indirect,
@@ -174,24 +168,6 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	// complete together, but more than 2x IssueWidth in one cycle is rare.
 	c.cal = newCalendar(2 * cfg.IssueWidth)
 
-	c.registry.Register("Sim", c.S)
-	c.registry.Register("Hier", &c.hier.Stats)
-	c.registry.Register("L1D", c.hier.L1D.Counters())
-	c.registry.Register("L1I", c.hier.L1I.Counters())
-	c.registry.Register("L2", c.hier.L2.Counters())
-	c.registry.Register("PVB", c.hier.PVB.Counters())
-	// Each predictor names its own Snapshot section; a predictor with no
-	// counters returns ("", nil) and registers nothing.
-	if field, ptr := c.dir.Counters(); field != "" {
-		c.registry.Register(field, ptr)
-	}
-	if field, ptr := c.indirect.Counters(); field != "" {
-		c.registry.Register(field, ptr)
-	}
-	c.registry.Register("Bpred.RAS", &c.main.RAS.Stats)
-	if c.progs[0].corr != nil {
-		c.registry.Register("Corr", &c.progs[0].corr.Stats)
-	}
 	return c, nil
 }
 
@@ -203,6 +179,9 @@ func MustNew(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, st 
 	}
 	return c
 }
+
+// Config returns the configuration the core was built with.
+func (c *Core) Config() Config { return c.cfg }
 
 // Hier exposes the memory hierarchy (stats and tests).
 func (c *Core) Hier() *cache.Hierarchy { return c.hier }
@@ -216,10 +195,6 @@ func (c *Core) SliceTable() *slicehw.Table { return c.progs[0].sliceTable }
 
 // Main exposes program 0's main thread (tests).
 func (c *Core) Main() *Thread { return c.main }
-
-// Memory exposes program 0's speculative memory image (the oracle's
-// final-state check; architectural only when nothing is in flight).
-func (c *Core) Memory() *mem.Memory { return c.progs[0].mem }
 
 // Image exposes the code image program 0 executes.
 func (c *Core) Image() *asm.Image { return c.progs[0].image }
@@ -238,34 +213,49 @@ func (c *Core) Now() uint64 { return c.now }
 
 // ResetStats zeroes all counters while keeping caches, predictors, and
 // machine state warm — run a warm-up region, reset, then measure, like the
-// paper's 100M-instruction warm-up. It walks the telemetry registry, so
-// every registered component resets — there is no per-component list here
-// to forget when a counter struct grows. Programs beyond slot 0 are not
-// in the registry (the Snapshot has one field per section); their
-// counters are zeroed by hand here.
+// paper's 100M-instruction warm-up. It zeroes each live counter struct
+// Snapshot copies, and every program's own structs in the same loop.
 func (c *Core) ResetStats() {
-	c.registry.Reset()
+	stats.Zero(&c.hier.Stats)
+	stats.Zero(c.hier.L1D.Counters())
+	stats.Zero(c.hier.L1I.Counters())
+	stats.Zero(c.hier.L2.Counters())
+	stats.Zero(c.hier.PVB.Counters())
+	stats.Zero(c.dir.Counters())
+	stats.Zero(c.indirect.Counters())
 	for _, p := range c.progs {
-		// The reset replaced the Sim.Static map; drop the cached pointers
-		// into the old one.
-		p.pcs.clearStats()
-	}
-	for _, p := range c.progs[1:] {
 		stats.Zero(p.S)
 		stats.Zero(&p.main.RAS.Stats)
 		if p.corr != nil {
 			stats.Zero(&p.corr.Stats)
 		}
+		// The reset replaced the Sim.Static map; drop the cached pointers
+		// into the old one.
+		p.pcs.clearStats()
 	}
 }
 
-// Snapshot deep-copies every registered counter struct into one
-// machine-readable Snapshot — the unit of export for -json output and the
-// harness rows. A multi-programmed core additionally fills Progs with
-// each program's whole-run counters (slot-aligned); single-program
-// snapshots leave it nil, so their serialized form is unchanged.
+// Snapshot copies every live counter struct into one machine-readable
+// Snapshot — the unit of export for -json output and the harness rows.
+// The sections are program 0's view; a multi-programmed core
+// additionally fills Progs with each program's whole-run counters
+// (slot-aligned). Single-program snapshots leave Progs nil, so their
+// serialized form is unchanged.
 func (c *Core) Snapshot() stats.Snapshot {
-	snap := c.registry.Snapshot()
+	snap := stats.Snapshot{
+		Sim:   *c.S.Clone(),
+		Hier:  c.hier.Stats,
+		L1D:   c.hier.L1D.Stats(),
+		L1I:   c.hier.L1I.Stats(),
+		L2:    c.hier.L2.Stats(),
+		PVB:   c.hier.PVB.Stats(),
+		Bpred: stats.BpredStats{RAS: c.main.RAS.Stats},
+	}
+	snap.Bpred.Set(c.dir.Counters())
+	snap.Bpred.Set(c.indirect.Counters())
+	if corr := c.progs[0].corr; corr != nil {
+		snap.Corr = corr.Stats
+	}
 	if len(c.progs) > 1 {
 		snap.Progs = make([]stats.Sim, len(c.progs))
 		for i, p := range c.progs {
@@ -273,12 +263,6 @@ func (c *Core) Snapshot() stats.Snapshot {
 		}
 	}
 	return snap
-}
-
-// Components exposes the telemetry registry contents (tests assert reset
-// and export completeness against it).
-func (c *Core) Components() []stats.Component {
-	return c.registry.Components()
 }
 
 // SetTracer routes structured telemetry events from the core, the memory
@@ -340,7 +324,7 @@ func (c *Core) Run(maxMainRetired uint64) *stats.Sim {
 		if c.runTargetMet(maxMainRetired) {
 			break
 		}
-		if c.now-start >= c.Cfg.MaxCycles {
+		if c.now-start >= c.cfg.MaxCycles {
 			// A truncated region is not a completed one; count the hit so
 			// harness rows and slicesim can surface it instead of silently
 			// reporting a partial simulation.
@@ -391,10 +375,10 @@ func (c *Core) dispatchStage() {
 			continue
 		}
 		for t.fetchq.len() > 0 {
-			if c.window >= c.Cfg.WindowSize {
+			if c.window >= c.cfg.WindowSize {
 				break
 			}
-			if !t.IsMain && c.helperWindow >= c.Cfg.HelperWindowCap {
+			if !t.IsMain && c.helperWindow >= c.cfg.HelperWindowCap {
 				break // helpers may not starve the main threads of window space
 			}
 			di := t.fetchq.front()

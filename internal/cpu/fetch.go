@@ -41,7 +41,7 @@ func (c *Core) retireDoneHelpers() {
 
 func (c *Core) fetchFrom(t *Thread) {
 	p := t.prog
-	for n := 0; n < c.Cfg.FetchWidth; n++ {
+	for n := 0; n < c.cfg.FetchWidth; n++ {
 		if !t.Fetching || t.fetchq.len() >= c.fetchQCap(t) {
 			return
 		}
@@ -116,7 +116,7 @@ func (c *Core) helperPGIStalled(t *Thread) bool {
 // fetchQCap returns the fetch-queue capacity for a thread.
 func (c *Core) fetchQCap(t *Thread) int {
 	if t.IsMain {
-		return c.Cfg.FetchQueueCap
+		return c.cfg.FetchQueueCap
 	}
 	return helperFetchQCap
 }
@@ -274,7 +274,7 @@ func (c *Core) fork(di *DynInst, s *slicehw.Slice) {
 	p := di.Thread.prog
 	// §6.3: gate the fork with confidence — don't pay slice overhead for
 	// problem instructions that are currently behaving well.
-	if c.Cfg.ConfidenceGatedForks && !p.sliceWorthForking(s) {
+	if c.cfg.ConfidenceGatedForks && !p.sliceWorthForking(s) {
 		p.S.ForksGated++
 		c.emit(stats.Event{Kind: stats.EvForkGated, PC: di.PC, Slice: s.Index})
 		return

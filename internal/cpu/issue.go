@@ -22,13 +22,13 @@ func (c *Core) issueStage() {
 	kept := c.ready[:0]
 	for i, n := 0, len(c.ready); i < n; i++ {
 		di := c.ready[i]
-		if issued == c.Cfg.IssueWidth {
+		if issued == c.cfg.IssueWidth {
 			kept = append(kept, di)
 			continue
 		}
 		switch {
 		case di.Static.IsMem():
-			if memUsed == c.Cfg.LdStPorts {
+			if memUsed == c.cfg.LdStPorts {
 				kept = append(kept, di)
 				continue
 			}
@@ -104,7 +104,7 @@ func (c *Core) unpend(di *DynInst) {
 // loadLatency runs the load through forwarding, the perfect-load modes,
 // and the cache hierarchy.
 func (c *Core) loadLatency(di *DynInst) uint64 {
-	latL1 := c.Cfg.Mem.LatL1
+	latL1 := c.cfg.Mem.LatL1
 	if di.Out.Fault {
 		return latL1
 	}

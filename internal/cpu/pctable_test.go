@@ -63,7 +63,7 @@ func TestPCTableMatchesSources(t *testing.T) {
 func checkPCRows(t *testing.T, setup string, c *Core, st *slicehw.Table) {
 	t.Helper()
 	p := c.progs[0]
-	perf := c.Cfg.Perfect
+	perf := c.cfg.Perfect
 	hooked := 0
 	for _, pr := range p.image.Programs() {
 		for pc := pr.Base; pc < pr.End(); pc += isa.InstBytes {
@@ -86,7 +86,7 @@ func checkPCRows(t *testing.T, setup string, c *Core, st *slicehw.Table) {
 					!slices.Equal(sliceKills, st.SliceKillsAt(pc)) {
 					t.Errorf("%s: pc %#x: hooks differ from ForksAt/LoopKillsAt/SliceKillsAt", setup, pc)
 				}
-				if ref, ok := st.PGIAt(pc); ok && !c.Cfg.SlicePredictionsOff {
+				if ref, ok := st.PGIAt(pc); ok && !c.cfg.SlicePredictionsOff {
 					wantPGI = &ref
 				}
 			} else if r.hooks != nil {

@@ -20,7 +20,7 @@ func (c *Core) retireStage() {
 		if !t.Alive {
 			continue
 		}
-		for retired < c.Cfg.CommitWidth && t.rob.len() > 0 {
+		for retired < c.cfg.CommitWidth && t.rob.len() > 0 {
 			di := t.rob.front()
 			if !di.Completed || di.CompleteCycle > c.now {
 				break
@@ -79,7 +79,7 @@ func (c *Core) retireInst(di *DynInst) {
 		st.IsLoad = true
 		p.S.Loads++
 		miss := !di.forwarded && !di.PerfectLoad && !di.Out.Fault &&
-			di.MemResult.Latency > c.Cfg.Mem.LatL1
+			di.MemResult.Latency > c.cfg.Mem.LatL1
 		if miss {
 			st.Misses++
 			p.S.LoadMisses++

@@ -19,19 +19,34 @@ type miniWorkload struct {
 	initMem func(m *mem.Memory)
 }
 
-func buildMini(t testing.TB, iters int) miniWorkload {
+func buildMini(t testing.TB, iters int) miniWorkload { return buildMiniCalls(t, iters, false) }
+
+// buildMiniCalls is buildMini; with calls set, each outer iteration also
+// makes an indirect call to a leaf that returns at once, so the
+// return-address stack and the indirect predictor see traffic.
+func buildMiniCalls(t testing.TB, iters int, calls bool) miniWorkload {
 	t.Helper()
 	const (
+		base   = uint64(0x1000)
 		heads  = uint64(0x200000)
 		arena  = uint64(0x400000)
 		nLists = 64
 		nPer   = 12
 	)
-	b := asm.NewBuilder(0x1000)
+	b := asm.NewBuilder(base)
+	if calls {
+		b.Br("start")
+		b.Ret() // the leaf, at base+InstBytes
+		b.Label("start")
+		b.Li(20, int64(base+isa.InstBytes))
+	}
 	b.Li(27, int64(heads))
 	b.I(isa.LDI, 1, 0, int32(iters))
 	b.Li(25, 1<<19) // pivot
 	b.Label("outer")
+	if calls {
+		b.Raw(isa.Inst{Op: isa.CALLR, Rd: isa.RA, Ra: 20})
+	}
 	b.I(isa.ADDI, 2, 2, 1)
 	b.I(isa.ANDI, 2, 2, nLists-1)
 	b.Label("list_loop") // fork

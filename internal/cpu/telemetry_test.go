@@ -2,19 +2,19 @@ package cpu
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
+	"repro/internal/bpred"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
 	"repro/internal/stats"
 )
 
-// TestResetStatsZeroesEverySnapshotCounter is the registry's contract:
-// after ResetStats, every numeric counter of every registered component
-// reads zero through Snapshot. Because the registry walks components by
-// reflection, a counter added to any component is covered automatically —
-// there is no hand-maintained reset list left to forget.
+// TestResetStatsZeroesEverySnapshotCounter is ResetStats' contract:
+// after it, every numeric counter of every Snapshot section reads zero.
+// stats.Zero walks each counter struct by reflection, so a counter added
+// to a struct is covered automatically; a struct ResetStats forgot to
+// zero fails here.
 func TestResetStatsZeroesEverySnapshotCounter(t *testing.T) {
 	w := buildMini(t, 100000) // enough outer iterations to outlast both Run calls
 	m := mem.New()
@@ -46,29 +46,82 @@ func TestResetStatsZeroesEverySnapshotCounter(t *testing.T) {
 	}
 }
 
-// TestComponentsCoverSnapshot ensures every Snapshot field is backed by a
-// registered live component, so Snapshot() can never silently return a
-// stale zero struct for one subsystem.
-func TestComponentsCoverSnapshot(t *testing.T) {
-	w := buildMini(t, 50)
-	m := mem.New()
-	w.initMem(m)
-	core := MustNew(Config4Wide(), w.image, m, w.entry, slicehw.MustTable(w.slices))
-
-	covered := map[string]bool{}
-	for _, c := range core.Components() {
-		root, _, _ := strings.Cut(c.Field, ".")
-		covered[root] = true
+// TestSnapshotSectionsLive checks that Snapshot exports every live
+// counter struct. Under each direction predictor, a run with slices, calls
+// and indirect jumps leaves a nonzero counter in every section the
+// machine bumps, while the sections of the predictors not in use stay
+// zero; a section Snapshot forgot to copy reads zero and fails here. A
+// multi-programmed core exports one Progs entry per program.
+func TestSnapshotSectionsLive(t *testing.T) {
+	w := buildMiniCalls(t, 300, true)
+	type section struct {
+		name string
+		ptr  any
 	}
-	st := reflect.TypeOf(stats.Snapshot{})
-	for i := 0; i < st.NumField(); i++ {
-		if st.Field(i).Name == "Progs" {
-			// Filled directly by Core.Snapshot from the per-program Sim
-			// structs on multi-programmed cores; nil otherwise.
-			continue
-		}
-		if !covered[st.Field(i).Name] {
-			t.Errorf("Snapshot field %s has no registered component", st.Field(i).Name)
+	for _, name := range bpred.DirNames() {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config4Wide()
+			cfg.BPred = name
+			m := mem.New()
+			w.initMem(m)
+			core := MustNew(cfg, w.image, m, w.entry, slicehw.MustTable(w.slices))
+			core.Run(20000)
+			snap := core.Snapshot()
+			if snap.Progs != nil {
+				t.Errorf("single-program core exported %d Progs entries", len(snap.Progs))
+			}
+			live := []section{
+				{"Sim", &snap.Sim}, {"Hier", &snap.Hier}, {"L1D", &snap.L1D},
+				{"L1I", &snap.L1I}, {"L2", &snap.L2}, {"PVB", &snap.PVB},
+				{"Corr", &snap.Corr}, {"RAS", &snap.Bpred.RAS}, {"Indirect", &snap.Bpred.Indirect},
+			}
+			// The direction sections: the predictor's own is live, the
+			// rest stay zero.
+			own := reflect.TypeOf(core.dir.Counters()).Elem()
+			bp := reflect.ValueOf(&snap.Bpred).Elem()
+			for i := 0; i < bp.NumField(); i++ {
+				f, v := bp.Type().Field(i), bp.Field(i)
+				switch {
+				case f.Name == "RAS" || f.Name == "Indirect":
+				case f.Type == own:
+					live = append(live, section{f.Name, v.Addr().Interface()})
+				case !v.IsZero():
+					t.Errorf("section %s is not %s's but reads %+v", f.Name, name, v.Interface())
+				}
+			}
+			if got := len(live); got != 10 {
+				t.Fatalf("%d live sections, want 10: %s's counters (%s) have no section", got, name, own)
+			}
+			for _, sec := range live {
+				nonzero := false
+				stats.ForEachCounter(sec.ptr, func(_ string, v reflect.Value) {
+					nonzero = nonzero || !v.IsZero()
+				})
+				if !nonzero {
+					t.Errorf("section %s exported all zero under %s", sec.name, name)
+				}
+			}
+		})
+	}
+
+	specs := make([]ProgSpec, 2)
+	for i := range specs {
+		m := mem.New()
+		w.initMem(m)
+		specs[i] = ProgSpec{Image: w.image, Mem: m, Entry: w.entry, SliceTable: slicehw.MustTable(w.slices)}
+	}
+	core, err := NewMulti(Config4Wide(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.Run(5000)
+	snap := core.Snapshot()
+	if len(snap.Progs) != len(specs) {
+		t.Fatalf("2-program core exported %d Progs entries", len(snap.Progs))
+	}
+	for i, p := range snap.Progs {
+		if p.MainRetired == 0 {
+			t.Errorf("Progs[%d] retired nothing", i)
 		}
 	}
 }

@@ -31,12 +31,12 @@ type RunSpec struct {
 	Cfg        cpu.Config
 	WithSlices bool
 	Warm, Run  uint64
-	// SliceSet, when non-empty, names a registered SliceSet to measure
-	// with instead of the workload's hand-built slices (WithSlices must be
-	// false): the run restores the baseline warm prefix into a core using
-	// the set's image and table. Register sets with RegisterSliceSet under
-	// content-derived names so equal keys still mean identical runs.
-	SliceSet string
+	// Set, when non-nil, is a slice set to measure with instead of the
+	// workload's hand-built slices (WithSlices must be false): the run
+	// restores the baseline warm prefix into a core using the set's image
+	// and table. The key holds only the set's name, so names must be
+	// content-derived for equal keys to mean identical runs.
+	Set *SliceSet
 }
 
 // Key returns the memoization key. The config contributes its stable
@@ -44,8 +44,8 @@ type RunSpec struct {
 // split or alias cache entries.
 func (s RunSpec) Key() string {
 	set := ""
-	if s.SliceSet != "" {
-		set = "|set=" + s.SliceSet
+	if s.Set != nil {
+		set = "|set=" + s.Set.Name
 	}
 	return fmt.Sprintf("%s|slices=%t|warm=%d|run=%d%s|%s",
 		s.Workload, s.WithSlices, s.Warm, s.Run, set, s.Cfg.Fingerprint())
@@ -54,8 +54,8 @@ func (s RunSpec) Key() string {
 // SliceSet is an alternative slice configuration for one workload —
 // typically automatically constructed candidates (internal/autoslice). The
 // image must hold the workload's main program first, plus the slice code;
-// the table must index the same slice metadata. Sets are immutable once
-// registered.
+// the table must index the same slice metadata. A set is immutable once a
+// RunSpec carries it.
 type SliceSet struct {
 	Name     string
 	Workload string
@@ -134,19 +134,6 @@ type Engine struct {
 	st EngineStats
 
 	progressMu sync.Mutex
-	sets       sync.Map // SliceSet name → *SliceSet
-}
-
-// RegisterSliceSet makes a slice set available to RunSpecs by name. Names
-// should be content-derived (e.g. include autoslice.Built.Fingerprint), so
-// registration is idempotent: re-registering an existing name keeps the
-// first set and is not an error.
-func (e *Engine) RegisterSliceSet(s *SliceSet) error {
-	if s.Name == "" || s.Workload == "" || s.Image == nil || s.Table == nil {
-		return fmt.Errorf("harness: slice set needs a name, workload, image, and table")
-	}
-	e.sets.LoadOrStore(s.Name, s)
-	return nil
 }
 
 // NewEngine builds an engine. jobs ≤ 0 selects GOMAXPROCS workers.
@@ -193,7 +180,7 @@ func (e *Engine) Run(spec RunSpec) (*RunResult, error) {
 // of the engine-wide default — used to vet automatically constructed slice
 // candidates. The oracle is not part of the memo key: a spec already run
 // un-validated would be recalled as-is, so validated specs should carry
-// their own identity (candidate SliceSet names do).
+// their own identity (candidate slice set names do).
 func (e *Engine) RunValidated(spec RunSpec) (*RunResult, error) {
 	o := e.Oracle
 	o.Enabled = true
@@ -224,22 +211,19 @@ func (e *Engine) simulate(spec RunSpec, key string, o OracleOptions) (*RunResult
 	if err != nil {
 		return nil, err
 	}
-	var set *SliceSet
-	if spec.SliceSet != "" {
+	if set := spec.Set; set != nil {
 		if spec.WithSlices {
-			return nil, fmt.Errorf("harness: spec %s: WithSlices and SliceSet are mutually exclusive", key)
+			return nil, fmt.Errorf("harness: spec %s: WithSlices and a slice set are mutually exclusive", key)
 		}
-		v, ok := e.sets.Load(spec.SliceSet)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown slice set %q (RegisterSliceSet first)", spec.SliceSet)
+		if set.Name == "" || set.Workload == "" || set.Image == nil || set.Table == nil {
+			return nil, fmt.Errorf("harness: spec %s: slice set needs a name, workload, image, and table", key)
 		}
-		set = v.(*SliceSet)
 		if set.Workload != spec.Workload {
 			return nil, fmt.Errorf("harness: slice set %q belongs to %s, not %s", set.Name, set.Workload, spec.Workload)
 		}
 	}
 	start := time.Now()
-	core, warmSrc, err := RunOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, set, nil)
+	core, warmSrc, err := RunOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, spec.Set, nil)
 	if err != nil {
 		return nil, err
 	}

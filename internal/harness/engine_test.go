@@ -186,6 +186,47 @@ func TestRunSpecKey(t *testing.T) {
 	}
 }
 
+// TestRunSpecSliceSetChecks: a spec's slice set is named in its key, and
+// simulate refuses a set next to WithSlices, a set missing any part, and
+// a set built for another workload, before simulating anything.
+func TestRunSpecSliceSetChecks(t *testing.T) {
+	w := pick(t, "vpr")[0]
+	good := &SliceSet{Name: "hand:vpr", Workload: "vpr", Image: w.Image, Table: w.SliceTable()}
+	spec := RunSpec{Workload: "vpr", Cfg: cpu.Config4Wide(), Warm: 100, Run: 200, Set: good}
+	if k := spec.Key(); !strings.Contains(k, "|run=200|set=hand:vpr|") {
+		t.Errorf("key %q does not name the set after the region", k)
+	}
+
+	bad := map[string]func(s *RunSpec){
+		"with slices": func(s *RunSpec) { s.WithSlices = true },
+		"no name":     func(s *RunSpec) { s.Set.Name = "" },
+		"no workload": func(s *RunSpec) { s.Set.Workload = "" },
+		"no image":    func(s *RunSpec) { s.Set.Image = nil },
+		"no table":    func(s *RunSpec) { s.Set.Table = nil },
+		"other workload": func(s *RunSpec) {
+			s.Workload = "gzip"
+		},
+	}
+	e := NewEngine(small, 1)
+	for name, mutate := range bad {
+		s := spec
+		set := *good
+		s.Set = &set
+		mutate(&s)
+		if _, err := e.Run(s); err == nil {
+			t.Errorf("%s: spec accepted", name)
+		}
+	}
+	if got := e.Stats().SimInsts; got != 0 {
+		t.Errorf("refused specs simulated %d instructions", got)
+	}
+	// A fresh engine: the refused specs without an image or a table share
+	// the valid spec's key, and the memo keeps their errors.
+	if _, err := NewEngine(small, 1).Run(spec); err != nil {
+		t.Errorf("valid set refused: %v", err)
+	}
+}
+
 // --- golden output ---
 
 // The golden files under testdata were generated by the pre-engine serial

@@ -22,7 +22,7 @@ import (
 // oracle-validate → accept/reject on measured accuracy and net cycles —
 // and reports the result next to the hand-built slices as the "figureauto"
 // experiment. Every candidate measurement is an ordinary RunSpec through
-// the memoized engine, pointed at a registered SliceSet and run with the
+// the memoized engine, carrying its candidate SliceSet and run with the
 // differential oracle forced on, so a candidate is only ever accepted from
 // a divergence-free simulation.
 
@@ -231,17 +231,13 @@ func (e *Engine) prepareAuto(w *workloads.Workload) autoPrep {
 			if err != nil {
 				continue
 			}
-			set := &SliceSet{
+			spec := e.baseSpec(w, cpu.Config4Wide())
+			spec.Set = &SliceSet{
 				Name:     "auto:" + w.Name + ":" + built.Fingerprint(),
 				Workload: w.Name,
 				Image:    image,
 				Table:    table,
 			}
-			if err := e.RegisterSliceSet(set); err != nil {
-				continue
-			}
-			spec := e.baseSpec(w, cpu.Config4Wide())
-			spec.SliceSet = set.Name
 			sl := built.Slice
 			row.Candidates = append(row.Candidates, AutoCandidate{
 				Name:      sl.Name,
@@ -441,7 +437,7 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload) []AutoBuild {
 		// same core configuration (repair variants change the config
 		// globally, not per slice).
 		if len(winners) >= 2 && sameCfg(prep, winners) {
-			if spec, ok := e.registerCombo(w, prep, winners); ok {
+			if spec, ok := comboSpec(w, prep, winners); ok {
 				comboSpecs = append(comboSpecs, spec)
 				comboOf = append(comboOf, i)
 			}
@@ -487,9 +483,9 @@ func sameCfg(prep *autoPrep, ks []int) bool {
 	return true
 }
 
-// registerCombo builds and registers the combined winner set for one
-// workload. Returns its spec and whether registration succeeded.
-func (e *Engine) registerCombo(w *workloads.Workload, prep *autoPrep, winners []int) (RunSpec, bool) {
+// comboSpec builds the combined winner set for one workload. Returns its
+// spec and whether the set could be built.
+func comboSpec(w *workloads.Workload, prep *autoPrep, winners []int) (RunSpec, bool) {
 	progs := []*asm.Program{w.Image.Programs()[0]}
 	slices := make([]*slicehw.Slice, 0, len(winners))
 	h := sha256.New()
@@ -507,18 +503,14 @@ func (e *Engine) registerCombo(w *workloads.Workload, prep *autoPrep, winners []
 	if err != nil {
 		return RunSpec{}, false
 	}
-	set := &SliceSet{
+	// The winners share one config (sameCfg); the combo inherits it.
+	spec := prep.specs[winners[0]]
+	spec.Set = &SliceSet{
 		Name:     "auto:" + w.Name + ":combo:" + hex.EncodeToString(h.Sum(nil))[:12],
 		Workload: w.Name,
 		Image:    image,
 		Table:    table,
 	}
-	if err := e.RegisterSliceSet(set); err != nil {
-		return RunSpec{}, false
-	}
-	// The winners share one config (sameCfg); the combo inherits it.
-	spec := prep.specs[winners[0]]
-	spec.SliceSet = set.Name
 	return spec, true
 }
 

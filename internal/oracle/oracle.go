@@ -409,7 +409,7 @@ func SpotCheckRestore(c *cpu.Core) error {
 	if err != nil {
 		return fmt.Errorf("oracle: restore spot check: %w", err)
 	}
-	r, err := cpu.Restore(c.Cfg, c.Image(), ck, c.SliceTable())
+	r, err := cpu.Restore(c.Config(), c.Image(), ck, c.SliceTable())
 	if err != nil {
 		return fmt.Errorf("oracle: restore spot check: %w", err)
 	}

@@ -1,12 +1,17 @@
 package stats
 
+import "fmt"
+
 // This file defines the counter structs for every instrumented component
 // of the simulated machine. They live here — not in the packages whose
-// hardware bumps them — so the telemetry layer (Snapshot, Registry,
-// Tracer) can aggregate all of them without import cycles: stats is a
-// leaf package that cache, bpred, slicehw, and cpu all import. The owning
-// packages keep type aliases (cache.Stats, cache.HierStats,
-// slicehw.CorrStats) so existing call sites read unchanged.
+// hardware bumps them — so the telemetry layer (Snapshot, Tracer) can
+// name all of them without import cycles: stats is a leaf package that
+// cache, bpred, slicehw, and cpu all import. Each component bumps its
+// struct in place, and cpu.Core.Snapshot copies every live struct into
+// its Snapshot section by name, so the compiler checks each section's
+// type. The owning packages keep type aliases (cache.Stats,
+// cache.HierStats, slicehw.CorrStats) so existing call sites read
+// unchanged.
 
 // CacheStats counts events for one cache or buffer (L1D, L1I, L2, or the
 // prefetch/victim buffer; for the PVB, Hits/Misses count Extract probes).
@@ -121,8 +126,8 @@ type PerfectStats struct {
 }
 
 // BpredStats groups the front-end predictors' counters. Exactly one
-// direction-predictor section is live per run — the one the selected
-// predictor registered through its Counters() method.
+// direction-predictor section is live per run — the one whose type the
+// selected predictor's Counters method returns; Set fills it.
 type BpredStats struct {
 	YAGS     YAGSStats // default YAGS direction predictor
 	Dir      DirStats  // bimodal/gshare baselines
@@ -131,4 +136,27 @@ type BpredStats struct {
 	Perfect  PerfectStats
 	Indirect IndirectStats
 	RAS      RASStats // the main thread's stack
+}
+
+// Set copies a predictor's live counter struct — the pointer its
+// Counters method returns — into the section of its type. It panics on a
+// type with no section, so a new predictor's counters cannot go
+// unexported silently.
+func (b *BpredStats) Set(counters any) {
+	switch p := counters.(type) {
+	case *YAGSStats:
+		b.YAGS = *p
+	case *DirStats:
+		b.Dir = *p
+	case *ValuePredStats:
+		b.Value = *p
+	case *CorrMineStats:
+		b.CorrMine = *p
+	case *PerfectStats:
+		b.Perfect = *p
+	case *IndirectStats:
+		b.Indirect = *p
+	default:
+		panic(fmt.Sprintf("stats: BpredStats has no section for %T", counters))
+	}
 }

@@ -51,9 +51,11 @@ func zeroValue(v reflect.Value) {
 }
 
 // Add accumulates src into dst field-wise (dst += src). Both must be
-// pointers to the same counter-struct type. Map entries missing from dst
-// are deep-copied in; identity fields take src's value only when dst's is
-// the zero value (merging two halves of one run must not blank a PC).
+// pointers to the same counter-struct type. Map entries and slice
+// elements missing from dst are built by adding src's into a fresh zero
+// value, so dst never shares a pointer with src; identity fields take
+// src's value only when dst's is the zero value (merging two halves of
+// one run must not blank a PC).
 func Add(dst, src any) { addValue(elemOf("stats.Add", dst, src)) }
 
 func elemOf(op string, dst, src any) (reflect.Value, reflect.Value) {
@@ -83,7 +85,7 @@ func addValue(d, s reflect.Value) {
 			}
 			if isIdentity(d.Type().Field(i)) {
 				if f.IsZero() {
-					f.Set(deepCopyValue(s.Field(i)))
+					addValue(f, s.Field(i))
 				}
 				continue
 			}
@@ -96,35 +98,27 @@ func addValue(d, s reflect.Value) {
 		if d.IsNil() {
 			d.Set(reflect.MakeMap(d.Type()))
 		}
+		// Map values are pointers to structs (e.g. *Static) or plain
+		// values: pointer targets accumulate in place, values re-store, and
+		// a missing entry is built by adding into a fresh zero value.
 		it := s.MapRange()
 		for it.Next() {
-			sv := it.Value()
-			dv := d.MapIndex(it.Key())
-			if !dv.IsValid() {
-				d.SetMapIndex(it.Key(), deepCopyValue(sv))
-				continue
-			}
-			// Map values are pointers to structs (e.g. *Static) or plain
-			// values; pointer targets accumulate in place, values re-store.
-			if dv.Kind() == reflect.Pointer {
-				addValue(dv.Elem(), sv.Elem())
-			} else {
-				tmp := reflect.New(dv.Type()).Elem()
+			tmp := reflect.New(d.Type().Elem()).Elem()
+			if dv := d.MapIndex(it.Key()); dv.IsValid() {
 				tmp.Set(dv)
-				addValue(tmp, sv)
-				d.SetMapIndex(it.Key(), tmp)
 			}
+			addValue(tmp, it.Value())
+			d.SetMapIndex(it.Key(), tmp)
 		}
 	case reflect.Slice:
 		// Slices are positional (e.g. Snapshot.Progs is slot-aligned):
 		// overlapping indices accumulate element-wise, and src's extra
-		// elements are deep-copied onto the end.
+		// elements are added into fresh zero elements on the end.
 		for i := 0; i < s.Len(); i++ {
-			if i < d.Len() {
-				addValue(d.Index(i), s.Index(i))
-			} else {
-				d.Set(reflect.Append(d, deepCopyValue(s.Index(i))))
+			if i == d.Len() {
+				d.Set(reflect.Append(d, reflect.Zero(d.Type().Elem())))
 			}
+			addValue(d.Index(i), s.Index(i))
 		}
 	case reflect.Pointer:
 		if s.IsNil() {
@@ -153,49 +147,6 @@ func addValue(d, s reflect.Value) {
 // Bools and strings are identity by kind and handled in the leaf cases.
 func isIdentity(f reflect.StructField) bool {
 	return f.Tag.Get("stats") == "id"
-}
-
-// deepCopyValue returns an independent copy of v: maps and pointers are
-// duplicated rather than shared.
-func deepCopyValue(v reflect.Value) reflect.Value {
-	switch v.Kind() {
-	case reflect.Pointer:
-		if v.IsNil() {
-			return v
-		}
-		cp := reflect.New(v.Type().Elem())
-		cp.Elem().Set(deepCopyValue(v.Elem()))
-		return cp
-	case reflect.Map:
-		if v.IsNil() {
-			return v
-		}
-		cp := reflect.MakeMapWithSize(v.Type(), v.Len())
-		it := v.MapRange()
-		for it.Next() {
-			cp.SetMapIndex(it.Key(), deepCopyValue(it.Value()))
-		}
-		return cp
-	case reflect.Slice:
-		if v.IsNil() {
-			return v
-		}
-		cp := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
-		for i := 0; i < v.Len(); i++ {
-			cp.Index(i).Set(deepCopyValue(v.Index(i)))
-		}
-		return cp
-	case reflect.Struct:
-		cp := reflect.New(v.Type()).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			if f := cp.Field(i); f.CanSet() {
-				f.Set(deepCopyValue(v.Field(i)))
-			}
-		}
-		return cp
-	default:
-		return v
-	}
 }
 
 // ForEachCounter visits every settable numeric counter field reachable

@@ -72,16 +72,6 @@ func TestMergeDeepCopiesMissingEntries(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	a := sampleSnapshot()
-	b := a.Clone()
-	b.Sim.Cycles = 1
-	b.Sim.Static[0x40].Execs = 1
-	if a.Sim.Cycles != 100 || a.Sim.Static[0x40].Execs != 9 {
-		t.Error("Clone shares state with its source")
-	}
-}
-
 func TestSimClone(t *testing.T) {
 	s := New()
 	s.ByPC(0x10).Execs = 5
@@ -90,68 +80,6 @@ func TestSimClone(t *testing.T) {
 	if s.Static[0x10].Execs != 5 {
 		t.Error("Sim.Clone shares the Static map")
 	}
-}
-
-func TestRegistryResetAndSnapshot(t *testing.T) {
-	var r Registry
-	sim := New()
-	sim.Cycles = 42
-	l1d := &CacheStats{Hits: 10}
-	yags := &YAGSStats{Lookups: 3}
-	r.Register("Sim", sim)
-	r.Register("L1D", l1d)
-	r.Register("Bpred.YAGS", yags)
-
-	snap := r.Snapshot()
-	if snap.Sim.Cycles != 42 || snap.L1D.Hits != 10 || snap.Bpred.YAGS.Lookups != 3 {
-		t.Errorf("Snapshot missed a component: %+v", snap)
-	}
-	// The snapshot is a deep copy, not a view.
-	sim.Cycles = 1000
-	if snap.Sim.Cycles != 42 {
-		t.Error("Registry.Snapshot aliased a live component")
-	}
-
-	r.Reset()
-	if sim.Cycles != 0 || l1d.Hits != 0 || yags.Lookups != 0 {
-		t.Errorf("Registry.Reset missed a component: %d %d %d", sim.Cycles, l1d.Hits, yags.Lookups)
-	}
-}
-
-func TestRegistryValidation(t *testing.T) {
-	cases := []struct {
-		name  string
-		field string
-		ptr   any
-	}{
-		{"unknown field", "NoSuchField", &CacheStats{}},
-		{"nested unknown", "Bpred.NoSuch", &YAGSStats{}},
-		{"type mismatch", "L1D", &HierStats{}},
-		{"non-pointer", "L1D", CacheStats{}},
-		{"nil pointer", "L1D", (*CacheStats)(nil)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register(%q, %T) did not panic", tc.field, tc.ptr)
-				}
-			}()
-			var r Registry
-			r.Register(tc.field, tc.ptr)
-		})
-	}
-}
-
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	var r Registry
-	r.Register("L1D", &CacheStats{})
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	r.Register("L1D", &CacheStats{})
 }
 
 // TestSnapshotResetCompleteness is the reflection-walk guard the issue
@@ -182,4 +110,35 @@ func TestSnapshotResetCompleteness(t *testing.T) {
 			t.Errorf("counter %s survived Snapshot.Reset", path)
 		}
 	})
+}
+
+// TestAddIntoZeroCopies: adding a snapshot into a zero one reproduces it
+// exactly — per-PC entries and Progs elements included — without sharing
+// a pointer with the source.
+func TestAddIntoZeroCopies(t *testing.T) {
+	src := sampleSnapshot()
+	src.Progs = []Sim{*src.Sim.Clone(), *New()}
+	var dst Snapshot
+	Add(&dst, src)
+	if !reflect.DeepEqual(&dst, src) {
+		t.Fatalf("Add into zero = %+v, want %+v", dst, *src)
+	}
+	dst.Progs[0].Static[0x40].Execs = 999
+	if src.Progs[0].Static[0x40].Execs != 9 {
+		t.Error("Add aliased a Progs map entry")
+	}
+}
+
+func TestBpredSetRejectsUnknownCounters(t *testing.T) {
+	var b BpredStats
+	b.Set(&YAGSStats{Kind: "yags", Lookups: 3})
+	if b.YAGS.Lookups != 3 {
+		t.Errorf("Set did not copy YAGS counters: %+v", b.YAGS)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Set accepted a type with no section")
+		}
+	}()
+	b.Set(&CacheStats{})
 }
