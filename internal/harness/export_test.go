@@ -6,17 +6,23 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
+// exportGolden is the -json document of every workload at scale 0.02, the
+// document `experiments -json -scale 0.02` prints, with simWallMs zeroed.
+const exportGolden = "export.golden.json"
+
 // TestExportDocumentGolden locks the shape and content of the -json
-// document (schema ExportSchema). Simulations are pure
-// functions of their specs, so at a fixed scale the document is
-// deterministic except for wall time, which is zeroed before comparison.
-// Regenerate with -update after an intentional simulator change.
+// document (schema ExportSchema) for all 12 workloads, encoded exactly as
+// cli.PrintJSON writes it. Simulations are pure functions of their specs,
+// so at a fixed scale the document is deterministic except for wall time,
+// which is zeroed before comparison. Regenerate with -update only after an
+// intentional simulator change.
 func TestExportDocumentGolden(t *testing.T) {
-	ws := pick(t, "vpr")
-	e := NewEngine(small, 4)
-	doc := e.Export(ws)
+	e := NewEngine(Params{Scale: 0.02}, 4)
+	doc := e.Export(workloads.All())
 	doc.Engine.SimWallMS = 0
 
 	var buf bytes.Buffer
@@ -26,7 +32,7 @@ func TestExportDocumentGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join("testdata", "export_vpr.golden.json")
+	path := filepath.Join("testdata", exportGolden)
 	if *update {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -108,7 +114,7 @@ func TestExportDocumentShape(t *testing.T) {
 // the old documents carry) and lose nothing it does. The current golden
 // with one injected unknown key must decode and re-encode to the golden.
 func TestExportReaderIgnoresUnknownFields(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "export_vpr.golden.json"))
+	want, err := os.ReadFile(filepath.Join("testdata", exportGolden))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestExportReaderIgnoresUnknownFields(t *testing.T) {
 // older document's shape. It returns the parse by this package's reader.
 func olderExport(t *testing.T, schema string, drop []string, extraEngine map[string]any) Export {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.golden.json"))
+	b, err := os.ReadFile(filepath.Join("testdata", exportGolden))
 	if err != nil {
 		t.Fatal(err)
 	}
