@@ -31,7 +31,10 @@ func straightThrough(t *testing.T, w *workloads.Workload, cfg Config, withSlices
 	}
 	c.cfg = cfg
 	for _, p := range c.progs {
-		p.pcs = newPCTable(p.image, p.sliceTable, &c.cfg)
+		var err error
+		if p.pcs, err = newPCTable(p.image, p.sliceTable, &c.cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.ResetStats()
 	c.Run(run)

@@ -45,13 +45,13 @@ type Core struct {
 	now          uint64
 
 	// Zero-alloc cycle-loop machinery (see pool.go and sched.go).
-	pool       []*DynInst   // DynInst free list
-	spare      []DynInst    // never-used instructions of the current chunk (pool.go)
-	ready      []*DynInst   // seq-ordered dispatched instructions awaiting issue
-	storeWoken []*DynInst   // wakeups deferred to the end of issueStage
-	doneList   []*DynInst   // completeStage working set
-	cal        [][]calEntry // completion calendar (calendar.go)
-	ectx       execCtx      // scratch isa.State for fetchOne
+	pool       []*DynInst  // DynInst free list
+	spare      []DynInst   // never-used instructions of the current chunk (pool.go)
+	ready      []instRef   // seq-ordered dispatched instructions awaiting issue
+	storeWoken []*DynInst  // wakeups deferred to the end of issueStage
+	doneList   []instRef   // completeStage working set
+	cal        [][]instRef // completion calendar (calendar.go)
+	ectx       execCtx     // scratch isa.State for fetchOne
 
 	// retiring is the instruction currently inside retireInst, set across
 	// the RetireObserver call: it is popped from its ROB but not yet
@@ -152,7 +152,9 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 			p.conf = newConfidence(4096, confidenceThreshold)
 		}
 		p.mainStores = newInstRing(64)
-		p.pcs = newPCTable(sp.Image, sp.SliceTable, &cfg)
+		if p.pcs, err = newPCTable(sp.Image, sp.SliceTable, &cfg); err != nil {
+			return nil, fmt.Errorf("cpu: program %d: %w", i, err)
+		}
 		t := c.threads[i]
 		t.IsMain = true
 		t.Alive = true

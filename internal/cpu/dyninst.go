@@ -67,27 +67,15 @@ type DynInst struct {
 	undoMemAddr  uint64
 	undoMemSize  int
 	undoMemVal   uint64
-	prevWriter   *DynInst // lastWriter[dest] before this instruction
-	// nextWriter is the unique younger writer whose prevWriter is this
-	// instruction (nil if none). Maintained so retirement can unlink the
-	// writer chain in O(1); invariant: nextWriter == nil or
-	// nextWriter.prevWriter == this.
-	nextWriter *DynInst
-
-	// Register dependences: producers in flight at fetch time.
-	deps  [3]*DynInst
-	ndeps int
-	// olderStores are unissued same-thread stores the load must wait for
-	// (conservative "real" disambiguation), recorded at fetch.
-	olderStores []*DynInst
+	prevWriter   instRef // lastWriter[dest] before this instruction
 
 	// Incremental-scheduler state. waitCount is the number of outstanding
 	// wakeups (register producers + undisambiguated older stores); waiters
 	// are the younger instructions subscribed to this one's completion (or,
-	// for stores, issue); inReady marks membership in the core's ready
-	// list.
+	// for stores, issue), dead ones included until the wakeup skips them;
+	// inReady marks membership in the core's ready list.
 	waitCount int
-	waiters   []*DynInst
+	waiters   []instRef
 	inReady   bool
 
 	// Timing.

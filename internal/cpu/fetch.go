@@ -15,27 +15,8 @@ func (c *Core) fetchStage() {
 	if c.draining {
 		return // Quiesce: drain in-flight work without fetching anything new
 	}
-	// Helper teardown happens before selection, in thread-index order, so
-	// it never depends on the order selection visits threads.
-	c.retireDoneHelpers()
 	if t := c.chooseFetchThread(); t != nil {
 		c.fetchFrom(t)
-	}
-}
-
-// retireDoneHelpers retires, in thread-index order, every fetching helper
-// parked at a PGI whose slice instance is already done (its kill fired;
-// further predictions would misalign the queue). It runs before
-// selection so that helperPGIStalled stays a pure predicate and teardown
-// never depends on which thread selection visits first.
-func (c *Core) retireDoneHelpers() {
-	for _, t := range c.threads {
-		if t.IsMain || !t.Alive || !t.Fetching {
-			continue
-		}
-		if c.atPGI(t) != nil && t.Instance.Done() {
-			t.Fetching = false
-		}
 	}
 }
 
@@ -87,32 +68,6 @@ func (c *Core) fetchFrom(t *Thread) {
 	}
 }
 
-// atPGI returns the PGI helper t is parked at — its next fetch generates
-// a prediction — or nil. The row's pgi is nil when predictions are off.
-func (c *Core) atPGI(t *Thread) *slicehw.PGIRef {
-	if r := t.prog.pcs.at(t.PC); r != nil {
-		return r.pgi
-	}
-	return nil
-}
-
-// helperPGIStalled reports whether a helper's next fetch is a PGI that
-// cannot proceed right now: its slice instance is done (teardown is
-// retireDoneHelpers' job — this predicate is pure), or its prediction
-// queue cannot allocate.
-func (c *Core) helperPGIStalled(t *Thread) bool {
-	ref := c.atPGI(t)
-	if ref == nil {
-		return false
-	}
-	if t.Instance.Done() {
-		// A kill that landed after this cycle's teardown pass; the helper
-		// just doesn't fetch this cycle and is retired next cycle.
-		return true
-	}
-	return !t.prog.corr.CanAllocate(ref.PGI.BranchPC)
-}
-
 // fetchQCap returns the fetch-queue capacity for a thread.
 func (c *Core) fetchQCap(t *Thread) int {
 	if t.IsMain {
@@ -129,14 +84,33 @@ func (c *Core) fetchQCap(t *Thread) int {
 // weighs mainFetchWeight, each helper 1; on a score tie a main thread
 // beats a helper, and among equal-scored mains the lowest thread index
 // (scan order) wins, keeping multi-program arbitration deterministic.
+//
+// The same pass looks up each fetching helper's next PC once. A helper
+// parked at a PGI whose slice instance is already done (its kill fired;
+// further predictions would misalign the queue) stops fetching there,
+// before any candidacy check and for every thread in index order, so
+// teardown never depends on which thread wins.
 func (c *Core) chooseFetchThread() *Thread {
 	var best *Thread
 	bestScore := 0.0
 	for _, t := range c.threads {
-		if !t.Alive || !t.Fetching || t.icStallUntil > c.now || t.fetchq.len() >= c.fetchQCap(t) {
+		if !t.Alive || !t.Fetching {
 			continue
 		}
-		if !t.IsMain && c.helperPGIStalled(t) {
+		var pgi *slicehw.PGIRef
+		if !t.IsMain {
+			if r := t.prog.pcs.at(t.PC); r != nil {
+				pgi = r.pgi // nil when predictions are off
+			}
+			if pgi != nil && t.Instance.Done() {
+				t.Fetching = false
+				continue
+			}
+		}
+		if t.icStallUntil > c.now || t.fetchq.len() >= c.fetchQCap(t) {
+			continue
+		}
+		if pgi != nil && !t.prog.corr.CanAllocate(pgi.PGI.BranchPC) {
 			continue
 		}
 		w := 1.0
@@ -194,16 +168,13 @@ func (c *Core) fetchOne(t *Thread, r *pcRow, pc uint64) {
 	// instruction at completion.
 	var srcs [3]isa.Reg
 	for _, src := range srcs[:in.SourcesInto(&srcs)] {
-		if w := t.lastWriter[src]; w != nil && !w.Completed {
-			c.addDep(di, w)
+		if w := t.lastWriter[src].live(); w != nil && !w.Completed {
+			c.subscribe(di, w)
 		}
 	}
 	if dest, ok := in.Dest(); ok {
 		di.prevWriter = t.lastWriter[dest]
-		if di.prevWriter != nil {
-			di.prevWriter.nextWriter = di
-		}
-		t.lastWriter[dest] = di
+		t.lastWriter[dest] = di.ref()
 	}
 	if t.IsMain {
 		if in.IsStore() {
@@ -215,7 +186,7 @@ func (c *Core) fetchOne(t *Thread, r *pcRow, pc uint64) {
 			// Real disambiguation: subscribe to every older in-flight
 			// store; each wakes the load when its address generates.
 			for _, s := range t.pendingStores {
-				c.addStoreDep(di, s)
+				c.subscribe(di, s)
 			}
 		}
 	}
@@ -294,7 +265,6 @@ func (c *Core) fork(di *DynInst, s *slicehw.Slice) {
 	h.Slice = s
 	h.prog = p
 	h.Instance = p.corr.NewInstance(s)
-	h.ForkInst = di
 	for _, r := range s.LiveIns {
 		h.Regs[r] = di.Thread.Regs[r]
 	}

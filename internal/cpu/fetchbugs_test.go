@@ -60,22 +60,55 @@ func TestUnpredictedIndirectDefersPathPush(t *testing.T) {
 	}
 }
 
-// TestHelperPGIStalledIsPure is the regression test for the
-// selection-predicate side effect: helperPGIStalled used to clear
-// t.Fetching when it found a done slice instance, so which thread the
-// selection scan visited first decided when teardown happened. The
-// predicate must report the stall without touching the thread; the
-// hoisted retireDoneHelpers pass owns teardown.
+// TestHelperPGIStalledIsPure is the regression test for selection-order
+// dependent teardown: a helper parked at a PGI whose slice instance is
+// done once stopped fetching only when the selection scan happened to
+// evaluate it. Teardown now happens in chooseFetchThread's one pass over
+// every thread, before any candidacy check, so the helper must stop
+// fetching whichever thread wins the slot: the main thread (scanned
+// before it), a younger helper (scanned after it), or no thread at all
+// while its own I-cache stall would keep it out of the running.
 func TestHelperPGIStalledIsPure(t *testing.T) {
-	w := buildMini(t, 50)
-	m := mem.New()
-	w.initMem(m)
-	core := MustNew(Config4Wide(), w.image, m, w.entry, slicehw.MustTable(w.slices))
+	for _, tc := range []struct {
+		name  string
+		setup func(core *Core, done *Thread) (want *Thread)
+	}{
+		{"main-wins", func(core *Core, done *Thread) *Thread {
+			return core.main
+		}},
+		{"helper-wins", func(core *Core, done *Thread) *Thread {
+			core.main.Fetching = false
+			return parkHelper(t, core, false)
+		}},
+		{"none-wins", func(core *Core, done *Thread) *Thread {
+			core.main.Fetching = false
+			done.icStallUntil = core.now + 100
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := buildMini(t, 50)
+			m := mem.New()
+			w.initMem(m)
+			core := MustNew(Config4Wide(), w.image, m, w.entry, slicehw.MustTable(w.slices))
+			done := parkHelper(t, core, true)
+			want := tc.setup(core, done)
+			if got := core.chooseFetchThread(); got != want {
+				t.Errorf("fetch went to %v, want %v", got, want)
+			}
+			if done.Fetching {
+				t.Error("helper at a PGI with a done instance still fetching after selection")
+			}
+		})
+	}
+}
+
+// parkHelper activates an idle helper context at the first PGI of the
+// mini workload's slice, with a live or an already-done instance.
+func parkHelper(t *testing.T, core *Core, done bool) *Thread {
+	t.Helper()
 	p := core.progs[0]
 	s := p.sliceTable.Slices()[0]
-
-	// Park a helper at the slice's PGI with an already-dead instance —
-	// the state the teardown pass exists for.
 	h := core.idleThread()
 	if h == nil {
 		t.Fatal("no idle helper context")
@@ -85,25 +118,11 @@ func TestHelperPGIStalledIsPure(t *testing.T) {
 	h.prog = p
 	h.PC = s.PGIs[0].SlicePC
 	h.Instance = p.corr.NewInstance(s)
-	p.corr.RemoveInstance(h.Instance)
-	if !h.Instance.Done() {
-		t.Fatal("instance not done after removal")
+	if done {
+		p.corr.RemoveInstance(h.Instance)
+		if !h.Instance.Done() {
+			t.Fatal("instance not done after removal")
+		}
 	}
-
-	if !core.helperPGIStalled(h) {
-		t.Error("done instance at a PGI must report stalled")
-	}
-	if !h.Fetching {
-		t.Error("helperPGIStalled cleared t.Fetching — selection predicate has a side effect again")
-	}
-	// Calling it repeatedly must be idempotent on thread state.
-	core.helperPGIStalled(h)
-	if !h.Fetching {
-		t.Error("second predicate call mutated the thread")
-	}
-
-	core.retireDoneHelpers()
-	if h.Fetching {
-		t.Error("retireDoneHelpers did not retire the done helper")
-	}
+	return h
 }

@@ -68,8 +68,8 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			name: "writer-chain-cycle",
 			corrupt: func(c *Core) {
 				for r := 0; r < isa.NumRegs; r++ {
-					if w := c.main.lastWriter[r]; w != nil {
-						w.prevWriter = w // self-loop after a botched unlink
+					if w := c.main.lastWriter[r].live(); w != nil && !w.Retired {
+						w.prevWriter = w.ref() // self-loop
 						return
 					}
 				}
@@ -90,12 +90,32 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{
 			name: "ready-list-stale",
 			corrupt: func(c *Core) {
-				if len(c.ready) == 0 {
-					t.Skip("empty ready list at the stop point")
+				for _, r := range c.ready {
+					if d := r.live(); d != nil {
+						d.waitCount = 1
+						return
+					}
 				}
-				c.ready[0].waitCount = 1
+				t.Skip("no live ready entry at the stop point")
 			},
 			want: "ready",
+		},
+		{
+			name: "ready-list-live-ref-to-pooled",
+			corrupt: func(c *Core) {
+				// A retired instruction keeps its Seq in the pool, so a
+				// reference taken before it retired still reads live.
+				c.ready = insertBySeq(c.ready, pooledRetired(t, c).ref())
+			},
+			want: "is a pooled instruction",
+		},
+		{
+			name: "waiter-live-ref-to-pooled",
+			corrupt: func(c *Core) {
+				d := c.main.rob.back()
+				d.waiters = append(d.waiters, pooledRetired(t, c).ref())
+			},
+			want: "is a pooled instruction",
 		},
 		{
 			name: "pooled-stale-tail",
@@ -106,7 +126,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				// A truncation that forgot to nil the dropped slot: scrub
 				// clears only [:len], so the pointer would stay pinned.
 				d := c.pool[0]
-				d.waiters = append(d.waiters[:0], c.main.rob.front())[:0]
+				d.waiters = append(d.waiters[:0], c.main.rob.front().ref())[:0]
 			},
 			want: "past len",
 		},
@@ -126,10 +146,23 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 }
 
+// pooledRetired returns a retired instruction waiting in the pool for
+// reuse, whose Seq still matches any reference taken to it.
+func pooledRetired(t *testing.T, c *Core) *DynInst {
+	t.Helper()
+	for _, d := range c.pool {
+		if d.Retired && !d.Squashed {
+			return d
+		}
+	}
+	t.Skip("no retired instruction in the pool at the stop point")
+	return nil
+}
+
 // TestPooledSliceTailsNil pins the length-only scrub's precondition on
 // real slice-heavy runs: at every stop point, CheckInvariants finds only
-// nil pointers in [len:cap] of each pooled instruction's KillRecs, Forked,
-// waiters and olderStores. The run must actually fork slices and recycle
+// zero slots in [len:cap] of each pooled instruction's KillRecs, Forked
+// and waiters. The run must actually fork slices and recycle
 // instructions, or the check is vacuous.
 func TestPooledSliceTailsNil(t *testing.T) {
 	for _, name := range []string{"mcf", "gcc", "vpr"} {

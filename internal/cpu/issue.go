@@ -13,29 +13,33 @@ import (
 // which — as the paper notes — is equivalent to a perfect load hit/miss
 // predictor: dependents of a missing load are simply not scheduled early.
 //
-// The ready list is maintained incrementally (sched.go): it holds exactly
-// the dispatched, unissued instructions whose producers have completed and
-// whose older stores have issued, already in seq order — the same set the
-// old per-cycle window scan collected and sorted.
+// The ready list is maintained incrementally (sched.go): its live entries
+// are exactly the dispatched, unissued instructions whose producers have
+// completed and whose older stores have issued, already in seq order —
+// the same set the old per-cycle window scan collected and sorted. Entries
+// squashed since they became ready are dropped here.
 func (c *Core) issueStage() {
 	issued, memUsed, cplxUsed := 0, 0, 0
 	kept := c.ready[:0]
-	for i, n := 0, len(c.ready); i < n; i++ {
-		di := c.ready[i]
+	for _, r := range c.ready {
+		di := r.live()
+		if di == nil {
+			continue
+		}
 		if issued == c.cfg.IssueWidth {
-			kept = append(kept, di)
+			kept = append(kept, r)
 			continue
 		}
 		switch {
 		case di.Static.IsMem():
 			if memUsed == c.cfg.LdStPorts {
-				kept = append(kept, di)
+				kept = append(kept, r)
 				continue
 			}
 			memUsed++
 		case di.Static.IsComplex():
 			if cplxUsed == complexUnits {
-				kept = append(kept, di)
+				kept = append(kept, r)
 				continue
 			}
 			cplxUsed++
@@ -44,9 +48,7 @@ func (c *Core) issueStage() {
 		c.issue(di)
 		issued++
 	}
-	for i := len(kept); i < len(c.ready); i++ {
-		c.ready[i] = nil
-	}
+	clear(c.ready[len(kept):])
 	c.ready = kept
 
 	// Loads whose last blocking store issued this cycle become ready for
@@ -73,7 +75,7 @@ func (c *Core) issue(di *DynInst) {
 		// Address generation; data heads to memory at retire.
 		di.CompleteCycle = c.now + 1
 		c.unpend(di)
-		c.wakeStoreWaiters(di)
+		c.wakeWaiters(di)
 	case in.IsComplex():
 		lat := uint64(mulLatency)
 		if in.Op == isa.DIV {
@@ -176,8 +178,9 @@ func (c *Core) completeStage() {
 	// collected.
 	done := c.calDrain(c.doneList[:0])
 
-	for _, di := range done {
-		if di.Squashed {
+	for _, r := range done {
+		di := r.live()
+		if di == nil {
 			continue // an older completion this cycle squashed it
 		}
 		di.Completed = true
@@ -189,9 +192,7 @@ func (c *Core) completeStage() {
 			c.fillPGI(di)
 		}
 	}
-	for i := range done {
-		done[i] = nil
-	}
+	clear(done)
 	c.doneList = done[:0]
 }
 

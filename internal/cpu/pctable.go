@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/slicehw"
@@ -48,8 +50,10 @@ type pcSeg struct {
 type pcTable []pcSeg
 
 // newPCTable builds the table of one program under cfg. st may be nil (no
-// slice hardware).
-func newPCTable(image *asm.Image, st *slicehw.Table, cfg *Config) pcTable {
+// slice hardware). A slice PC that is not an instruction of the image is
+// an error: its fork, kill or PGI would never fire, and a helper started
+// there would stop at once.
+func newPCTable(image *asm.Image, st *slicehw.Table, cfg *Config) (pcTable, error) {
 	var t pcTable
 	for _, pr := range image.Programs() {
 		seg := pcSeg{base: pr.Base, end: pr.End(), rows: make([]pcRow, len(pr.Insts))}
@@ -72,7 +76,31 @@ func newPCTable(image *asm.Image, st *slicehw.Table, cfg *Config) pcTable {
 		}
 		t = append(t, seg)
 	}
-	return t
+	if st == nil {
+		return t, nil
+	}
+	type slicePC struct {
+		name string
+		pc   uint64
+	}
+	for _, s := range st.Slices() {
+		pcs := []slicePC{{"fork", s.ForkPC}, {"slice", s.SlicePC}}
+		// The loop and kill PCs are optional: zero marks them unused.
+		for _, p := range []slicePC{{"loop-back", s.LoopBackPC}, {"loop-kill", s.LoopKillPC}, {"slice-kill", s.SliceKillPC}} {
+			if p.pc != 0 {
+				pcs = append(pcs, p)
+			}
+		}
+		for _, g := range s.PGIs {
+			pcs = append(pcs, slicePC{"PGI", g.SlicePC})
+		}
+		for _, p := range pcs {
+			if t.at(p.pc) == nil {
+				return nil, fmt.Errorf("slice %q: %s PC %#x is not an instruction of the image", s.Name, p.name, p.pc)
+			}
+		}
+	}
+	return t, nil
 }
 
 // at returns pc's row, or nil when pc is not an instruction of the image.

@@ -1,10 +1,13 @@
 package cpu
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/slicehw"
 	"repro/internal/workloads"
 )
@@ -143,5 +146,38 @@ func checkStatSlots(t *testing.T, setup string, c *Core) {
 		if r := p.pcs.at(pc); r == nil || r.stat != s {
 			t.Errorf("%s: Sim.ByPC(%#x) is not in its row's stats slot", setup, pc)
 		}
+	}
+}
+
+// TestNewRejectsOffImageSlicePC: a slice PC that is not an instruction of
+// the image (here a kill PC past the image's end, or one between two
+// instructions) is refused when the core is built, with an error naming
+// the slice and the PC, instead of a kill that silently never fires.
+func TestNewRejectsOffImageSlicePC(t *testing.T) {
+	w := buildMini(t, 10)
+	progs := w.image.Programs()
+	offImage := progs[len(progs)-1].End() + 16*isa.InstBytes
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *slicehw.Slice) uint64
+	}{
+		{"slice-kill", func(s *slicehw.Slice) uint64 { s.SliceKillPC = offImage; return offImage }},
+		{"loop-kill", func(s *slicehw.Slice) uint64 { s.LoopKillPC = s.ForkPC + 1; return s.LoopKillPC }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *w.slices[0]
+			pc := tc.corrupt(&bad)
+			m := mem.New()
+			w.initMem(m)
+			_, err := New(Config4Wide(), w.image, m, w.entry, slicehw.MustTable([]*slicehw.Slice{&bad}))
+			if err == nil {
+				t.Fatalf("off-image %s PC %#x accepted", tc.name, pc)
+			}
+			for _, want := range []string{fmt.Sprintf("%q", bad.Name), tc.name, fmt.Sprintf("%#x", pc)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
 	}
 }

@@ -1,134 +1,57 @@
 package cpu
 
 // Incremental issue scheduler. Readiness bookkeeping happens where state
-// changes — dependence registration at fetch, wakeup at producer
-// completion and store issue, insertion at dispatch, removal at squash —
-// so issueStage walks a small, already seq-ordered ready list instead of
-// scanning the whole window and allocating a sort closure every cycle.
+// changes — subscription at fetch, wakeup at producer completion and store
+// issue, insertion at dispatch — so issueStage walks a small, already
+// seq-ordered ready list instead of scanning the whole window and
+// allocating a sort closure every cycle.
 //
 // An instruction's waitCount is the number of outstanding wakeups it needs
-// before it can issue: one per in-flight register producer (deps) plus,
-// for main-thread loads, one per older unissued store at fetch time
-// (olderStores — conservative "real" disambiguation, exactly the set the
-// old per-cycle ready() scan re-derived). It enters the ready list when it
-// is dispatched and the count is zero.
+// before it can issue: one per in-flight register producer plus, for
+// main-thread loads, one per older unissued store at fetch time
+// (conservative "real" disambiguation, exactly the set the old per-cycle
+// ready() scan re-derived). It enters the ready list when it is
+// dispatched and the count is zero.
+//
+// Squash removes nothing here. Waiter lists and the ready list hold
+// instRefs (pool.go), and a squashed or recycled entry is dropped when its
+// producer wakes or when issueStage walks past it. A squashed subscriber's
+// producer is older than it and in the same thread, so the producer
+// outlives the subscription.
 
-// addDep subscribes di to producer w's completion.
-func (c *Core) addDep(di, w *DynInst) {
-	di.deps[di.ndeps] = w
-	di.ndeps++
+// subscribe makes di wait for w: for w's completion when w is a register
+// producer, for w's issue (address generation) when w is a store.
+func (c *Core) subscribe(di, w *DynInst) {
 	di.waitCount++
-	w.waiters = append(w.waiters, di)
+	w.waiters = append(w.waiters, di.ref())
 }
 
-// addStoreDep subscribes load di to store s's issue (address generation).
-func (c *Core) addStoreDep(di, s *DynInst) {
-	di.olderStores = append(di.olderStores, s)
-	di.waitCount++
-	s.waiters = append(s.waiters, di)
-}
-
-// wakeWaiters satisfies d's register consumers at completion. Completion
-// runs before issue in the cycle loop, so a dependent woken here can issue
-// this same cycle — matching the old scan's "producer has completed by
-// now" test. Stores reach here with an empty list: their disambiguation
-// waiters drained at issue.
+// wakeWaiters satisfies d's live subscribers. A register producer calls
+// it at completion, which runs before issue in the cycle loop, so a
+// dependent woken here can issue this same cycle — matching the old
+// scan's "producer has completed by now" test. A store calls it at issue:
+// the old scan evaluated readiness before any instruction issued, so a
+// load blocked only on this store could not issue until the next cycle,
+// and insertion is deferred (storeWoken) to the end of issueStage. Stores
+// reach it again at completion with an empty list.
 func (c *Core) wakeWaiters(d *DynInst) {
-	for i, w := range d.waiters {
-		d.waiters[i] = nil
-		if w.Squashed {
+	store := d.Static.IsStore()
+	for i, r := range d.waiters {
+		d.waiters[i] = instRef{}
+		w := r.live()
+		if w == nil {
 			continue
 		}
-		w.dropDep(d)
 		w.waitCount--
 		if w.waitCount == 0 && w.Dispatched && !w.Issued {
-			c.readyInsert(w)
+			if store {
+				c.storeWoken = append(c.storeWoken, w)
+			} else {
+				c.readyInsert(w)
+			}
 		}
 	}
 	d.waiters = d.waiters[:0]
-}
-
-// wakeStoreWaiters satisfies loads waiting on this store's address, at the
-// store's issue. The old scan evaluated readiness before any instruction
-// issued, so a load blocked only on this store could not issue until the
-// next cycle; insertion is therefore deferred (storeWoken) to the end of
-// issueStage.
-func (c *Core) wakeStoreWaiters(d *DynInst) {
-	for i, w := range d.waiters {
-		d.waiters[i] = nil
-		if w.Squashed {
-			continue
-		}
-		w.dropStore(d)
-		w.waitCount--
-		if w.waitCount == 0 && w.Dispatched && !w.Issued {
-			c.storeWoken = append(c.storeWoken, w)
-		}
-	}
-	d.waiters = d.waiters[:0]
-}
-
-// dropDep clears the subscription slot naming producer d.
-func (w *DynInst) dropDep(d *DynInst) {
-	for i := 0; i < w.ndeps; i++ {
-		if w.deps[i] == d {
-			w.deps[i] = nil
-			return
-		}
-	}
-}
-
-// dropStore clears the disambiguation subscription naming store d.
-func (w *DynInst) dropStore(d *DynInst) {
-	os := w.olderStores
-	for i, s := range os {
-		if s == d {
-			last := len(os) - 1
-			os[i] = os[last]
-			os[last] = nil
-			w.olderStores = os[:last]
-			return
-		}
-	}
-}
-
-// deregister removes a squashed instruction from the scheduler: its
-// producer and store subscriptions, and the ready list. Squashes run
-// youngest-first, so every producer it is still subscribed to is older and
-// therefore still live.
-func (c *Core) deregister(x *DynInst) {
-	for i := 0; i < x.ndeps; i++ {
-		if d := x.deps[i]; d != nil {
-			d.removeWaiter(x)
-			x.deps[i] = nil
-		}
-	}
-	os := x.olderStores
-	for i, s := range os {
-		if s != nil {
-			s.removeWaiter(x)
-			os[i] = nil
-		}
-	}
-	x.olderStores = os[:0]
-	x.ndeps = 0
-	x.waitCount = 0
-	c.readyRemove(x)
-}
-
-// removeWaiter drops x from d's waiter list (order is irrelevant: the
-// ready list re-establishes seq order on insert).
-func (d *DynInst) removeWaiter(x *DynInst) {
-	ws := d.waiters
-	for i, w := range ws {
-		if w == x {
-			last := len(ws) - 1
-			ws[i] = ws[last]
-			ws[last] = nil
-			d.waiters = ws[:last]
-			return
-		}
-	}
 }
 
 // readyInsert adds di to the seq-ordered ready list.
@@ -137,45 +60,23 @@ func (c *Core) readyInsert(di *DynInst) {
 		return
 	}
 	di.inReady = true
-	c.ready = insertBySeq(c.ready, di)
+	c.ready = insertBySeq(c.ready, di.ref())
 }
 
-// readyRemove drops di from the ready list, if present.
-func (c *Core) readyRemove(di *DynInst) {
-	if !di.inReady {
-		return
-	}
-	di.inReady = false
-	// Seqs are unique and the list is sorted, so binary-search the slot.
-	lo, hi := 0, len(c.ready)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.ready[mid].Seq < di.Seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c.ready) && c.ready[lo] == di {
-		copy(c.ready[lo:], c.ready[lo+1:])
-		c.ready[len(c.ready)-1] = nil
-		c.ready = c.ready[:len(c.ready)-1]
-	}
-}
-
-// insertBySeq inserts di into a seq-sorted list, preserving order.
-func insertBySeq(list []*DynInst, di *DynInst) []*DynInst {
+// insertBySeq inserts r into a list sorted by stored seq, preserving
+// order. Dead entries keep their stored seq, so they never disturb it.
+func insertBySeq(list []instRef, r instRef) []instRef {
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if list[mid].Seq < di.Seq {
+		if list[mid].seq < r.seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	list = append(list, nil)
+	list = append(list, instRef{})
 	copy(list[lo+1:], list[lo:])
-	list[lo] = di
+	list[lo] = r
 	return list
 }

@@ -86,11 +86,12 @@ func (c *Core) squashInst(x *DynInst) {
 	if x.Thread.IsMain {
 		p.S.MainWrongPath++
 	}
-	c.deregister(x)
 	if notedStore {
 		p.dropSquashedStore(x)
 	}
-	c.releaseSquashed(x)
+	// Every scheduler and writer-chain reference to x is an instRef, dead
+	// from here on (pool.go), so x goes straight back to the pool.
+	c.pool = append(c.pool, x)
 }
 
 // squashHelper kills a helper thread whose fork point was squashed: all of

@@ -34,7 +34,7 @@ type Thread struct {
 
 	fetchq     instRing
 	rob        instRing
-	lastWriter [isa.NumRegs]*DynInst
+	lastWriter [isa.NumRegs]instRef
 	// pendingStores are fetched-but-unissued stores (address unknown) for
 	// load disambiguation.
 	pendingStores []*DynInst
@@ -49,7 +49,6 @@ type Thread struct {
 	Slice     *slicehw.Slice
 	Instance  *slicehw.Instance
 	LoopCount int
-	ForkInst  *DynInst
 }
 
 func newThread(id int, rasEntries, fetchqCap, robCap int) *Thread {
@@ -80,14 +79,13 @@ func (t *Thread) reset() {
 	t.Hist, t.Path = 0, 0
 	t.fetchq.clear()
 	t.rob.clear()
-	t.lastWriter = [isa.NumRegs]*DynInst{}
+	t.lastWriter = [isa.NumRegs]instRef{}
 	t.pendingStores = t.pendingStores[:0]
 	t.waitResolve = nil
 	t.icStallUntil = 0
 	t.Slice = nil
 	t.Instance = nil
 	t.LoopCount = 0
-	t.ForkInst = nil
 }
 
 // dropInstance releases a dying helper context's pin on its correlator
@@ -158,11 +156,7 @@ func (d *DynInst) undo(c *Core) {
 		d.Thread.Regs[d.undoReg] = d.undoRegVal
 		d.undoRegValid = false
 	}
-	if dest, ok := d.Static.Dest(); ok && d.Thread.lastWriter[dest] == d {
+	if dest, ok := d.Static.Dest(); ok && d.Thread.lastWriter[dest] == d.ref() {
 		d.Thread.lastWriter[dest] = d.prevWriter
-		if d.prevWriter != nil {
-			// d leaves the chain; its predecessor has no successor now.
-			d.prevWriter.nextWriter = nil
-		}
 	}
 }

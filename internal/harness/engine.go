@@ -189,9 +189,16 @@ func (e *Engine) RunValidated(spec RunSpec) (*RunResult, error) {
 
 // run implements Run and RunValidated: each distinct spec key simulates
 // once, and every other request for it shares that run's result or error.
+// A malformed spec is refused before the memo sees it: a refused spec can
+// share its key with a valid one (the key names only the set's name), so
+// its error must never be cached under that key.
 func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 	key := spec.Key()
-	res, hit, err := e.memo.do(key, func() (*RunResult, error) { return e.simulate(spec, key, o) })
+	w, err := spec.check(key)
+	if err != nil {
+		return nil, err
+	}
+	res, hit, err := e.memo.do(key, func() (*RunResult, error) { return e.simulate(spec, w, key, o) })
 	e.mu.Lock()
 	if hit {
 		e.st.Hits++
@@ -205,8 +212,8 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 	return res, err
 }
 
-// simulate measures one spec; run calls it once per key.
-func (e *Engine) simulate(spec RunSpec, key string, o OracleOptions) (*RunResult, error) {
+// check validates a spec and resolves its workload.
+func (spec RunSpec) check(key string) (*workloads.Workload, error) {
 	w, err := workloads.ByName(spec.Workload)
 	if err != nil {
 		return nil, err
@@ -222,6 +229,11 @@ func (e *Engine) simulate(spec RunSpec, key string, o OracleOptions) (*RunResult
 			return nil, fmt.Errorf("harness: slice set %q belongs to %s, not %s", set.Name, set.Workload, spec.Workload)
 		}
 	}
+	return w, nil
+}
+
+// simulate measures one checked spec; run calls it once per key.
+func (e *Engine) simulate(spec RunSpec, w *workloads.Workload, key string, o OracleOptions) (*RunResult, error) {
 	start := time.Now()
 	core, warmSrc, err := RunOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, spec.Set, nil)
 	if err != nil {

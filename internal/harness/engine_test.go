@@ -217,13 +217,15 @@ func TestRunSpecSliceSetChecks(t *testing.T) {
 			t.Errorf("%s: spec accepted", name)
 		}
 	}
-	if got := e.Stats().SimInsts; got != 0 {
-		t.Errorf("refused specs simulated %d instructions", got)
+	if st := e.Stats(); st.SimInsts != 0 || st.Misses != 0 || st.Hits != 0 {
+		t.Errorf("refused specs reached the memo: %d simulations, %d hits, %d instructions",
+			st.Misses, st.Hits, st.SimInsts)
 	}
-	// A fresh engine: the refused specs without an image or a table share
-	// the valid spec's key, and the memo keeps their errors.
-	if _, err := NewEngine(small, 1).Run(spec); err != nil {
-		t.Errorf("valid set refused: %v", err)
+	// The same engine: the refused specs without an image or a table share
+	// the valid spec's key, so a memo that cached their errors would refuse
+	// it too.
+	if _, err := e.Run(spec); err != nil {
+		t.Errorf("valid set refused after refused specs of the same key: %v", err)
 	}
 }
 
