@@ -146,3 +146,51 @@ func TestMultiProgramMatchesSolo(t *testing.T) {
 		}
 	}
 }
+
+// TestSquashKillsOnlyOwnHelper: a helper context freed by one program can
+// be forked again by another, and squashing the first program's forker
+// must then leave the second program's helper running. A squash finds the
+// helpers to kill by the forking instruction's Seq, which no reused
+// context can share.
+func TestSquashKillsOnlyOwnHelper(t *testing.T) {
+	core := newMiniPair(t)
+	forkAt := func(pi int) (*DynInst, *Thread) {
+		p := core.progs[pi]
+		s := p.sliceTable.Slices()[0]
+		p.main.PC = s.ForkPC
+		core.fetchOne(p.main, p.pcs.at(s.ForkPC), s.ForkPC)
+		for _, h := range core.threads {
+			if h.Alive && !h.IsMain && h.prog == p {
+				return p.main.fetchq.back(), h
+			}
+		}
+		t.Fatalf("program %d's fetch at the fork PC started no helper", pi)
+		return nil, nil
+	}
+
+	x0, h0 := forkAt(0)
+	h0.Fetching = false // the helper drains and is reaped
+	core.reapHelpers()
+	if h0.Alive {
+		t.Fatal("drained helper not reaped")
+	}
+	x1, h1 := forkAt(1)
+	if h1 != h0 {
+		t.Fatal("program 1 did not fork into the context program 0's helper left")
+	}
+
+	core.progs[0].main.fetchq.popBack()
+	core.squashInst(x0)
+	if !h1.Alive || core.ProgSim(1).ForksSquashed != 0 {
+		t.Fatal("squashing program 0's forker killed program 1's helper")
+	}
+	if n := core.ProgSim(0).ForksSquashed; n != 0 {
+		t.Errorf("program 0 counted %d squashed forks for a helper already reaped", n)
+	}
+
+	core.progs[1].main.fetchq.popBack()
+	core.squashInst(x1)
+	if h1.Alive || core.ProgSim(1).ForksSquashed != 1 {
+		t.Error("squashing program 1's forker left its helper running")
+	}
+}
