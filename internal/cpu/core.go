@@ -406,13 +406,11 @@ func (c *Core) dispatchStage() {
 }
 
 // reapHelpers frees helper contexts that stopped fetching and drained.
-// Their correlator instances persist: predictions outlive the thread,
-// which only drops its pin on the instance.
+// Their correlator instances persist: predictions outlive the thread.
 func (c *Core) reapHelpers() {
 	for _, t := range c.threads {
 		if t.Alive && !t.IsMain && !t.Fetching && t.inflight() == 0 {
 			t.Alive = false
-			t.dropInstance()
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // DynInst is one in-flight dynamic instruction. It carries the functional
 // outcome (computed at fetch), the prediction state and checkpoints needed
 // for recovery, the undo log for its architectural side effects, the
-// correlator/fork handles for exact slice-hardware rollback, and its
+// correlator references for exact slice-hardware rollback, and its
 // timing.
 type DynInst struct {
 	Thread *Thread
@@ -49,15 +49,12 @@ type DynInst struct {
 	LoopAfter int // helper back-edge count after this instruction
 
 	// Correlator interaction (exact undo on squash).
-	UsedPred     *slicehw.Pred
+	UsedPred     slicehw.PredRef
 	UsedOverride bool
 	KillRecs     []*slicehw.KillRecord
 	// AllocPred is the prediction a helper's PGI allocated at fetch (its
 	// row's pgi names the PGI); the PGI's value fills it at completion.
-	AllocPred *slicehw.Pred
-
-	// Helper threads forked when this instruction was fetched.
-	Forked []*Thread
+	AllocPred slicehw.PredRef
 
 	// Undo log for the functional side effects.
 	undoRegValid bool

@@ -58,7 +58,6 @@ func (c *Core) CheckInvariants() error {
 			i    int
 		}{
 			{"KillRecs", liveTail(d.KillRecs)},
-			{"Forked", liveTail(d.Forked)},
 			{"waiters", liveTail(d.waiters)},
 		} {
 			if tail.i >= 0 {
@@ -158,7 +157,7 @@ func (c *Core) CheckInvariants() error {
 					p.BranchPC, d.Seq, pooled[d], d.Retired, d.Squashed)
 				return
 			}
-			if d.UsedPred != p {
+			if d.UsedPred.Live() != p {
 				corrErr = fmt.Errorf("cpu: prediction for branch %#x bound to seq=%d which does not point back at it", p.BranchPC, d.Seq)
 			}
 		})

@@ -161,8 +161,8 @@ func pooledRetired(t *testing.T, c *Core) *DynInst {
 
 // TestPooledSliceTailsNil pins the length-only scrub's precondition on
 // real slice-heavy runs: at every stop point, CheckInvariants finds only
-// zero slots in [len:cap] of each pooled instruction's KillRecs, Forked
-// and waiters. The run must actually fork slices and recycle
+// zero slots in [len:cap] of each pooled instruction's KillRecs and
+// waiters. The run must actually fork slices and recycle
 // instructions, or the check is vacuous.
 func TestPooledSliceTailsNil(t *testing.T) {
 	for _, name := range []string{"mcf", "gcc", "vpr"} {

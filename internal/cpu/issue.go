@@ -4,6 +4,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/slicehw"
 	"repro/internal/stats"
 )
 
@@ -188,7 +189,7 @@ func (c *Core) completeStage() {
 		if di.Static.IsCtrl() {
 			c.resolveCtrl(di)
 		}
-		if di.AllocPred != nil {
+		if di.AllocPred != (slicehw.PredRef{}) {
 			c.fillPGI(di)
 		}
 	}

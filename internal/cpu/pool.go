@@ -25,16 +25,19 @@ import (
 //     still live until reuse, is Completed, which fetch's dependence scan
 //     treats exactly like no in-flight producer.
 //
-// Three owners keep raw pointers and release them explicitly, because
-// they act on what they point to:
+// The correlator pools its instances and predictions under the same rule
+// (slicehw.InstRef, slicehw.PredRef: checked by instance ID), and each
+// helper context records the Seq of the instruction that forked it, which
+// a squash matches. Two owners still keep raw pointers and release them
+// explicitly, because they act on what they point to:
 //
 //   - the correlator's Consumer handle is cleared at retire
 //     (DropConsumer) or squash (UndoUse);
-//   - the instruction's own correlator handles (UsedPred, AllocPred,
-//     KillRecs) are released and nil'd (dropCorrHandles), because the
-//     correlator pools those objects under the same contract;
 //   - the committed-store queue and the pending-store list drop the
 //     instruction the moment it retires, issues or squashes.
+//
+// An instruction's kill records are consumed exactly once, by CommitKill
+// at retire or UndoKill at squash, and are not read after.
 //
 // Scrubbing happens at *allocation*, not release: same-cycle consumers
 // (the pendingStores compaction after a squash, the completion list's
@@ -83,12 +86,12 @@ func (c *Core) allocInst() *DynInst {
 }
 
 // Instructions are created instChunk at a time, with initial capacity for
-// their three per-instruction slices carved from shared arrays:
-// waiterSlots for waiters, one each for KillRecs and Forked. A fresh or
-// restored core then reaches its working set in a handful of allocations
-// instead of one per instruction and one per first append. An append
-// past the carved capacity reallocates that slice alone (the full slice
-// expressions cap each at its own region).
+// their two per-instruction slices carved from shared arrays: waiterSlots
+// for waiters, one for KillRecs. A fresh or restored core then reaches its
+// working set in a handful of allocations instead of one per instruction
+// and one per first append. An append past the carved capacity
+// reallocates that slice alone (the full slice expressions cap each at its
+// own region).
 const (
 	instChunk   = 64
 	waiterSlots = 8
@@ -98,24 +101,21 @@ func newInstChunk() []DynInst {
 	insts := make([]DynInst, instChunk)
 	waiters := make([]instRef, waiterSlots*instChunk)
 	recs := make([]*slicehw.KillRecord, instChunk)
-	forked := make([]*Thread, instChunk)
 	for i := range insts {
 		d := &insts[i]
 		w := waiterSlots * i
 		d.waiters = waiters[w : w : w+waiterSlots]
 		d.KillRecs = recs[i : i : i+1]
-		d.Forked = forked[i : i : i+1]
 	}
 	return insts
 }
 
-// scrub resets a recycled instruction while keeping the
-// KillRecs/Forked/waiters backing arrays for reuse. Only [:len] of each
-// slice is cleared: every site that shortens one of them (wakeWaiters,
-// dropCorrHandles) clears the dropped slots first, so [len:cap] is
-// already zero and the pool pins no correlator record or thread beyond
-// its lifetime. CheckInvariants verifies that tail for every pooled
-// instruction.
+// scrub resets a recycled instruction while keeping the KillRecs and
+// waiters backing arrays for reuse. Only [:len] of each slice is cleared:
+// scrub is the only site that shortens KillRecs, and wakeWaiters clears
+// the slots it drops first, so [len:cap] is already zero and the pool pins
+// no correlator record beyond the instruction's next use. CheckInvariants
+// verifies that tail for every pooled instruction.
 //
 // Resetting is selective: a full-struct copy (`*d = DynInst{...}`) was the
 // hottest single line of the cycle loop, and most fields don't need it.
@@ -130,15 +130,14 @@ func newInstChunk() []DynInst {
 // snapshot-determinism tests and the harness goldens guard the contract.
 func (d *DynInst) scrub() {
 	clear(d.KillRecs)
-	clear(d.Forked)
 	clear(d.waiters)
-	d.KillRecs, d.Forked, d.waiters = d.KillRecs[:0], d.Forked[:0], d.waiters[:0]
+	d.KillRecs, d.waiters = d.KillRecs[:0], d.waiters[:0]
 
 	d.PredTaken, d.PredTarget = false, 0
 	d.NoTargetPred, d.Mispredicted = false, false
 	d.HistBefore, d.PathBefore = 0, 0
-	d.UsedPred, d.UsedOverride = nil, false
-	d.AllocPred = nil
+	d.UsedPred, d.UsedOverride = slicehw.PredRef{}, false
+	d.AllocPred = slicehw.PredRef{}
 	d.undoRegValid, d.undoMemValid = false, false
 	d.prevWriter = instRef{}
 	d.waitCount, d.inReady = 0, false
@@ -148,30 +147,10 @@ func (d *DynInst) scrub() {
 }
 
 // releaseRetired returns a retired instruction to the pool, first
-// releasing its correlator handles.
+// clearing the consumer handle its prediction holds on it.
 func (c *Core) releaseRetired(d *DynInst) {
 	if p := d.Thread.prog; p.corr != nil {
-		if d.UsedPred != nil {
-			p.corr.DropConsumer(d.UsedPred, d)
-		}
-		d.dropCorrHandles(p.corr)
+		p.corr.DropConsumer(d.UsedPred, d)
 	}
 	c.pool = append(c.pool, d)
-}
-
-// dropCorrHandles severs the instruction's correlator handles once they
-// have been committed or undone: the pins on UsedPred and AllocPred are
-// released, and the consumed kill records (already recycled by
-// CommitKill/UndoKill) are forgotten.
-func (d *DynInst) dropCorrHandles(corr *slicehw.Correlator) {
-	if d.UsedPred != nil {
-		corr.ReleasePred(d.UsedPred)
-		d.UsedPred = nil
-	}
-	if d.AllocPred != nil {
-		corr.ReleasePred(d.AllocPred)
-		d.AllocPred = nil
-	}
-	clear(d.KillRecs)
-	d.KillRecs = d.KillRecs[:0]
 }

@@ -115,15 +115,14 @@ func (c *Core) retireInst(di *DynInst) {
 			c.dir.Update(p.saltPC(pc), di.HistBefore, di.Out.Taken)
 		}
 		// Slice-prediction accounting (Table 4).
-		if di.UsedPred != nil && di.UsedOverride {
+		if pr := di.UsedPred.Live(); pr != nil && di.UsedOverride {
 			p.S.PredsUsed++
-			if di.UsedPred.UsedDir == di.Out.Taken {
+			if pr.UsedDir == di.Out.Taken {
 				p.S.PredsCorrect++
 			} else {
 				p.S.PredsIncorrect++
 			}
-		}
-		if di.UsedPred != nil && !di.UsedOverride {
+		} else if pr != nil {
 			p.S.PredsLateUsed++
 		}
 

@@ -193,7 +193,7 @@ func strayPrediction(t *testing.T, core *cpu.Core) {
 		t.Fatal("core has no slice hardware")
 	}
 	p := corr.Allocate(corr.NewInstance(&slicehw.Slice{Name: "stray"}), 0xdead0)
-	p.Consumer = "stray"
+	p.Live().Consumer = "stray"
 	if err := core.CheckInvariants(); err == nil {
 		t.Fatal("stray prediction did not break the invariants")
 	}

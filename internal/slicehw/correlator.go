@@ -11,29 +11,29 @@ package slicehw
 // handled as a late prediction with optional early resolution (§5.3).
 //
 // Pooling. Instances, their predictions and kill records are recycled
-// through per-correlator free lists, under the sever-before-pool contract
-// the CPU's DynInst pool follows: an object reaches a free list only once
-// no pointer to it can be followed again.
+// through per-correlator free lists under the rule the CPU's DynInst pool
+// follows: every reference into a recycled object carries the ID it was
+// taken at, and reads dead once the object is recycled.
 //
+//   - An instance's ID comes from nextID, which never resets and travels
+//     in checkpoints. The helper context's InstRef, a PGI's or a branch's
+//     PredRef, and a kill record's references all carry their instance's
+//     ID. A prediction belongs to exactly one instance, so its reference
+//     is checked by that instance's ID.
+//   - An instance and every prediction it allocated are recycled the
+//     moment the instance is detached (off its slice's live list, so no
+//     queue can reach it): its fork was squashed (RemoveInstance), or the
+//     slice kill that finished it retired (CommitKill).
+//   - A dead reference does nothing: it reads Done, and every operation
+//     on a dead PredRef is ignored, as one on a removed entry is.
 //   - A kill record is recycled the moment CommitKill or UndoKill consumes
-//     it; the caller must drop its pointer then.
-//   - A prediction is recycled together with its instance: Pred.inst is
-//     its only owner the correlator cannot see, and inst.entries keeps
-//     every prediction the instance ever allocated.
-//   - An instance is recycled once it is detached (off its slice's live
-//     list, so no queue can reach it or its predictions) and unpinned.
-//     Every outside handle holds one pin: the helper context NewInstance
-//     serves (dropped by ReleaseInstance), each prediction handed out by
-//     Allocate or Lookup (dropped by ReleasePred), and each kill record
-//     naming the instance or one of its predictions (dropped when the
-//     record is consumed).
+//     it; its owner consumes it exactly once.
 //
-// A missed release only leaks an object to the garbage collector; a
-// double release panics. CheckInvariants verifies that nothing reachable
-// sits on a free list.
+// Only the Consumer back-reference into the CPU is released by hand
+// (DropConsumer, UndoUse). CheckInvariants verifies that nothing
+// reachable sits on a free list.
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/stats"
@@ -71,13 +71,6 @@ type Pred struct {
 	removed bool
 }
 
-// Instance returns the slice activation that generated this prediction.
-func (p *Pred) Instance() *Instance { return p.inst }
-
-// Entries returns the instance's predictions in allocation order
-// (debugging).
-func (i *Instance) Entries() []*Pred { return i.entries }
-
 // State derives the Figure 10 state field.
 func (p *Pred) State() PredState {
 	switch {
@@ -101,19 +94,61 @@ type Instance struct {
 	skipSliceKill int
 	entries       []*Pred
 	finished      bool
-	removed       bool
-	// detached marks an instance dropped from its slice's live list; pins
-	// counts the outside handles still naming it or its predictions. The
-	// instance returns to the free list when detached with no pins.
-	detached bool
-	pins     int
+}
+
+// InstRef references an instance by pointer and by the ID it carried when
+// the reference was taken. The zero InstRef is dead.
+type InstRef struct {
+	inst *Instance
+	id   uint64
+}
+
+func (i *Instance) ref() InstRef { return InstRef{i, i.ID} }
+
+// live returns the referenced instance, or nil once it was recycled.
+func (r InstRef) live() *Instance {
+	if i := r.inst; i != nil && i.ID == r.id {
+		return i
+	}
+	return nil
 }
 
 // Done reports whether the instance can no longer contribute predictions
-// (its slice kill fired, or its fork was squashed). A helper thread whose
-// instance is done terminates at its next PGI: predictions allocated after
-// the slice kill would mis-align the queue against future instances.
-func (i *Instance) Done() bool { return i == nil || i.finished || i.removed }
+// (its slice kill fired, or its fork was squashed and it was recycled). A
+// helper thread whose instance is done terminates at its next PGI:
+// predictions allocated after the slice kill would mis-align the queue
+// against future instances.
+func (r InstRef) Done() bool {
+	i := r.live()
+	return i == nil || i.finished
+}
+
+// PredRef references a prediction by pointer and by its instance's ID.
+// The zero PredRef is dead.
+type PredRef struct {
+	p  *Pred
+	id uint64
+}
+
+func (p *Pred) ref() PredRef { return PredRef{p, p.inst.ID} }
+
+// Live returns the referenced prediction, or nil once its instance was
+// recycled. The CPU reads a prediction only through its reference.
+func (r PredRef) Live() *Pred {
+	if p := r.p; p != nil && p.inst != nil && p.inst.ID == r.id {
+		return p
+	}
+	return nil
+}
+
+// queued returns the referenced prediction while it still sits in its
+// queue: live and neither undone nor deallocated.
+func (r PredRef) queued() *Pred {
+	if p := r.Live(); p != nil && !p.removed {
+		return p
+	}
+	return nil
+}
 
 type queue struct {
 	branchPC uint64
@@ -177,16 +212,15 @@ func (c *Correlator) queueFor(branchPC uint64) *queue {
 	return q
 }
 
-// NewInstance registers a fork of s and returns its instance handle,
-// pinned once for the helper context that runs it; ReleaseInstance drops
-// that pin when the context lets go.
-func (c *Correlator) NewInstance(s *Slice) *Instance {
+// NewInstance registers a fork of s and returns the reference the helper
+// context that runs it keeps.
+func (c *Correlator) NewInstance(s *Slice) InstRef {
 	c.nextID++
 	inst := pop(&c.freeInsts)
 	if inst == nil {
 		inst = &Instance{}
 	}
-	inst.ID, inst.Slice, inst.pins = c.nextID, s, 1
+	inst.ID, inst.Slice = c.nextID, s
 	if s.LoopKillSkipFirst {
 		inst.skipLoopKill = 1
 	}
@@ -195,17 +229,17 @@ func (c *Correlator) NewInstance(s *Slice) *Instance {
 	}
 	c.liveBySlice[s] = append(c.liveBySlice[s], inst)
 	c.emit(stats.Event{Kind: stats.EvInstance, Slice: s.Index, Inst: int(inst.ID)})
-	return inst
+	return inst.ref()
 }
 
-// RemoveInstance tears an instance down (fork squashed or helper thread
-// reclaimed after its predictions were all killed). All its entries leave
-// their queues immediately.
-func (c *Correlator) RemoveInstance(inst *Instance) {
-	if inst == nil || inst.removed {
+// RemoveInstance tears an instance down (its fork was squashed): all its
+// entries leave their queues and it is recycled, so every reference to it
+// reads dead. A dead reference removes nothing.
+func (c *Correlator) RemoveInstance(r InstRef) {
+	inst := r.live()
+	if inst == nil {
 		return
 	}
-	inst.removed = true
 	c.Stats.InstanceDrops++
 	c.emit(stats.Event{Kind: stats.EvInstanceDrop, Slice: inst.Slice.Index, Inst: int(inst.ID)})
 	for _, p := range inst.entries {
@@ -215,41 +249,14 @@ func (c *Correlator) RemoveInstance(inst *Instance) {
 }
 
 // detach drops inst from its slice's live list — after which no queue
-// holds its predictions — and recycles it if nothing pins it.
+// holds its predictions — and recycles it with every prediction it
+// allocated.
 func (c *Correlator) detach(inst *Instance) {
 	live := c.liveBySlice[inst.Slice]
 	if i := slices.Index(live, inst); i >= 0 {
 		// slices.Delete nils the vacated slot, so the shortened list's
 		// backing array pins nothing.
 		c.liveBySlice[inst.Slice] = slices.Delete(live, i, i+1)
-	}
-	inst.detached = true
-	c.maybeFree(inst)
-}
-
-// ReleaseInstance drops the pin NewInstance took for the helper context:
-// the context died, was squashed, or was reaped. The caller must not use
-// inst afterwards.
-func (c *Correlator) ReleaseInstance(inst *Instance) { c.unpin(inst) }
-
-// ReleasePred drops the pin Allocate or Lookup took for the caller's
-// handle on p (the PGI or the consuming branch left the pipeline). The
-// caller must not use p afterwards.
-func (c *Correlator) ReleasePred(p *Pred) { c.unpin(p.inst) }
-
-func (c *Correlator) unpin(inst *Instance) {
-	if inst.pins <= 0 {
-		panic(fmt.Sprintf("slicehw: instance %d released more often than pinned", inst.ID))
-	}
-	inst.pins--
-	c.maybeFree(inst)
-}
-
-// maybeFree recycles a detached, unpinned instance and every prediction
-// it allocated.
-func (c *Correlator) maybeFree(inst *Instance) {
-	if !inst.detached || inst.pins > 0 {
-		return
 	}
 	for _, p := range inst.entries {
 		*p = Pred{}
@@ -283,36 +290,36 @@ func (c *Correlator) CanAllocate(branchPC uint64) bool {
 	return q == nil || len(q.entries) < c.maxPerBranch
 }
 
-// Allocate creates an Empty entry for branchPC on behalf of inst (PGI
-// fetch). It returns nil when the branch queue is full or the instance is
-// gone; the prediction is then simply dropped, like a CAM allocation
-// failure in hardware. A returned entry is pinned for the caller until
-// ReleasePred.
-func (c *Correlator) Allocate(inst *Instance, branchPC uint64) *Pred {
-	if inst.Done() {
-		return nil
+// Allocate creates an Empty entry for branchPC on behalf of the instance
+// r names (PGI fetch). It returns the zero PredRef when the branch queue
+// is full or the instance is done; the prediction is then simply dropped,
+// like a CAM allocation failure in hardware.
+func (c *Correlator) Allocate(r InstRef, branchPC uint64) PredRef {
+	if r.Done() {
+		return PredRef{}
 	}
+	inst := r.inst
 	q := c.queueFor(branchPC)
 	if len(q.entries) >= c.maxPerBranch {
 		c.Stats.QueueFull++
-		return nil
+		return PredRef{}
 	}
 	p := pop(&c.freePreds)
 	if p == nil {
 		p = &Pred{}
 	}
 	p.BranchPC, p.inst = branchPC, inst
-	inst.pins++
 	q.entries = append(q.entries, p)
 	inst.entries = append(inst.entries, p)
 	c.Stats.Generated++
 	c.emit(stats.Event{Kind: stats.EvPredAlloc, PC: branchPC, Slice: inst.Slice.Index,
 		Inst: int(inst.ID), N: uint64(len(q.entries))})
-	return p
+	return p.ref()
 }
 
 // UndoAllocate reverses Allocate (the PGI's fetch was squashed).
-func (c *Correlator) UndoAllocate(p *Pred) {
+func (c *Correlator) UndoAllocate(r PredRef) {
+	p := r.Live()
 	if p == nil {
 		return
 	}
@@ -324,7 +331,8 @@ func (c *Correlator) UndoAllocate(p *Pred) {
 // FillResult reports what a Fill did.
 type FillResult struct {
 	// Applied reports whether the entry was actually filled (false when
-	// the prediction had already been removed, e.g. by a fork squash).
+	// the prediction had already been removed or recycled, e.g. by a fork
+	// squash).
 	Applied bool
 	// LateMismatch: the entry had already been consumed with the opposite
 	// direction; the CPU should redirect the consumer if it is still
@@ -335,8 +343,9 @@ type FillResult struct {
 }
 
 // Fill delivers the PGI's computed direction.
-func (c *Correlator) Fill(p *Pred, dir bool) FillResult {
-	if p == nil || p.removed {
+func (c *Correlator) Fill(r PredRef, dir bool) FillResult {
+	p := r.queued()
+	if p == nil {
 		return FillResult{}
 	}
 	p.Filled = true
@@ -358,13 +367,13 @@ func (c *Correlator) Fill(p *Pred, dir bool) FillResult {
 // queue. fallbackDir is what the conventional predictor says; consumer is
 // the CPU's handle for the branch instance.
 //
-// It returns the matched entry (nil if none), the direction the fetch
-// should use, and whether the correlator overrode the conventional
-// predictor. A matched entry is pinned for the caller until ReleasePred.
-func (c *Correlator) Lookup(branchPC uint64, fallbackDir bool, consumer any) (p *Pred, dir bool, override bool) {
+// It returns the matched entry (the zero PredRef if none), the direction
+// the fetch should use, and whether the correlator overrode the
+// conventional predictor.
+func (c *Correlator) Lookup(branchPC uint64, fallbackDir bool, consumer any) (p PredRef, dir bool, override bool) {
 	q := c.queues[branchPC]
 	if q == nil {
-		return nil, fallbackDir, false
+		return PredRef{}, fallbackDir, false
 	}
 	for _, e := range q.entries {
 		if e.Killed || e.Used {
@@ -381,7 +390,6 @@ func (c *Correlator) Lookup(branchPC uint64, fallbackDir bool, consumer any) (p 
 		}
 		e.Used = true
 		e.Consumer = consumer
-		e.inst.pins++
 		if e.Filled {
 			e.UsedDir = e.Dir
 			c.Stats.Overrides++
@@ -389,7 +397,7 @@ func (c *Correlator) Lookup(branchPC uint64, fallbackDir bool, consumer any) (p 
 				Inst: int(e.inst.ID), Dir: dirString(e.Dir), Level: "full"})
 			c.emit(stats.Event{Kind: stats.EvOverride, PC: branchPC, Slice: e.inst.Slice.Index,
 				Inst: int(e.inst.ID), Dir: dirString(e.Dir)})
-			return e, e.Dir, true
+			return e.ref(), e.Dir, true
 		}
 		// Empty → Late: the branch proceeds with the conventional
 		// prediction; the PGI may still resolve it early.
@@ -397,14 +405,15 @@ func (c *Correlator) Lookup(branchPC uint64, fallbackDir bool, consumer any) (p 
 		c.Stats.LateMatches++
 		c.emit(stats.Event{Kind: stats.EvPredBind, PC: branchPC, Slice: e.inst.Slice.Index,
 			Inst: int(e.inst.ID), Dir: dirString(fallbackDir), Level: "late"})
-		return e, fallbackDir, false
+		return e.ref(), fallbackDir, false
 	}
-	return nil, fallbackDir, false
+	return PredRef{}, fallbackDir, false
 }
 
 // UndoUse reverses a Lookup match (the consuming branch was squashed).
-func (c *Correlator) UndoUse(p *Pred) {
-	if p == nil || p.removed {
+func (c *Correlator) UndoUse(r PredRef) {
+	p := r.queued()
+	if p == nil {
 		return
 	}
 	p.Used = false
@@ -417,36 +426,34 @@ func (c *Correlator) UndoUse(p *Pred) {
 // retired: the branch resolved on the committed path, so a late fill can
 // no longer redirect it, and the CPU is free to recycle the handle. The
 // identity check keeps a stale call from clearing a newer binding.
-func (c *Correlator) DropConsumer(p *Pred, consumer any) {
-	if p == nil || p.Consumer != consumer {
-		return
+func (c *Correlator) DropConsumer(r PredRef, consumer any) {
+	if p := r.Live(); p != nil && p.Consumer == consumer {
+		p.Consumer = nil
 	}
-	p.Consumer = nil
 }
 
 // RedirectUse updates the used direction after an early resolution flipped
 // the consumer's fetch direction.
-func (c *Correlator) RedirectUse(p *Pred, dir bool) {
-	if p == nil || p.removed {
-		return
+func (c *Correlator) RedirectUse(r PredRef, dir bool) {
+	if p := r.queued(); p != nil {
+		p.UsedDir = dir
 	}
-	p.UsedDir = dir
 }
 
 // KillRecord captures everything one kill instruction did, for exact undo.
-// It pins every instance it names, directly or through a prediction, until
-// CommitKill or UndoKill consumes it and returns it to the free list.
+// Its references carry instance IDs like every other; CommitKill or
+// UndoKill consumes it and returns it to the free list.
 type KillRecord struct {
-	Preds []*Pred // entries this kill marked
+	Preds []PredRef // entries this kill marked
 	// skipInst is the instance whose first-iteration exemption this kill
-	// consumed (nil if none).
-	skipInst *Instance
+	// consumed (the zero InstRef if none).
+	skipInst InstRef
 	// skipSliceInsts are instances whose slice-kill exemption this kill
 	// consumed.
-	skipSliceInsts []*Instance
+	skipSliceInsts []InstRef
 	// finishedInsts are the instances a slice kill retired (empty for
 	// loop kills).
-	finishedInsts []*Instance
+	finishedInsts []InstRef
 	slice         *Slice
 }
 
@@ -472,8 +479,7 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 	if inst.skipLoopKill > 0 {
 		inst.skipLoopKill--
 		rec := c.newRecord(s)
-		rec.skipInst = inst
-		c.pinRecord(rec)
+		rec.skipInst = inst.ref()
 		return rec
 	}
 	rec := c.newRecord(s)
@@ -489,7 +495,7 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 		for _, e := range q.entries {
 			if !e.Killed && e.inst == inst {
 				e.Killed = true
-				rec.Preds = append(rec.Preds, e)
+				rec.Preds = append(rec.Preds, e.ref())
 				c.Stats.LoopKills++
 				c.emit(stats.Event{Kind: stats.EvPredKill, PC: bpc, Slice: inst.Slice.Index,
 					Inst: int(inst.ID), Level: "loop"})
@@ -502,7 +508,6 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 		c.freeRecord(rec)
 		return nil
 	}
-	c.pinRecord(rec)
 	return rec
 }
 
@@ -520,18 +525,18 @@ func (c *Correlator) KillSlice(s *Slice) *KillRecord {
 		}
 		if inst.skipSliceKill > 0 {
 			inst.skipSliceKill--
-			rec.skipSliceInsts = append(rec.skipSliceInsts, inst)
+			rec.skipSliceInsts = append(rec.skipSliceInsts, inst.ref())
 			c.emit(stats.Event{Kind: stats.EvKillSkip, Slice: s.Index, Inst: int(inst.ID), Level: "slice"})
 			continue
 		}
 		inst.finished = true
-		rec.finishedInsts = append(rec.finishedInsts, inst)
+		rec.finishedInsts = append(rec.finishedInsts, inst.ref())
 		c.emit(stats.Event{Kind: stats.EvPredKill, Slice: s.Index, Inst: int(inst.ID),
 			Level: "slice", N: uint64(len(inst.entries))})
 		for _, e := range inst.entries {
 			if !e.Killed && !e.removed {
 				e.Killed = true
-				rec.Preds = append(rec.Preds, e)
+				rec.Preds = append(rec.Preds, e.ref())
 				c.Stats.SliceKills++
 			}
 		}
@@ -541,7 +546,6 @@ func (c *Correlator) KillSlice(s *Slice) *KillRecord {
 		c.freeRecord(rec)
 		return nil
 	}
-	c.pinRecord(rec)
 	return rec
 }
 
@@ -569,38 +573,6 @@ func pop[T any](list *[]*T) *T {
 	return x
 }
 
-// pinRecord pins every instance rec names, once per reference;
-// unpinRecord drops exactly the same pins.
-func (c *Correlator) pinRecord(rec *KillRecord) {
-	for _, p := range rec.Preds {
-		p.inst.pins++
-	}
-	if rec.skipInst != nil {
-		rec.skipInst.pins++
-	}
-	for _, inst := range rec.skipSliceInsts {
-		inst.pins++
-	}
-	for _, inst := range rec.finishedInsts {
-		inst.pins++
-	}
-}
-
-func (c *Correlator) unpinRecord(rec *KillRecord) {
-	for _, p := range rec.Preds {
-		c.unpin(p.inst)
-	}
-	if rec.skipInst != nil {
-		c.unpin(rec.skipInst)
-	}
-	for _, inst := range rec.skipSliceInsts {
-		c.unpin(inst)
-	}
-	for _, inst := range rec.finishedInsts {
-		c.unpin(inst)
-	}
-}
-
 // freeRecord scrubs a consumed record, keeping its slices' backing arrays,
 // and returns it to the free list.
 func (c *Correlator) freeRecord(rec *KillRecord) {
@@ -616,26 +588,32 @@ func (c *Correlator) freeRecord(rec *KillRecord) {
 }
 
 // UndoKill reverses a kill record (the killer was squashed) and recycles
-// it: the caller must not use rec afterwards.
+// it: the caller must not use rec afterwards. Dead references in it
+// restore nothing.
 func (c *Correlator) UndoKill(rec *KillRecord) {
 	if rec == nil {
 		return
 	}
-	for _, p := range rec.Preds {
-		p.Killed = false
-		c.Stats.UndoneKills++
+	for _, r := range rec.Preds {
+		if p := r.Live(); p != nil {
+			p.Killed = false
+			c.Stats.UndoneKills++
+		}
 	}
-	if rec.skipInst != nil {
-		rec.skipInst.skipLoopKill++
+	if inst := rec.skipInst.live(); inst != nil {
+		inst.skipLoopKill++
 	}
-	for _, inst := range rec.skipSliceInsts {
-		inst.skipSliceKill++
+	for _, r := range rec.skipSliceInsts {
+		if inst := r.live(); inst != nil {
+			inst.skipSliceKill++
+		}
 	}
-	for _, inst := range rec.finishedInsts {
-		inst.finished = false
-		c.emit(stats.Event{Kind: stats.EvUndoKill, Slice: rec.slice.Index, Inst: int(inst.ID), Level: "slice"})
+	for _, r := range rec.finishedInsts {
+		if inst := r.live(); inst != nil {
+			inst.finished = false
+			c.emit(stats.Event{Kind: stats.EvUndoKill, Slice: rec.slice.Index, Inst: int(inst.ID), Level: "slice"})
+		}
 	}
-	c.unpinRecord(rec)
 	c.freeRecord(rec)
 }
 
@@ -647,14 +625,17 @@ func (c *Correlator) CommitKill(rec *KillRecord) {
 	if rec == nil {
 		return
 	}
-	for _, p := range rec.Preds {
-		c.removePred(p)
+	for _, r := range rec.Preds {
+		if p := r.Live(); p != nil {
+			c.removePred(p)
+		}
 	}
-	for _, inst := range rec.finishedInsts {
+	for _, r := range rec.finishedInsts {
 		// The instance's bookkeeping can go once its entries are gone.
-		c.detach(inst)
+		if inst := r.live(); inst != nil {
+			c.detach(inst)
+		}
 	}
-	c.unpinRecord(rec)
 	c.freeRecord(rec)
 }
 

@@ -71,10 +71,10 @@ func (a fuzzCoverage) fullChain() bool {
 
 // runCorrelatorInvariants models the CPU's protocol: the action stack is
 // the in-flight window in fetch order, a squash undoes a suffix youngest
-// first, a commit retires a prefix oldest first, and every handle the
-// correlator hands out is released exactly once — the helper context's
-// instance when it is squashed or reaped, a prediction when its PGI or
-// consumer leaves the window, a kill record when it commits or is undone.
+// first, a commit retires a prefix oldest first, each kill record is
+// consumed exactly once (committed or undone), and a consumer is dropped
+// when its branch retires. References are never released: fills go to
+// any prediction a helper ever allocated, dead references included.
 func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 	const branchA, branchB = 0x2000, 0x2020
 	rng := rand.New(rand.NewSource(seed))
@@ -91,14 +91,15 @@ func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 	}
 	c := NewCorrelator(8)
 
-	// helper is one helper context; alive while it holds its instance pin.
+	// helper is one helper context and every prediction it allocated.
 	type helper struct {
-		inst  *Instance
+		inst  InstRef
+		preds []PredRef
 		alive bool
 	}
 	type undoable struct {
 		kind     string
-		pred     *Pred
+		pred     PredRef
 		rec      *KillRecord
 		h        *helper
 		consumer int
@@ -138,30 +139,31 @@ func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 				continue
 			}
 			h := helpers[rng.Intn(len(helpers))]
-			if p := c.Allocate(h.inst, randBranch()); p != nil {
+			if p := c.Allocate(h.inst, randBranch()); p != (PredRef{}) {
+				h.preds = append(h.preds, p)
 				stack = append(stack, undoable{kind: "alloc", pred: p})
 				if len(c.freePreds) < freePreds {
 					cov.reusedPreds++
 				}
 			}
-		case 4: // fill a random entry of a live helper's instance
+		case 4: // fill a random prediction a live helper allocated
 			if len(helpers) == 0 {
 				continue
 			}
 			h := helpers[rng.Intn(len(helpers))]
-			if es := h.inst.Entries(); len(es) > 0 {
-				c.Fill(es[rng.Intn(len(es))], rng.Intn(2) == 0)
+			if len(h.preds) > 0 {
+				c.Fill(h.preds[rng.Intn(len(h.preds))], rng.Intn(2) == 0)
 			}
 		case 5: // lookup
-			p, _, override := c.Lookup(randBranch(), rng.Intn(2) == 0, op)
-			if p != nil {
+			r, _, override := c.Lookup(randBranch(), rng.Intn(2) == 0, op)
+			if p := r.Live(); p != nil {
 				if p.Killed {
 					t.Fatalf("seed %d: matched a killed entry", seed)
 				}
 				if override && !p.Filled {
 					t.Fatalf("seed %d: override from an unfilled entry", seed)
 				}
-				stack = append(stack, undoable{kind: "use", pred: p, consumer: op})
+				stack = append(stack, undoable{kind: "use", pred: r, consumer: op})
 			}
 		case 6: // loop kill
 			if rec := c.KillLoop(s); rec != nil {
@@ -191,15 +193,12 @@ func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 					// squashHelper skips dead contexts).
 					if u.h.alive {
 						c.RemoveInstance(u.h.inst)
-						c.ReleaseInstance(u.h.inst)
 						dropHelper(u.h)
 					}
 				case "alloc":
 					c.UndoAllocate(u.pred)
-					c.ReleasePred(u.pred)
 				case "use":
 					c.UndoUse(u.pred)
-					c.ReleasePred(u.pred)
 					cov.undoUses++
 				case "kill":
 					c.UndoKill(u.rec)
@@ -213,11 +212,8 @@ func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 			n := 1 + rng.Intn(len(stack))
 			for _, u := range stack[:n] {
 				switch u.kind {
-				case "alloc":
-					c.ReleasePred(u.pred)
 				case "use":
 					c.DropConsumer(u.pred, u.consumer)
-					c.ReleasePred(u.pred)
 				case "kill":
 					c.CommitKill(u.rec)
 				}
@@ -233,7 +229,6 @@ func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 					}
 				}
 				if !forkInFlight {
-					c.ReleaseInstance(h.inst)
 					dropHelper(h)
 					break
 				}
@@ -256,7 +251,6 @@ func runCorrelatorInvariants(t testing.TB, seed int64) fuzzCoverage {
 	}
 	for _, h := range append([]*helper(nil), helpers...) {
 		c.RemoveInstance(h.inst)
-		c.ReleaseInstance(h.inst)
 		dropHelper(h)
 	}
 	if c.PendingFor(branchA) != 0 || c.PendingFor(branchB) != 0 {

@@ -13,15 +13,12 @@ import "fmt"
 //   - binding liveness: a Consumer handle implies the entry is Used (a
 //     handle on an unused entry is a leaked binding that would resurrect
 //     a pooled instruction);
-//   - instance liveness: every queued entry belongs to a non-removed
-//     instance still tracked in liveBySlice (RemoveInstance must purge
-//     the queues);
-//   - live-list consistency: liveBySlice holds only non-removed instances
-//     of the keyed slice, and every entry of a live instance points back
-//     at it;
-//   - pool hygiene: every object on a free list is scrubbed, no queue or
-//     live list reaches a pooled prediction or instance, and every live
-//     instance is undetached.
+//   - instance liveness: every queued entry belongs to an instance still
+//     tracked in liveBySlice (detaching must purge the queues);
+//   - live-list consistency: liveBySlice holds only instances of the
+//     keyed slice, and every entry of a live instance points back at it;
+//   - pool hygiene: every object on a free list is scrubbed, and no queue
+//     or live list reaches a pooled prediction or instance.
 func (c *Correlator) CheckInvariants() error {
 	freePred := make(map[*Pred]bool, len(c.freePreds))
 	for i, p := range c.freePreds {
@@ -35,8 +32,7 @@ func (c *Correlator) CheckInvariants() error {
 	}
 	freeInst := make(map[*Instance]bool, len(c.freeInsts))
 	for i, inst := range c.freeInsts {
-		if inst == nil || inst.ID != 0 || inst.Slice != nil || inst.pins != 0 || inst.detached ||
-			inst.finished || inst.removed || len(inst.entries) != 0 {
+		if inst == nil || inst.ID != 0 || inst.Slice != nil || inst.finished || len(inst.entries) != 0 {
 			return fmt.Errorf("slicehw: free instance %d is not scrubbed", i)
 		}
 		if freeInst[inst] {
@@ -45,7 +41,7 @@ func (c *Correlator) CheckInvariants() error {
 		freeInst[inst] = true
 	}
 	for i, rec := range c.freeRecs {
-		if rec == nil || len(rec.Preds) != 0 || rec.skipInst != nil || len(rec.skipSliceInsts) != 0 ||
+		if rec == nil || len(rec.Preds) != 0 || rec.skipInst != (InstRef{}) || len(rec.skipSliceInsts) != 0 ||
 			len(rec.finishedInsts) != 0 || rec.slice != nil {
 			return fmt.Errorf("slicehw: free kill record %d is not scrubbed", i)
 		}
@@ -76,9 +72,6 @@ func (c *Correlator) CheckInvariants() error {
 			if e.inst == nil {
 				return fmt.Errorf("slicehw: queue %#x entry %d has no instance", pc, i)
 			}
-			if e.inst.removed {
-				return fmt.Errorf("slicehw: queue %#x entry %d belongs to removed instance %d", pc, i, e.inst.ID)
-			}
 			tracked := false
 			for _, li := range c.liveBySlice[e.inst.Slice] {
 				if li == e.inst {
@@ -93,11 +86,8 @@ func (c *Correlator) CheckInvariants() error {
 	}
 	for s, live := range c.liveBySlice {
 		for _, inst := range live {
-			if inst.removed {
-				return fmt.Errorf("slicehw: removed instance %d still in the live list of slice %d", inst.ID, s.Index)
-			}
-			if freeInst[inst] || inst.detached {
-				return fmt.Errorf("slicehw: live instance %d of slice %d is pooled or detached", inst.ID, s.Index)
+			if freeInst[inst] {
+				return fmt.Errorf("slicehw: live instance %d of slice %d is pooled", inst.ID, s.Index)
 			}
 			if inst.Slice != s {
 				return fmt.Errorf("slicehw: instance %d listed under slice %d but belongs to slice %d",

@@ -77,23 +77,23 @@ func TestBasicPredictionFlow(t *testing.T) {
 	inst := c.NewInstance(s)
 
 	p := c.Allocate(inst, 0x2000)
-	if p == nil || p.State() != PredEmpty {
+	if p.Live() == nil || p.Live().State() != PredEmpty {
 		t.Fatalf("allocate = %+v", p)
 	}
 	c.Fill(p, true)
-	if p.State() != PredFull {
-		t.Fatalf("state after fill = %v", p.State())
+	if p.Live().State() != PredFull {
+		t.Fatalf("state after fill = %v", p.Live().State())
 	}
 	got, dir, override := c.Lookup(0x2000, false, "branch1")
 	if got != p || !dir || !override {
 		t.Fatalf("lookup = %v dir=%v override=%v", got, dir, override)
 	}
-	if p.Consumer != "branch1" {
-		t.Errorf("consumer = %v", p.Consumer)
+	if p.Live().Consumer != "branch1" {
+		t.Errorf("consumer = %v", p.Live().Consumer)
 	}
 	// A second branch instance must not reuse the same prediction.
 	got2, _, override2 := c.Lookup(0x2000, false, "branch2")
-	if got2 != nil || override2 {
+	if got2 != (PredRef{}) || override2 {
 		t.Error("used prediction matched again")
 	}
 }
@@ -101,7 +101,7 @@ func TestBasicPredictionFlow(t *testing.T) {
 func TestLookupWithoutPredictions(t *testing.T) {
 	c := NewCorrelator(8)
 	p, dir, override := c.Lookup(0x9999, true, nil)
-	if p != nil || !dir || override {
+	if p != (PredRef{}) || !dir || override {
 		t.Errorf("empty lookup = %v,%v,%v", p, dir, override)
 	}
 }
@@ -128,10 +128,10 @@ func TestQueueCapacity(t *testing.T) {
 	s := testSlice()
 	c := NewCorrelator(2)
 	inst := c.NewInstance(s)
-	if c.Allocate(inst, 0x2000) == nil || c.Allocate(inst, 0x2000) == nil {
+	if c.Allocate(inst, 0x2000) == (PredRef{}) || c.Allocate(inst, 0x2000) == (PredRef{}) {
 		t.Fatal("allocation failed with space")
 	}
-	if c.Allocate(inst, 0x2000) != nil {
+	if c.Allocate(inst, 0x2000) != (PredRef{}) {
 		t.Error("allocation above capacity succeeded")
 	}
 	if c.Stats.QueueFull != 1 {
@@ -198,7 +198,7 @@ func TestMisSpeculationRecovery(t *testing.T) {
 		t.Fatal("kill missed")
 	}
 	// While killed, lookups skip it.
-	if got, _, _ := c.Lookup(0x2000, false, 1); got != nil {
+	if got, _, _ := c.Lookup(0x2000, false, 1); got != (PredRef{}) {
 		t.Fatal("killed entry matched")
 	}
 	c.UndoKill(rec) // squash restores it
@@ -220,8 +220,8 @@ func TestUndoUseRestoresEntry(t *testing.T) {
 	if got != p || !override {
 		t.Error("entry not reusable after UndoUse")
 	}
-	if p.Consumer != "rightpath" {
-		t.Errorf("consumer = %v", p.Consumer)
+	if p.Live().Consumer != "rightpath" {
+		t.Errorf("consumer = %v", p.Live().Consumer)
 	}
 }
 
@@ -251,8 +251,8 @@ func TestLatePredictionFlow(t *testing.T) {
 	if got != p || !dir || override {
 		t.Fatalf("late lookup = %v,%v,%v", got, dir, override)
 	}
-	if p.State() != PredLate {
-		t.Fatalf("state = %v", p.State())
+	if p.Live().State() != PredLate {
+		t.Fatalf("state = %v", p.Live().State())
 	}
 
 	// PGI executes agreeing with the fallback: no redirect.
@@ -275,7 +275,7 @@ func TestLatePredictionEarlyResolution(t *testing.T) {
 	}
 	// The CPU redirects and records the flipped direction.
 	c.RedirectUse(p, false)
-	if p.UsedDir {
+	if p.Live().UsedDir {
 		t.Error("redirect not recorded")
 	}
 	if c.Stats.LateMismatch != 1 {
@@ -305,7 +305,7 @@ func TestKillSkipFirst(t *testing.T) {
 
 	// First loop-kill per fork is exempt (back-edge-target kill block).
 	rec1 := c.KillLoop(s)
-	if rec1 == nil || len(rec1.Preds) != 0 || rec1.skipInst == nil {
+	if rec1 == nil || len(rec1.Preds) != 0 || rec1.skipInst != inst {
 		t.Fatalf("first kill = %+v", rec1)
 	}
 	if got, _, _ := c.Lookup(0x2000, false, 1); got != p {
@@ -322,7 +322,7 @@ func TestKillSkipFirst(t *testing.T) {
 	// Undoing the first (exempt) kill restores the exemption.
 	c.UndoKill(rec1)
 	rec3 := c.KillLoop(s)
-	if rec3 == nil || rec3.skipInst == nil {
+	if rec3 == nil || rec3.skipInst != inst {
 		t.Error("exemption not restored by undo")
 	}
 }
@@ -340,7 +340,7 @@ func TestCommitKillFreesSpace(t *testing.T) {
 	if c.QueueLen(0x2000) != 0 {
 		t.Fatal("commit did not free the entry")
 	}
-	if c.Allocate(inst, 0x2000) == nil {
+	if c.Allocate(inst, 0x2000) == (PredRef{}) {
 		t.Error("space not reusable after commit")
 	}
 }
@@ -358,7 +358,7 @@ func TestSliceKillFinishesAllLiveInstances(t *testing.T) {
 	p2 := c.Allocate(i2, 0x2000)
 
 	rec := c.KillSlice(s)
-	if len(rec.Preds) != 2 || !p1.Killed || !p2.Killed {
+	if len(rec.Preds) != 2 || !p1.Live().Killed || !p2.Live().Killed {
 		t.Fatalf("slice kill hit %d entries, want both instances'", len(rec.Preds))
 	}
 	// A second slice kill has nothing left to target.
@@ -367,7 +367,7 @@ func TestSliceKillFinishesAllLiveInstances(t *testing.T) {
 	}
 	// Undo restores both instances and their entries.
 	c.UndoKill(rec)
-	if p1.Killed || p2.Killed {
+	if p1.Live().Killed || p2.Live().Killed {
 		t.Error("undo did not restore entries")
 	}
 	if c.LiveInstances(s) != 2 {
@@ -399,7 +399,7 @@ func TestSliceKillSkipFirst(t *testing.T) {
 	}
 	// Undoing restores both the finish and the exemptions.
 	c.UndoKill(rec2)
-	if i1.Done() || i2.skipSliceKill != 1 {
+	if i1.Done() || i2.inst.skipSliceKill != 1 {
 		t.Error("undo did not restore slice-kill state")
 	}
 }
@@ -414,13 +414,13 @@ func TestLookupRestrictedToOldestLiveInstance(t *testing.T) {
 	i2 := c.NewInstance(s)
 	p2 := c.Allocate(i2, 0x2000)
 	c.Fill(p2, true)
-	if got, _, override := c.Lookup(0x2000, false, 1); got != nil || override {
+	if got, _, override := c.Lookup(0x2000, false, 1); got != (PredRef{}) || override {
 		t.Fatalf("younger instance's entry matched: %v", got)
 	}
 	// Retiring i1 makes i2 current.
 	rec := c.KillSlice(s) // finishes both (kill-all) — use loop kill semantics instead
 	c.UndoKill(rec)
-	i1.finished = true // simulate i1 retiring alone
+	i1.inst.finished = true // simulate i1 retiring alone
 	got, dir, override := c.Lookup(0x2000, false, 2)
 	if got != p2 || !dir || !override {
 		t.Fatalf("current instance's entry did not match: %v %v %v", got, dir, override)
@@ -440,7 +440,7 @@ func TestLoopKillTargetsOldestLiveInstance(t *testing.T) {
 	if len(rec.Preds) != 1 || rec.Preds[0] != p1 {
 		t.Fatalf("loop kill hit %+v, want the oldest live instance's entry", rec.Preds)
 	}
-	if p2.Killed {
+	if p2.Live().Killed {
 		t.Error("younger instance's entry killed")
 	}
 }
@@ -457,7 +457,7 @@ func TestRemoveInstance(t *testing.T) {
 	}
 	// Removing twice is harmless; allocating afterwards fails.
 	c.RemoveInstance(inst)
-	if c.Allocate(inst, 0x2000) != nil {
+	if c.Allocate(inst, 0x2000) != (PredRef{}) {
 		t.Error("allocation on removed instance succeeded")
 	}
 	// Kills against a slice with no live instances report no target.
@@ -486,7 +486,63 @@ func TestMultiBranchLoopKill(t *testing.T) {
 	if len(rec.Preds) != 2 {
 		t.Fatalf("loop kill hit %d entries", len(rec.Preds))
 	}
-	if !a1.Killed || !b1.Killed || a2.Killed {
+	if !a1.Live().Killed || !b1.Live().Killed || a2.Live().Killed {
 		t.Error("wrong entries killed")
+	}
+}
+
+// TestStaleReferencesAreDead: once a squashed fork's instance is recycled
+// and a later fork reuses it and its prediction entries, references taken
+// before read dead. The old instance reference is Done and can neither
+// allocate nor remove the new instance; every operation through an old
+// prediction reference or an old kill record leaves the reused entry, the
+// queue and the counters untouched.
+func TestStaleReferencesAreDead(t *testing.T) {
+	s := testSlice()
+	c := NewCorrelator(8)
+	old := c.NewInstance(s)
+	a, b := c.Allocate(old, 0x2000), c.Allocate(old, 0x2000)
+	undone, committed := c.KillLoop(s), c.KillLoop(s) // kill a, then b
+	c.RemoveInstance(old)                             // the fork is squashed
+
+	cur := c.NewInstance(s)
+	p1, p2 := c.Allocate(cur, 0x2000), c.Allocate(cur, 0x2000)
+	if cur.inst != old.inst || p1.p != b.p || p2.p != a.p {
+		t.Fatal("the second fork did not reuse the recycled instance and entries")
+	}
+	if !old.Done() || cur.Done() {
+		t.Fatalf("old reference Done=%t, new reference Done=%t; want true, false", old.Done(), cur.Done())
+	}
+	if a.Live() != nil || b.Live() != nil {
+		t.Fatal("an old prediction reference reads live")
+	}
+	if c.Allocate(old, 0x2000) != (PredRef{}) {
+		t.Fatal("an old instance reference allocated")
+	}
+	c.Lookup(0x2000, true, "br") // p1 is now Late, bound to "br"
+
+	before1, before2, stats := *p1.Live(), *p2.Live(), c.Stats
+	for _, r := range []PredRef{a, b} {
+		if res := c.Fill(r, false); res != (FillResult{}) {
+			t.Errorf("Fill through an old reference = %+v", res)
+		}
+		c.UndoUse(r)
+		c.RedirectUse(r, false)
+		c.DropConsumer(r, "br")
+		c.UndoAllocate(r)
+	}
+	c.UndoKill(undone)
+	c.CommitKill(committed)
+	c.RemoveInstance(old)
+	if *p1.Live() != before1 || *p2.Live() != before2 {
+		t.Errorf("old references changed the reused entries: %+v %+v, want %+v %+v",
+			*p1.Live(), *p2.Live(), before1, before2)
+	}
+	if c.Stats != stats || c.QueueLen(0x2000) != 2 || cur.Done() {
+		t.Errorf("old references moved the correlator: stats %+v (want %+v), queue %d, new instance Done=%t",
+			c.Stats, stats, c.QueueLen(0x2000), cur.Done())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

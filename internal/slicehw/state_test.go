@@ -74,9 +74,9 @@ func TestCorrStateCodecRoundTrip(t *testing.T) {
 		for _, fallback := range []bool{false, true} {
 			wp, wdir, wover := orig.Lookup(pc, fallback, "br")
 			gp, gdir, gover := c.Lookup(pc, fallback, "br")
-			if (wp == nil) != (gp == nil) || wdir != gdir || wover != gover {
+			if (wp.Live() == nil) != (gp.Live() == nil) || wdir != gdir || wover != gover {
 				t.Errorf("lookup %#x (fallback %t): loaded correlator answers %t/%t/%t, original %t/%t/%t",
-					pc, fallback, gp != nil, gdir, gover, wp != nil, wdir, wover)
+					pc, fallback, gp.Live() != nil, gdir, gover, wp.Live() != nil, wdir, wover)
 			}
 		}
 	}
