@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/progen"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -255,4 +257,41 @@ func ExampleConfig_WarmFingerprint() {
 	b.Perfect = Perfect{AllLoads: true}
 	fmt.Println(a.WarmFingerprint() == b.WarmFingerprint())
 	// Output: true
+}
+
+// TestRecheckpointByteIdentical: Checkpoint → Restore → Checkpoint must
+// be byte-identical on a mid-run machine (full pipeline, in-flight stores,
+// primed predictors).
+func TestRecheckpointByteIdentical(t *testing.T) {
+	im, entry, init := progen.Program(rand.New(rand.NewSource(11)))
+	m := mem.New()
+	init(m)
+	core := MustNew(Config4Wide(), im, m, entry, nil)
+	core.Run(200) // partway: plenty left in flight before the quiesce
+	ck, err := core.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(core.Config(), core.Image(), ck, core.SliceTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := r.Checkpoint()
+	if err != nil {
+		t.Fatalf("re-checkpoint: %v", err)
+	}
+	// WarmRetired is observability metadata (the retired count of the run
+	// that built the checkpoint); Restore ignores it, and the restored
+	// core's counters start at zero. Everything else must round-trip
+	// exactly.
+	ck2.WarmRetired = ck.WarmRetired
+	a, b := ck.EncodeBinary(), ck2.EncodeBinary()
+	if len(a) != len(b) {
+		t.Fatalf("re-encoded checkpoint is %d bytes, original %d", len(b), len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("checkpoints differ at byte %d", i)
+		}
+	}
 }

@@ -124,7 +124,8 @@ type Engine struct {
 	// across engines or process invocations.
 	Ckpt *Checkpointer
 	// Oracle attaches the differential oracle to every measured run;
-	// a divergence fails the run (set before the first Run).
+	// a divergence fails the run (set before the first Run). Slice-set
+	// specs run under the oracle regardless.
 	Oracle OracleOptions
 
 	memo     flight[*RunResult]     // RunSpec key → simulation
@@ -171,34 +172,26 @@ func (e *Engine) emit(ev Event) {
 	e.progressMu.Unlock()
 }
 
-// Run executes (or recalls) one simulation. Safe for concurrent use.
-func (e *Engine) Run(spec RunSpec) (*RunResult, error) {
-	return e.run(spec, e.Oracle)
-}
-
-// RunValidated is Run with the differential oracle forced on, independent
-// of the engine-wide default — used to vet automatically constructed slice
-// candidates. The oracle is not part of the memo key: a spec already run
-// un-validated would be recalled as-is, so validated specs should carry
-// their own identity (candidate slice set names do).
-func (e *Engine) RunValidated(spec RunSpec) (*RunResult, error) {
-	o := e.Oracle
-	o.Enabled = true
-	return e.run(spec, o)
-}
-
-// run implements Run and RunValidated: each distinct spec key simulates
-// once, and every other request for it shares that run's result or error.
-// A malformed spec is refused before the memo sees it: a refused spec can
+// Run executes (or recalls) one simulation. Safe for concurrent use. Each
+// distinct spec key simulates once, and every other request for it shares
+// that run's result or error. A spec carrying a slice set always runs
+// under the oracle, whatever e.Oracle says, so an automatically built
+// slice is only ever measured on a divergence-free run; the set's name is
+// in the key, so a memo hit on a set spec is a validated run too. A
+// malformed spec is refused before the memo sees it: a refused spec can
 // share its key with a valid one (the key names only the set's name), so
 // its error must never be cached under that key.
-func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
+func (e *Engine) Run(spec RunSpec) (*RunResult, error) {
 	key := spec.Key()
 	w, err := spec.check(key)
 	if err != nil {
 		return nil, err
 	}
-	res, hit, err := e.memo.do(key, func() (*RunResult, error) { return e.simulate(spec, w, key, o) })
+	o := e.Oracle
+	if spec.Set != nil {
+		o.Enabled = true
+	}
+	res, hit, err := e.memo.do(key, func() (*RunResult, error) { return e.simulate(spec, w, o) })
 	e.mu.Lock()
 	if hit {
 		e.st.Hits++
@@ -232,8 +225,8 @@ func (spec RunSpec) check(key string) (*workloads.Workload, error) {
 	return w, nil
 }
 
-// simulate measures one checked spec; run calls it once per key.
-func (e *Engine) simulate(spec RunSpec, w *workloads.Workload, key string, o OracleOptions) (*RunResult, error) {
+// simulate measures one checked spec; Run calls it once per key.
+func (e *Engine) simulate(spec RunSpec, w *workloads.Workload, o OracleOptions) (*RunResult, error) {
 	start := time.Now()
 	core, warmSrc, err := RunOnce(e.Ckpt, w, spec.Cfg, spec.WithSlices, spec.Warm, spec.Run, o, spec.Set, nil)
 	if err != nil {
@@ -275,7 +268,7 @@ func (e *Engine) fanOut(n int, f func(i int)) {
 // input order, or the first spec's error in input order. Duplicate specs
 // within the batch (and against earlier batches) are simulated once.
 func (e *Engine) RunAll(specs []RunSpec) ([]*RunResult, error) {
-	results, errs := e.runAllEach(specs, false)
+	results, errs := e.runAllEach(specs)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -286,18 +279,14 @@ func (e *Engine) RunAll(specs []RunSpec) ([]*RunResult, error) {
 
 // runAllEach executes the specs over the worker pool like RunAll, but
 // reports each spec's outcome individually instead of failing the batch on
-// the first error: results[i] is nil exactly when errs[i] is non-nil.
-// Validated specs run with the oracle forced on (RunValidated), so a
-// divergence rejects one candidate rather than aborting the experiment.
-func (e *Engine) runAllEach(specs []RunSpec, validated bool) ([]*RunResult, []error) {
+// the first error: results[i] is nil exactly when errs[i] is non-nil, so
+// a divergence rejects one slice-set candidate rather than aborting the
+// experiment.
+func (e *Engine) runAllEach(specs []RunSpec) ([]*RunResult, []error) {
 	results := make([]*RunResult, len(specs))
 	errs := make([]error, len(specs))
 	e.fanOut(len(specs), func(i int) {
-		if validated {
-			results[i], errs[i] = e.RunValidated(specs[i])
-		} else {
-			results[i], errs[i] = e.Run(specs[i])
-		}
+		results[i], errs[i] = e.Run(specs[i])
 	})
 	return results, errs
 }

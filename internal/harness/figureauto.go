@@ -22,9 +22,9 @@ import (
 // oracle-validate → accept/reject on measured accuracy and net cycles —
 // and reports the result next to the hand-built slices as the "figureauto"
 // experiment. Every candidate measurement is an ordinary RunSpec through
-// the memoized engine, carrying its candidate SliceSet and run with the
-// differential oracle forced on, so a candidate is only ever accepted from
-// a divergence-free simulation.
+// the memoized engine carrying its candidate SliceSet, and the engine runs
+// every set spec under the differential oracle, so a candidate is only
+// ever accepted from a divergence-free simulation.
 
 // Bounds of the automatic pipeline, mirroring the hand-construction
 // bounds (§3.2). The slice length and live-in bounds are autoslice's own.
@@ -326,7 +326,7 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload) []AutoBuild {
 	for i := range preps {
 		candSpecs = append(candSpecs, preps[i].specs...)
 	}
-	candRes, candErrs := e.runAllEach(candSpecs, true)
+	candRes, candErrs := e.runAllEach(candSpecs)
 
 	// Phase 4a: judge, and build the repair batch. A candidate whose
 	// predictions are wrong may still carry its weight as a prefetcher
@@ -369,7 +369,7 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload) []AutoBuild {
 	}
 
 	// Phase 4b: measure and judge the repair variants.
-	repairRes, repairErrs := e.runAllEach(repairSpecs, true)
+	repairRes, repairErrs := e.runAllEach(repairSpecs)
 	for j, ref := range repairs {
 		prep := &preps[ref.wi]
 		c := prep.row.Candidates[ref.orig] // copy the static shape
@@ -444,7 +444,7 @@ func (e *Engine) FigureAutoDetail(ws []*workloads.Workload) []AutoBuild {
 		}
 		builds[i] = AutoBuild{Builts: prep.builts}
 	}
-	comboRes, comboErrs := e.runAllEach(comboSpecs, true)
+	comboRes, comboErrs := e.runAllEach(comboSpecs)
 
 	comboAt := make(map[int]int) // workload index → combo result index
 	for k, i := range comboOf {

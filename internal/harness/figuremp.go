@@ -153,31 +153,20 @@ func RunMP(group []*workloads.Workload, p Params, withSlices bool, warm, run uin
 	if err != nil {
 		return stats.Snapshot{}, err
 	}
-	var orc *oracle.MultiOracle
+	var orc *oracle.Oracle
 	if o.Enabled {
 		orc = oracle.NewMulti(seeds, oracle.Options{Every: o.every})
 		orc.Attach(core)
 	}
-	sched := scheduleName(group)
 	// Inline warm: every program retires at least the group's largest warm
 	// region (each keeps contending until the slowest reaches it), then
 	// counters reset and the measured region runs.
 	core.Run(warmMax)
 	core.ResetStats()
-	core.Run(runMax)
-	if orc != nil {
-		if err := core.CheckInvariants(); err != nil {
-			return stats.Snapshot{}, fmt.Errorf("%s (slices=%t): oracle: %w", sched, withSlices, err)
-		}
-		if err := orc.Err(); err != nil {
-			return stats.Snapshot{}, fmt.Errorf("%s (slices=%t): %w", sched, withSlices, err)
-		}
+	if err := measure(core, runMax, orc, fmt.Sprintf("%s (slices=%t)", scheduleName(group), withSlices)); err != nil {
+		return stats.Snapshot{}, err
 	}
-	snap := core.Snapshot()
-	if snap.Sim.CycleGuardHits > 0 {
-		warnf("%s (slices=%t) hit the MaxCycles guard — results cover a truncated region", sched, withSlices)
-	}
-	return snap, nil
+	return core.Snapshot(), nil
 }
 
 // mpRegions derives a co-schedule's inline warm and measured region

@@ -81,9 +81,8 @@ func (p Params) regions(w *workloads.Workload) (warm, run uint64) {
 // When tr is non-nil it is attached to the restored core, so it observes
 // the measured region only; tracing never changes the run's counters.
 // When o.Enabled is set, the differential oracle is seeded from the same
-// warm checkpoint the core restores from and attached for the measured
-// region; any divergence (or invariant violation) fails the run with an
-// error wrapping *oracle.DivergenceError.
+// warm checkpoint the core restores from and checks the measured region
+// (see measure).
 // When set is non-nil the measurement runs with that slice set's image and
 // table instead of the workload's hand-built slices: the warm prefix is
 // the plain baseline one (the warm region never executes slice code, and
@@ -91,8 +90,6 @@ func (p Params) regions(w *workloads.Workload) (warm, run uint64) {
 // conservative choice when deciding whether to accept an auto slice). The
 // baseline checkpoint's PC and memory lie entirely inside the main
 // program, so any image that embeds the main program accepts the restore.
-// A region truncated by the MaxCycles guard is returned with a warning:
-// it would silently skew every number derived from it.
 func RunOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices bool, warm, run uint64, o OracleOptions, set *SliceSet, tr stats.Tracer) (*cpu.Core, WarmSource, error) {
 	image := w.Image
 	var table *slicehw.Table
@@ -125,22 +122,35 @@ func RunOnce(cp *Checkpointer, w *workloads.Workload, cfg cpu.Config, withSlices
 		})
 		orc.Attach(core)
 	}
-	s := core.Run(run)
-	if s.CycleGuardHits > 0 {
-		warnf("%s (%s, slices=%t) hit the MaxCycles guard after %d cycles — results cover a truncated region",
-			w.Name, cfg.Name, withSlices, s.Cycles)
-	}
-	if orc != nil {
-		// One final structural sweep at the region boundary, so short runs
-		// that never crossed a sweep period are still checked.
-		if err := core.CheckInvariants(); err != nil {
-			return nil, src, fmt.Errorf("%s (%s, slices=%t): oracle: %w", w.Name, cfg.Name, withSlices, err)
-		}
-		if err := orc.Err(); err != nil {
-			return nil, src, fmt.Errorf("%s (%s, slices=%t): %w", w.Name, cfg.Name, withSlices, err)
-		}
+	if err := measure(core, run, orc, fmt.Sprintf("%s (%s, slices=%t)", w.Name, cfg.Name, withSlices)); err != nil {
+		return nil, src, err
 	}
 	return core, src, nil
+}
+
+// measure runs core's measured region of run instructions per program,
+// the step RunOnce and RunMP end with. A region truncated by the
+// MaxCycles guard is warned about, naming the run by label: it would
+// silently skew every number derived from it. When orc, attached to core,
+// is non-nil, one final structural sweep at the region boundary (so short
+// runs that never crossed a sweep period are still checked) and any
+// divergence the oracle recorded fail the run with an error wrapping
+// *oracle.DivergenceError.
+func measure(core *cpu.Core, run uint64, orc *oracle.Oracle, label string) error {
+	s := core.Run(run)
+	if s.CycleGuardHits > 0 {
+		warnf("%s hit the MaxCycles guard after %d cycles — results cover a truncated region", label, s.Cycles)
+	}
+	if orc == nil {
+		return nil
+	}
+	if err := core.CheckInvariants(); err != nil {
+		return fmt.Errorf("%s: oracle: %w", label, err)
+	}
+	if err := orc.Err(); err != nil {
+		return fmt.Errorf("%s: %w", label, err)
+	}
+	return nil
 }
 
 // OracleOptions configures the per-run differential oracle (see

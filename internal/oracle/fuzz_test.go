@@ -54,7 +54,7 @@ func runOracleSeed(t testing.TB, seed int64, wide bool) {
 	// Memory must agree too: the per-store diff already checked every
 	// store's address and value, so this pins the core's write-back path.
 	for a := uint64(progen.Arena); a < progen.Arena+progen.ArenaSlots*8; a += 8 {
-		if cv, ov := coreMem.ReadU64(a), o.Mem().ReadU64(a); cv != ov {
+		if cv, ov := coreMem.ReadU64(a), o.Mem(0).ReadU64(a); cv != ov {
 			t.Fatalf("seed %d: mem[%#x] = %#x vs %#x", seed, a, cv, ov)
 		}
 	}

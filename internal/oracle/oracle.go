@@ -10,10 +10,11 @@
 // wrong-path effect is undone before correct-path re-fetch, so the
 // retired outcome of each main-thread instruction must equal what a
 // plain architectural interpreter computes at the same point in the
-// stream. The oracle holds that model privately (a cpu.Stepper over
-// isa.Execute with its own register file and memory image, seeded from
-// the program entry or from a checkpoint), executes one instruction per
-// retirement, and diffs every architecturally visible field. The first
+// stream. The oracle holds that model privately, one per co-scheduled
+// program (a cpu.Stepper over isa.Execute with its own register file and
+// memory image, seeded from the program entry or from a checkpoint),
+// executes one instruction per retirement of that program, and diffs
+// every architecturally visible field. The first
 // mismatch is a real bug in one of the two models — there is no
 // tolerance window.
 //
@@ -46,9 +47,9 @@ import (
 // DefaultEvery is the default invariant-sweep period in cycles.
 const DefaultEvery = 8192
 
-// maxReports caps recorded divergences; past the first the stream
-// comparison is unreliable anyway (the models have split). Reports past
-// the cap are only counted.
+// maxReports caps the divergences one oracle records, over all its
+// programs; past a program's first the stream comparison is unreliable
+// anyway (the models have split). Reports past the cap are only counted.
 const maxReports = 8
 
 // Options configures an Oracle.
@@ -58,8 +59,8 @@ type Options struct {
 	// measured region started from.
 	Workload string
 	WarmKey  string
-	// Every is the invariant-sweep period in cycles; 0 means
-	// DefaultEvery, negative disables the sweep (lockstep diff only).
+	// Every is the invariant-sweep period in cycles; 0 or less means
+	// DefaultEvery.
 	Every int64
 }
 
@@ -129,21 +130,27 @@ func (e *DivergenceError) WriteReport() []byte {
 	return append(b, '\n')
 }
 
-// Oracle runs the functional model one instruction per retirement and
-// diffs the core's committed stream against it.
+// ProgSeed seeds one program slot's functional model. Mem must be the
+// oracle's own copy of the program's initial memory — the model mutates
+// it with every store — and Name labels that slot's divergence reports
+// (typically the workload name; empty keeps Options.Workload).
+type ProgSeed struct {
+	Image *asm.Image
+	Mem   *mem.Memory
+	Entry uint64
+	Name  string
+}
+
+// Oracle runs one functional model per program slot, one instruction per
+// retirement, and diffs the core's committed stream against it.
+// Retirements route to the retiring thread's program. Each program's
+// architectural stream is program-order within its own main thread, so
+// every model is exactly the single-program lockstep diff: contention
+// between co-scheduled programs changes timing, never architecture. The
+// invariant sweep is whole-core and paced by any program's retirements.
 type Oracle struct {
-	opt Options
-
-	// Private functional model, never aliased with the core's state.
-	fm     *cpu.Stepper
-	halted bool
-
-	index uint64 // retirements observed by this oracle
-	base  uint64 // retirements that preceded the seed checkpoint
-
-	// stopped ends the lockstep diff after the first stream divergence:
-	// once the models split, every later comparison is noise.
-	stopped bool
+	opt   Options
+	progs []*model
 
 	core      *cpu.Core
 	every     uint64
@@ -153,15 +160,44 @@ type Oracle struct {
 	dropped int // divergences past maxReports
 }
 
+// model is one program's private functional model and its lockstep
+// state, never aliased with the core's state.
+type model struct {
+	label  string // Divergence.Workload
+	fm     *cpu.Stepper
+	halted bool
+
+	index uint64 // retirements of this program observed by the oracle
+	base  uint64 // retirements that preceded the seed checkpoint
+
+	// stopped ends this program's diff after its first stream
+	// divergence: once the models split, every later comparison is noise.
+	stopped bool
+}
+
 // New builds an oracle whose functional model starts at entry with zero
 // registers against m. The memory must be the oracle's own copy — it is
 // mutated by every store the model executes.
 func New(image *asm.Image, m *mem.Memory, entry uint64, opt Options) *Oracle {
-	o := &Oracle{
-		opt: opt,
-		fm:  cpu.NewStepper(image, m, entry),
+	return NewMulti([]ProgSeed{{Image: image, Mem: m, Entry: entry}}, opt)
+}
+
+// NewMulti builds one functional model per program slot, in spec order.
+// The slot order must match the cpu.NewMulti spec order, since
+// retirements are routed by program index. A named slot labels its
+// reports name[pN].
+func NewMulti(seeds []ProgSeed, opt Options) *Oracle {
+	o := &Oracle{opt: opt, every: DefaultEvery}
+	if opt.Every > 0 {
+		o.every = uint64(opt.Every)
 	}
-	o.init()
+	for i, s := range seeds {
+		label := opt.Workload
+		if s.Name != "" {
+			label = fmt.Sprintf("%s[p%d]", s.Name, i)
+		}
+		o.progs = append(o.progs, &model{label: label, fm: cpu.NewStepper(s.Image, s.Mem, s.Entry)})
+	}
 	return o
 }
 
@@ -180,79 +216,68 @@ func FromCheckpoint(image *asm.Image, ck *cpu.Checkpoint, opt Options) *Oracle {
 	if seeded {
 		m = mem.NewFromSnapshot(ck.Mem)
 	}
-	o := &Oracle{
-		opt:    opt,
-		fm:     cpu.NewStepper(image, m, ck.PC),
-		halted: ck.MainHalted,
-		base:   ck.WarmRetired,
-	}
-	o.fm.SetRegs(&ck.Regs)
-	o.init()
+	o := New(image, m, ck.PC, opt)
+	p := o.progs[0]
+	p.fm.SetRegs(&ck.Regs)
+	p.halted, p.base = ck.MainHalted, ck.WarmRetired
 	if !seeded {
-		o.stopped = true
-		o.reportAt(nil, 0, "seed", "checkpoint memory is an unresolved delta; rebase it onto its workload image", nil)
+		p.stopped = true
+		o.report(p, nil, 0, "seed", "checkpoint memory is an unresolved delta; rebase it onto its workload image", nil)
 	}
 	return o
 }
 
-func (o *Oracle) init() {
-	switch {
-	case o.opt.Every == 0:
-		o.every = DefaultEvery
-	case o.opt.Every > 0:
-		o.every = uint64(o.opt.Every)
-	}
-}
-
 // Attach installs the oracle as the core's retire observer. The core
-// must be the one whose stream matches the oracle's seed state.
+// must be the one whose streams match the oracle's seed states, program
+// for program.
 func (o *Oracle) Attach(c *cpu.Core) {
-	o.core = c
-	if o.every > 0 {
-		o.nextSweep = c.Now() + o.every
+	if n := c.NumPrograms(); n != len(o.progs) {
+		panic(fmt.Sprintf("oracle: %d functional models attached to a %d-program core", len(o.progs), n))
 	}
+	o.core = c
+	o.nextSweep = c.Now() + o.every
 	c.RetireObserver = o.OnRetire
 }
 
 // OnRetire receives one retired main-thread instruction, runs the
-// per-N-cycle invariant sweep, steps the functional model, and diffs.
-// It is installed by Attach but exported so tests can wrap it to inject
-// faults.
+// per-N-cycle invariant sweep, steps the retiring program's functional
+// model, and diffs. It is installed by Attach but exported so tests can
+// wrap it to inject faults.
 func (o *Oracle) OnRetire(di *cpu.DynInst) {
-	if o.core != nil && o.every > 0 && o.core.Now() >= o.nextSweep {
+	p := o.progs[di.Thread.ProgIndex()]
+	if o.core != nil && o.core.Now() >= o.nextSweep {
 		o.nextSweep = o.core.Now() + o.every
 		if err := o.core.CheckInvariants(); err != nil {
-			o.report(di, "invariant", err.Error(), nil)
+			o.report(p, di, p.index, "invariant", err.Error(), nil)
 		}
 	}
 
-	idx := o.index
-	o.index++
-	if o.stopped {
+	idx := p.index
+	p.index++
+	if p.stopped {
 		return
 	}
 
-	if o.halted {
-		o.streamDiverge(di, idx, "halt",
+	if p.halted {
+		o.streamDiverge(p, di, idx, "halt",
 			fmt.Sprintf("core retired pc=%#x after the functional model halted", di.PC), nil)
 		return
 	}
-	pc := o.fm.PC()
+	pc := p.fm.PC()
 	if di.PC != pc {
-		o.streamDiverge(di, idx, "pc",
+		o.streamDiverge(p, di, idx, "pc",
 			fmt.Sprintf("core retired pc=%#x, functional model expects pc=%#x", di.PC, pc), nil)
 		return
 	}
 
 	var out isa.Outcome
-	in, err := o.fm.Step(&out)
+	in, err := p.fm.Step(&out)
 	if err != nil {
-		o.streamDiverge(di, idx, "off-image",
+		o.streamDiverge(p, di, idx, "off-image",
 			fmt.Sprintf("functional model fell off the image at %#x", pc), nil)
 		return
 	}
 	got, want := &di.Out, &out
-
 	var delta []string
 	kind := ""
 	diff := func(k, field string, gotV, wantV interface{}) {
@@ -302,35 +327,33 @@ func (o *Oracle) OnRetire(di *cpu.DynInst) {
 	}
 
 	if kind != "" {
-		o.streamDiverge(di, idx, kind, fmt.Sprintf("retired %v disagrees with the functional model", in), delta)
+		o.streamDiverge(p, di, idx, kind, fmt.Sprintf("retired %v disagrees with the functional model", in), delta)
 		return
 	}
 
 	if want.Halt {
-		o.halted = true
+		p.halted = true
 	}
 }
 
-// streamDiverge records a lockstep mismatch and ends the diff.
-func (o *Oracle) streamDiverge(di *cpu.DynInst, idx uint64, kind, detail string, delta []string) {
-	o.stopped = true
-	o.reportAt(di, idx, kind, detail, delta)
+// streamDiverge records a lockstep mismatch and ends p's diff.
+func (o *Oracle) streamDiverge(p *model, di *cpu.DynInst, idx uint64, kind, detail string, delta []string) {
+	p.stopped = true
+	o.report(p, di, idx, kind, detail, delta)
 }
 
-func (o *Oracle) report(di *cpu.DynInst, kind, detail string, delta []string) {
-	o.reportAt(di, o.index, kind, detail, delta)
-}
-
-func (o *Oracle) reportAt(di *cpu.DynInst, idx uint64, kind, detail string, delta []string) {
+// report records one divergence of program p at its retirement idx, or
+// only counts it once the report list holds maxReports.
+func (o *Oracle) report(p *model, di *cpu.DynInst, idx uint64, kind, detail string, delta []string) {
 	if len(o.divs) >= maxReports {
 		o.dropped++
 		return
 	}
 	d := Divergence{
-		Workload: o.opt.Workload,
+		Workload: p.label,
 		WarmKey:  o.opt.WarmKey,
 		Index:    idx,
-		AbsIndex: o.base + idx,
+		AbsIndex: p.base + idx,
 		Kind:     kind,
 		Detail:   detail,
 		Delta:    delta,
@@ -351,12 +374,19 @@ func (o *Oracle) reportAt(di *cpu.DynInst, idx uint64, kind, detail string, delt
 	o.divs = append(o.divs, d)
 }
 
-// Retired returns how many retirements the oracle has observed.
-func (o *Oracle) Retired() uint64 { return o.index }
+// Retired returns how many retirements the oracle has observed, summed
+// over the programs.
+func (o *Oracle) Retired() uint64 {
+	var n uint64
+	for _, p := range o.progs {
+		n += p.index
+	}
+	return n
+}
 
-// Mem exposes the functional model's private memory image (final-state
-// comparisons in tests; do not write to it).
-func (o *Oracle) Mem() *mem.Memory { return o.fm.Mem() }
+// Mem exposes program i's private model memory (final-state comparisons
+// in tests; do not write to it).
+func (o *Oracle) Mem(i int) *mem.Memory { return o.progs[i].fm.Mem() }
 
 // Divergences returns every recorded report.
 func (o *Oracle) Divergences() []Divergence { return o.divs }
@@ -370,10 +400,10 @@ func (o *Oracle) Err() error {
 	return &DivergenceError{Divs: o.divs, Dropped: o.dropped}
 }
 
-// VerifyFinal compares the core's whole architectural state against the
-// functional model: the register file, and (cheaply, via the committed
-// store stream already checked) the halted/retired status. Only valid
-// once the core is fully drained — mid-run, Thread.Regs is speculative.
+// VerifyFinal compares each program's drained register file against its
+// functional model; the committed store streams were already checked
+// retirement by retirement. Only valid once the core is fully drained —
+// mid-run, Thread.Regs is speculative.
 func (o *Oracle) VerifyFinal(c *cpu.Core) error {
 	if err := o.Err(); err != nil {
 		return err
@@ -381,55 +411,16 @@ func (o *Oracle) VerifyFinal(c *cpu.Core) error {
 	if !c.Done() {
 		return fmt.Errorf("oracle: VerifyFinal on a core that is not drained")
 	}
-	o.verifyFinalRegs(c.Main())
+	for i, p := range o.progs {
+		var delta []string
+		for r := 1; r < isa.NumRegs; r++ {
+			if cv, ov := c.ProgMain(i).Regs[r], p.fm.Reg(isa.Reg(r)); cv != ov {
+				delta = append(delta, fmt.Sprintf("r%d: core=%#x model=%#x", r, cv, ov))
+			}
+		}
+		if len(delta) > 0 {
+			o.report(p, nil, p.index, "final-regs", "architectural register file differs after drain", delta)
+		}
+	}
 	return o.Err()
-}
-
-// verifyFinalRegs diffs one drained main thread's register file against
-// the functional model, recording a "final-regs" divergence on mismatch.
-func (o *Oracle) verifyFinalRegs(t *cpu.Thread) {
-	var delta []string
-	for r := 1; r < isa.NumRegs; r++ {
-		if cv, ov := t.Regs[r], o.fm.Reg(isa.Reg(r)); cv != ov {
-			delta = append(delta, fmt.Sprintf("r%d: core=%#x model=%#x", r, cv, ov))
-		}
-	}
-	if len(delta) > 0 {
-		o.reportAt(nil, o.index, "final-regs", "architectural register file differs after drain", delta)
-	}
-}
-
-// SpotCheckRestore validates Checkpoint/Restore round-trip equivalence
-// on a live core: checkpoint it (which quiesces — this perturbs timing,
-// so it is a test-only probe, not part of the per-N-cycle sweep),
-// restore into a fresh core, and require the restored machine to
-// checkpoint back to byte-identical state.
-func SpotCheckRestore(c *cpu.Core) error {
-	ck, err := c.Checkpoint()
-	if err != nil {
-		return fmt.Errorf("oracle: restore spot check: %w", err)
-	}
-	r, err := cpu.Restore(c.Config(), c.Image(), ck, c.SliceTable())
-	if err != nil {
-		return fmt.Errorf("oracle: restore spot check: %w", err)
-	}
-	ck2, err := r.Checkpoint()
-	if err != nil {
-		return fmt.Errorf("oracle: restore spot check: re-checkpoint: %w", err)
-	}
-	// WarmRetired is observability metadata (the retired count of the run
-	// that built the checkpoint); Restore documents that it ignores it, and
-	// the restored core's counters start at zero. Everything else must
-	// round-trip exactly.
-	ck2.WarmRetired = ck.WarmRetired
-	a, b := ck.EncodeBinary(), ck2.EncodeBinary()
-	if len(a) != len(b) {
-		return fmt.Errorf("oracle: restore spot check: re-encoded checkpoint is %d bytes, original %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("oracle: restore spot check: checkpoints differ at byte %d", i)
-		}
-	}
-	return nil
 }

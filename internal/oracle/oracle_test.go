@@ -249,8 +249,8 @@ func TestOracleCountsReportsPastCap(t *testing.T) {
 	wantDropped(t, o.Err())
 }
 
-// TestMultiOracleCountsReportsPastCap: the multi-oracle's error carries
-// the legs' counts of reports past the cap.
+// TestMultiOracleCountsReportsPastCap: the report cap and the count past
+// it are one oracle's, over all its programs.
 func TestMultiOracleCountsReportsPastCap(t *testing.T) {
 	vpr, mcf := workloads.VPR(), workloads.Mcf()
 	core, err := cpu.NewMulti(cpu.Config4Wide(), []cpu.ProgSpec{
@@ -296,21 +296,6 @@ func TestOracleInvariantSweepLive(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestSpotCheckRestore: Checkpoint → Restore → Checkpoint must be
-// byte-identical on a mid-run machine (full pipeline, in-flight stores,
-// primed predictors).
-func TestSpotCheckRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	im, entry, init := progen.Program(rng)
-	m := mem.New()
-	init(m)
-	core := cpu.MustNew(cpu.Config4Wide(), im, m, entry, nil)
-	core.Run(200) // partway: plenty left in flight before the quiesce
-	if err := oracle.SpotCheckRestore(core); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestOracleZeroDestWrites pins the Zero-register contract on the
@@ -458,7 +443,7 @@ func TestOracleFromCheckpointHalted(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := oracle.FromCheckpoint(im, ck, oracle.Options{})
-	o.OnRetire(&cpu.DynInst{PC: entry})
+	o.OnRetire(&cpu.DynInst{PC: entry, Thread: core.Main()})
 	divs := o.Divergences()
 	if len(divs) != 1 || divs[0].Kind != "halt" {
 		t.Fatalf("divergences = %v, want one halt report", divs)
@@ -495,7 +480,7 @@ func TestOracleFromUnresolvedCheckpoint(t *testing.T) {
 	if len(divs) != 1 || divs[0].Kind != "seed" || o.Err() == nil {
 		t.Fatalf("divergences = %v, want one seed report", divs)
 	}
-	o.OnRetire(&cpu.DynInst{PC: dec.PC})
+	o.OnRetire(&cpu.DynInst{PC: dec.PC, Thread: core.Main()})
 	if len(o.Divergences()) != 1 {
 		t.Errorf("an unseeded oracle kept diffing: %v", o.Divergences())
 	}
