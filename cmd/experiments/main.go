@@ -28,7 +28,8 @@
 // -bpred swaps the direction predictor of every driver-built baseline
 // configuration (registry spec, e.g. -bpred gshare:4096,10); figurepred's
 // alternative legs stay pinned to their own predictors. The indirect
-// predictor is always the cascaded predictor, the registry's only one.
+// predictor is always Table 1's cascaded predictor, which the core builds
+// directly; no flag or config field selects it.
 //
 // -oracle validates every run against the functional model, with an
 // invariant sweep every oracle.DefaultEvery (8192) cycles.

@@ -14,8 +14,9 @@
 //
 // -bpred selects the direction predictor from the registry in
 // internal/bpred ("name" or "name:params"); an unknown name errors with
-// the list of registered predictors. The indirect predictor is always the
-// cascaded predictor, the registry's only one.
+// the list of registered predictors. The indirect predictor is always
+// Table 1's cascaded predictor, which the core builds directly; no flag or
+// config field selects it.
 //
 // -oracle validates the run against the functional model, with an
 // invariant sweep every oracle.DefaultEvery (8192) cycles.

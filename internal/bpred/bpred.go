@@ -14,19 +14,20 @@
 // canonical spec (which the CPU config fingerprints), serializes its warm
 // state as an opaque CRC-guarded blob (which the checkpoint codec stores
 // without knowing the layout), and exposes a pointer to its counter
-// struct, which the core resets and snapshots. New predictors plug in
-// through the registry's factory tables (registry.go); one whose counter
-// type is new also adds a stats.BpredStats section and its case in
+// struct, which the core resets and snapshots. New direction predictors
+// plug in through the registry's factory table (registry.go); one whose
+// counter type is new also adds a stats.BpredStats section and its case in
 // BpredStats.Set.
 package bpred
 
 // Predictor is the seam shared by every predictor kind. The CPU and the
 // checkpoint codec talk to predictors only through this interface (plus
-// the direction/indirect Predict/Update pairs), so adding a predictor is
-// a registry entry + config only.
+// the DirPredictor and Cascaded Predict/Update pairs), so adding a
+// direction predictor is a registry entry + config only.
 type Predictor interface {
-	// Spec returns the canonical registry spec ("name" or "name:params")
-	// that reconstructs this predictor. It is embedded in config
+	// Spec returns the canonical spec ("name" or "name:params") naming
+	// this predictor and its geometry; a direction predictor's spec
+	// rebuilds it through the registry. It is embedded in config
 	// fingerprints and checkpoint sections, so it must be deterministic.
 	Spec() string
 	// SaveState serializes the warm (non-stats) predictor state as an
@@ -51,15 +52,6 @@ type DirPredictor interface {
 	Predict(pc, hist uint64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc, hist uint64, taken bool)
-}
-
-// IndirectPredictor predicts indirect jump targets.
-type IndirectPredictor interface {
-	Predictor
-	// Predict returns the predicted target (0 if no prediction).
-	Predict(pc, path uint64) uint64
-	// Update trains the predictor with the resolved target.
-	Update(pc, path, target uint64)
 }
 
 // OutcomePrimed is implemented by predictors that want the actual branch

@@ -55,7 +55,8 @@ func (c *Cascaded) tag(pc uint64) uint16 {
 	return uint16((pc >> 2) & (1<<c.tagBits - 1))
 }
 
-// Predict implements IndirectPredictor.
+// Predict returns the predicted target of the indirect jump at pc under
+// path history path (0 if no prediction).
 func (c *Cascaded) Predict(pc, path uint64) uint64 {
 	c.Stats.Lookups++
 	if e := &c.stage2[c.i2(pc, path)]; e.valid {
@@ -74,7 +75,7 @@ func (c *Cascaded) Predict(pc, path uint64) uint64 {
 	return t
 }
 
-// Update implements IndirectPredictor.
+// Update trains the predictor with the resolved target.
 func (c *Cascaded) Update(pc, path, target uint64) {
 	i1 := c.i1(pc)
 	stage1Correct := c.stage1[i1] == target

@@ -1,10 +1,12 @@
 package bpred
 
-// The predictor registry maps spec strings — "name" or "name:params" —
-// to factories. Everything above this package (cpu.Config, the harness,
-// the cmd flags) selects predictors by spec string only, so shipping a
-// new predictor means writing it and adding its factory to the tables
-// below; no core, checkpoint, or harness changes.
+// The predictor registry maps direction-predictor spec strings — "name"
+// or "name:params" — to factories. Everything above this package
+// (cpu.Config, the harness, the cmd flags) selects a direction predictor
+// by spec string only, so shipping a new one means writing it and adding
+// its factory to the table below; no core, checkpoint, or harness
+// changes. The indirect predictor has one implementation, Table 1's
+// cascaded predictor, which the core builds directly.
 
 import (
 	"fmt"
@@ -13,28 +15,18 @@ import (
 	"strings"
 )
 
-// Default specs used when a config leaves the predictor choice empty.
-const (
-	DefaultDirSpec      = "yags"
-	DefaultIndirectSpec = "cascaded"
-)
+// DefaultDirSpec is the direction predictor of a config that leaves the
+// choice empty.
+const DefaultDirSpec = "yags"
 
 // DirFactory builds a direction predictor from the params part of a spec
 // ("" means the predictor's defaults).
 type DirFactory func(params string) (DirPredictor, error)
 
-// IndirectFactory builds an indirect target predictor.
-type IndirectFactory func(params string) (IndirectPredictor, error)
-
 // DirNames returns the registered direction predictor names, sorted.
-func DirNames() []string { return sortedKeys(dirFactories) }
-
-// IndirectNames returns the registered indirect predictor names, sorted.
-func IndirectNames() []string { return sortedKeys(indirectFactories) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
+func DirNames() []string {
+	names := make([]string, 0, len(dirFactories))
+	for n := range dirFactories {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -58,21 +50,6 @@ func NewDir(spec string) (DirPredictor, error) {
 	if !ok {
 		return nil, fmt.Errorf("bpred: unknown direction predictor %q (registered: %s)",
 			name, strings.Join(DirNames(), ", "))
-	}
-	p, err := f(params)
-	if err != nil {
-		return nil, fmt.Errorf("bpred: %s: %w", name, err)
-	}
-	return p, nil
-}
-
-// NewIndirect resolves an indirect predictor spec ("" = DefaultIndirectSpec).
-func NewIndirect(spec string) (IndirectPredictor, error) {
-	name, params := SplitSpec(spec, DefaultIndirectSpec)
-	f, ok := indirectFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("bpred: unknown indirect predictor %q (registered: %s)",
-			name, strings.Join(IndirectNames(), ", "))
 	}
 	p, err := f(params)
 	if err != nil {
@@ -197,24 +174,5 @@ var dirFactories = map[string]DirFactory{
 			}
 		}
 		return NewPerfectDir(pcs), nil
-	},
-}
-
-// indirectFactories holds every indirect target predictor, keyed by spec
-// name.
-var indirectFactories = map[string]IndirectFactory{
-	// cascaded is Table 1's 32 Kb configuration.
-	"cascaded": func(params string) (IndirectPredictor, error) {
-		p, err := intParams(params, []int{256, 512, 8, 10})
-		if err != nil {
-			return nil, err
-		}
-		if err := pow2("stage-1 entries", p[0]); err != nil {
-			return nil, err
-		}
-		if err := pow2("stage-2 entries", p[1]); err != nil {
-			return nil, err
-		}
-		return NewCascaded(p[0], p[1], uint(p[2]), uint(p[3])), nil
 	},
 }

@@ -34,18 +34,21 @@ func trainDir(p DirPredictor, n int, seed int64) {
 	}
 }
 
-// mustNew builds the registry's default-geometry predictor name through
-// newFn (NewDir or NewIndirect).
-func mustNew[T, P any](tb testing.TB, newFn func(string) (P, error), name string) T {
+// mustDir builds the registry's default-geometry direction predictor
+// name.
+func mustDir[T any](tb testing.TB, name string) T {
 	tb.Helper()
-	p, err := newFn(name)
+	p, err := NewDir(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return any(p).(T)
+	return p.(T)
 }
 
-func trainIndirect(p IndirectPredictor, n int, seed int64) {
+// table1Cascaded is the indirect predictor the core builds.
+func table1Cascaded() *Cascaded { return NewCascaded(256, 512, 8, 10) }
+
+func trainIndirect(p *Cascaded, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var path uint64
 	for i := 0; i < n; i++ {
@@ -67,9 +70,6 @@ func TestRegistryUnknownNames(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewIndirect("nosuch"); err == nil {
-		t.Fatal("NewIndirect(nosuch) succeeded")
-	}
 	if _, err := NewDir("yags:8192,2048,6,12,99"); err == nil {
 		t.Fatal("excess params accepted")
 	}
@@ -79,7 +79,7 @@ func TestRegistryUnknownNames(t *testing.T) {
 }
 
 // TestRegistryDefaults locks the behavior the cpu layer depends on: the
-// empty spec resolves to the default predictors.
+// empty spec resolves to the default direction predictor.
 func TestRegistryDefaults(t *testing.T) {
 	d, err := NewDir("")
 	if err != nil {
@@ -87,13 +87,6 @@ func TestRegistryDefaults(t *testing.T) {
 	}
 	if _, ok := d.(*YAGS); !ok {
 		t.Errorf("NewDir(\"\") = %T, want *YAGS", d)
-	}
-	i, err := NewIndirect("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := i.(*Cascaded); !ok {
-		t.Errorf("NewIndirect(\"\") = %T, want *Cascaded", i)
 	}
 }
 
@@ -110,19 +103,6 @@ func TestSpecCanonical(t *testing.T) {
 		q, err := NewDir(p.Spec())
 		if err != nil {
 			t.Fatalf("NewDir(%q): %v", p.Spec(), err)
-		}
-		if q.Spec() != p.Spec() {
-			t.Errorf("%s: Spec not canonical: %q -> %q", name, p.Spec(), q.Spec())
-		}
-	}
-	for _, name := range IndirectNames() {
-		p, err := NewIndirect(name)
-		if err != nil {
-			t.Fatalf("NewIndirect(%q): %v", name, err)
-		}
-		q, err := NewIndirect(p.Spec())
-		if err != nil {
-			t.Fatalf("NewIndirect(%q): %v", p.Spec(), err)
 		}
 		if q.Spec() != p.Spec() {
 			t.Errorf("%s: Spec not canonical: %q -> %q", name, p.Spec(), q.Spec())
@@ -171,31 +151,23 @@ func TestDirStateRoundTrip(t *testing.T) {
 }
 
 func TestIndirectStateRoundTrip(t *testing.T) {
-	for _, name := range IndirectNames() {
-		p, err := NewIndirect(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trainIndirect(p, 4000, 7)
-		blob := p.SaveState()
+	p := table1Cascaded()
+	trainIndirect(p, 4000, 7)
+	blob := p.SaveState()
 
-		q, err := NewIndirect(p.Spec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := q.LoadState(blob); err != nil {
-			t.Fatalf("%s: LoadState: %v", name, err)
-		}
-		if !bytes.Equal(q.SaveState(), blob) {
-			t.Errorf("%s: SaveState after LoadState differs", name)
-		}
-		for i := 0; i < 256; i++ {
-			pc := uint64(0x2000 + 8*(i%16))
-			path := uint64(i * 2654435761)
-			if p.Predict(pc, path) != q.Predict(pc, path) {
-				t.Errorf("%s: restored predictor diverges at probe %d", name, i)
-				break
-			}
+	q := table1Cascaded()
+	if err := q.LoadState(blob); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	if !bytes.Equal(q.SaveState(), blob) {
+		t.Error("SaveState after LoadState differs")
+	}
+	for i := 0; i < 256; i++ {
+		pc := uint64(0x2000 + 8*(i%16))
+		path := uint64(i * 2654435761)
+		if p.Predict(pc, path) != q.Predict(pc, path) {
+			t.Errorf("restored predictor diverges at probe %d", i)
+			break
 		}
 	}
 }
@@ -242,12 +214,9 @@ func TestStateCorruptionDetected(t *testing.T) {
 		q, _ := NewDir(p.Spec())
 		check(name, p.SaveState(), q.LoadState)
 	}
-	for _, name := range IndirectNames() {
-		p, _ := NewIndirect(name)
-		trainIndirect(p, 4000, 7)
-		q, _ := NewIndirect(p.Spec())
-		check(name, p.SaveState(), q.LoadState)
-	}
+	p := table1Cascaded()
+	trainIndirect(p, 4000, 7)
+	check(p.Spec(), p.SaveState(), table1Cascaded().LoadState)
 }
 
 // TestStateGeometryMismatch loads each predictor's blob into a smaller
@@ -282,7 +251,7 @@ func TestStateGeometryMismatch(t *testing.T) {
 // the *value* predicts the exit. After warm-up the exit iteration must be
 // predicted not-taken.
 func TestValuePredCountedLoopExit(t *testing.T) {
-	v := mustNew[*ValuePred](t, NewDir, "value")
+	v := mustDir[*ValuePred](t, "value")
 	const pc = 0x40
 	exitMisses := 0
 	for run := 0; run < 30; run++ {
@@ -309,7 +278,7 @@ func TestValuePredCountedLoopExit(t *testing.T) {
 // exist: branch B repeats the outcome of the preceding branch A. Bias
 // alone is 50/50; the position-correlation counters must find A.
 func TestCorrMineLearnsCrossBranchCorrelation(t *testing.T) {
-	m := mustNew[*CorrMine](t, NewDir, "corrmine")
+	m := mustDir[*CorrMine](t, "corrmine")
 	rng := rand.New(rand.NewSource(5))
 	const pcA, pcB = 0x100, 0x200
 	correct, total := 0, 0

@@ -70,10 +70,9 @@ func FuzzRASLoad(f *testing.F) {
 	})
 }
 
-// fuzzSpecs are the small geometries FuzzPredictorLoad saves and loads:
-// every registered direction predictor plus the cascaded indirect one.
-// perfect's parameters are branch PCs, so its fallback keeps the default
-// YAGS geometry.
+// fuzzSpecs are the small geometries FuzzPredictorLoad saves and loads
+// for every registered direction predictor. perfect's parameters are
+// branch PCs, so its fallback keeps the default YAGS geometry.
 var fuzzSpecs = map[string]string{
 	"yags":     "yags:64,16,6,8",
 	"bimodal":  "bimodal:64",
@@ -81,33 +80,27 @@ var fuzzSpecs = map[string]string{
 	"value":    "value:16,32,64",
 	"corrmine": "corrmine:16,4,3",
 	"perfect":  "perfect",
-	"cascaded": "cascaded:16,32,8,6",
 }
 
-// fuzzPredictors returns a builder per registered predictor, in registry
-// order, each building it at its fuzzSpecs geometry. It fails tb if a
-// predictor has no spec there.
+// fuzzPredictors returns a builder per registered direction predictor, in
+// registry order, each building it at its fuzzSpecs geometry, and last a
+// small cascaded predictor. It fails tb if a predictor has no spec there.
 func fuzzPredictors(tb testing.TB) []func() Predictor {
 	var out []func() Predictor
-	for _, name := range append(DirNames(), IndirectNames()...) {
+	for _, name := range DirNames() {
 		spec, ok := fuzzSpecs[name]
 		if !ok {
 			tb.Fatalf("predictor %q has no FuzzPredictorLoad spec", name)
 		}
-		build := func() Predictor {
-			if p, err := NewDir(spec); err == nil {
-				return p
-			}
-			p, err := NewIndirect(spec)
-			if err != nil {
-				panic(err)
-			}
-			return p
+		if _, err := NewDir(spec); err != nil {
+			tb.Fatal(err)
 		}
-		build()
-		out = append(out, build)
+		out = append(out, func() Predictor {
+			p, _ := NewDir(spec)
+			return p
+		})
 	}
-	return out
+	return append(out, func() Predictor { return NewCascaded(16, 32, 8, 6) })
 }
 
 // reseal replaces b's CRC trailer with a fresh one, so a mutated body
@@ -171,7 +164,7 @@ func FuzzPredictorLoad(f *testing.F) {
 		switch p := p.(type) {
 		case DirPredictor:
 			trainDir(p, 500, int64(i))
-		case IndirectPredictor:
+		case *Cascaded:
 			trainIndirect(p, 500, int64(i))
 		}
 		enc := p.SaveState()
@@ -195,7 +188,7 @@ func FuzzPredictorLoad(f *testing.F) {
 			switch p := p.(type) {
 			case DirPredictor:
 				trainDir(p, 50, 1)
-			case IndirectPredictor:
+			case *Cascaded:
 				trainIndirect(p, 50, 1)
 			}
 		}

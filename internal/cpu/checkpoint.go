@@ -341,7 +341,7 @@ func Restore(cfg Config, image *asm.Image, ck *Checkpoint, sliceTable *slicehw.T
 // Everything else is warm-relevant: structural sizes fix the state arrays
 // (and are latched at New), latencies and policies shape every cache/
 // predictor update during warm, SlicePredictionsOff changes which
-// correlator state accumulates, and BPred/IndirectPred select which
+// correlator state accumulates, and BPred selects which direction
 // predictor's tables the warm region trains — so they stay in the key
 // even where they are read dynamically.
 func (c Config) WarmConfig() Config {

@@ -189,11 +189,6 @@ func TestRestorePredictorMismatch(t *testing.T) {
 			t.Errorf("restore under -bpred=%s accepted a yags checkpoint", spec)
 		}
 	}
-	bad := Config4Wide()
-	bad.IndirectPred = "cascaded:128,256,8,10"
-	if _, err := Restore(bad, w.Image, ck, nil); err == nil {
-		t.Error("restore under a resized indirect predictor accepted the checkpoint")
-	}
 	// Sanity: the unmodified config still restores.
 	if _, err := Restore(Config4Wide(), w.Image, ck, nil); err != nil {
 		t.Errorf("restore under the original config failed: %v", err)

@@ -84,7 +84,6 @@ func smallCheckpoint(t testing.TB) (*Checkpoint, *mem.Snapshot, Config, *asm.Ima
 	cfg.Mem.L1Bytes, cfg.Mem.ICBytes, cfg.Mem.L2Bytes = 512, 512, 2048
 	cfg.Mem.PVBEntries, cfg.Mem.Streams, cfg.Mem.WriteBufEntries = 4, 2, 4
 	cfg.BPred = "yags:64,16,6,4"
-	cfg.IndirectPred = "cascaded:4,8,8,4"
 	c := MustNew(cfg.WarmConfig(), im, mem.NewFromImage(root), 0x1000, nil)
 	c.Run(1_000)
 	ck, err := c.Checkpoint()

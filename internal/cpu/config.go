@@ -51,11 +51,11 @@ const (
 type Config struct {
 	Name string
 
-	FetchWidth  int
-	IssueWidth  int
-	CommitWidth int
-	WindowSize  int
-	LdStPorts   int
+	// Width is the fetch, issue and commit width: Table 1's machines are
+	// equally wide in all three.
+	Width      int
+	WindowSize int
+	LdStPorts  int
 
 	FetchQueueCap int
 
@@ -93,9 +93,6 @@ type Config struct {
 	// different predictors never share engine memo entries or warm
 	// checkpoints.
 	BPred string
-	// IndirectPred selects the indirect target predictor the same way
-	// ("" means the default cascaded predictor).
-	IndirectPred string
 
 	Perfect Perfect
 
@@ -107,9 +104,7 @@ type Config struct {
 func Config4Wide() Config {
 	return Config{
 		Name:            "4-wide",
-		FetchWidth:      4,
-		IssueWidth:      4,
-		CommitWidth:     4,
+		Width:           4,
 		WindowSize:      128,
 		LdStPorts:       2,
 		FetchQueueCap:   32,
@@ -126,9 +121,7 @@ func Config4Wide() Config {
 func Config8Wide() Config {
 	c := Config4Wide()
 	c.Name = "8-wide"
-	c.FetchWidth = 8
-	c.IssueWidth = 8
-	c.CommitWidth = 8
+	c.Width = 8
 	c.WindowSize = 256
 	c.LdStPorts = 4
 	c.FetchQueueCap = 64

@@ -20,14 +20,14 @@ type Core struct {
 	cfg  Config
 	hier *cache.Hierarchy
 
-	// The prediction seam: the core talks to the direction and indirect
-	// predictors only through the bpred interfaces, so any registered
-	// predictor plugs in via Config.BPred/IndirectPred. dirPrime and
-	// dirVal cache the optional-hook type asserts off the hot path. The
-	// tables are shared across programs; per-program PC salts keep
-	// co-scheduled programs from aliasing each other's entries.
+	// The prediction seam: the core talks to the direction predictor only
+	// through the bpred interfaces, so any registered predictor plugs in
+	// via Config.BPred; the indirect predictor is Table 1's cascaded one.
+	// dirPrime and dirVal cache the optional-hook type asserts off the hot
+	// path. The tables are shared across programs; per-program PC salts
+	// keep co-scheduled programs from aliasing each other's entries.
 	dir      bpred.DirPredictor
-	indirect bpred.IndirectPredictor
+	indirect *bpred.Cascaded
 	dirPrime bpred.OutcomePrimed // non-nil if dir wants the actual outcome pre-Predict
 	dirVal   bpred.ValueObserver // non-nil if dir learns from tested values at retire
 
@@ -116,15 +116,11 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
-	indirect, err := bpred.NewIndirect(cfg.IndirectPred)
-	if err != nil {
-		return nil, fmt.Errorf("cpu: %w", err)
-	}
 	c := &Core{
 		cfg:      cfg,
 		hier:     cache.NewHierarchy(cfg.Mem),
 		dir:      dir,
-		indirect: indirect,
+		indirect: bpred.NewCascaded(256, 512, 8, 10), // Table 1's 32 Kb
 	}
 	c.dirPrime, _ = dir.(bpred.OutcomePrimed)
 	c.dirVal, _ = dir.(bpred.ValueObserver)
@@ -167,8 +163,8 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	c.main = c.progs[0].main
 	c.S = c.progs[0].S
 	// Twice the issue width: instructions issued in different cycles can
-	// complete together, but more than 2x IssueWidth in one cycle is rare.
-	c.cal = newCalendar(2 * cfg.IssueWidth)
+	// complete together, but more than 2x Width in one cycle is rare.
+	c.cal = newCalendar(2 * cfg.Width)
 
 	return c, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // fetchStage selects one thread per cycle with an ICOUNT-like policy
-// biased toward the main threads (§4.1) and fetches up to FetchWidth
+// biased toward the main threads (§4.1) and fetches up to Width
 // instructions along the predicted path, past taken branches (Table 1).
 // Each instruction is functionally executed as it is fetched.
 func (c *Core) fetchStage() {
@@ -22,7 +22,7 @@ func (c *Core) fetchStage() {
 
 func (c *Core) fetchFrom(t *Thread) {
 	p := t.prog
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < c.cfg.Width; n++ {
 		if !t.Fetching || t.fetchq.len() >= c.fetchQCap(t) {
 			return
 		}

@@ -16,17 +16,15 @@ import (
 // into the key.
 func (c Config) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s fw=%d iw=%d cw=%d win=%d ls=%d fq=%d tc=%d hwc=%d pqd=%d",
-		c.Name, c.FetchWidth, c.IssueWidth, c.CommitWidth, c.WindowSize,
+	fmt.Fprintf(&b, "%s w=%d win=%d ls=%d fq=%d tc=%d hwc=%d pqd=%d",
+		c.Name, c.Width, c.WindowSize,
 		c.LdStPorts, c.FetchQueueCap, c.ThreadContexts, c.HelperWindowCap, c.PredQueueDepth)
 	fmt.Fprintf(&b, " predsOff=%t confGate=%t maxCyc=%d",
 		c.SlicePredictionsOff, c.ConfidenceGatedForks, c.MaxCycles)
-	// Predictor specs are normalized so "" and the explicit default name
-	// fingerprint identically; %q guards against separator characters in
-	// param lists (e.g. a perfect predictor's PC list).
-	fmt.Fprintf(&b, " bpred=%q ipred=%q",
-		normalizeSpec(c.BPred, bpred.DefaultDirSpec),
-		normalizeSpec(c.IndirectPred, bpred.DefaultIndirectSpec))
+	// The predictor spec is normalized so "" and the explicit default
+	// name fingerprint identically; %q guards against separator
+	// characters in param lists (e.g. a perfect predictor's PC list).
+	fmt.Fprintf(&b, " bpred=%q", normalizeSpec(c.BPred, bpred.DefaultDirSpec))
 	// cache.Params is a flat struct of scalars; %+v is deterministic.
 	fmt.Fprintf(&b, " mem={%+v}", c.Mem)
 	fmt.Fprintf(&b, " perfect={allBr=%t allLd=%t br=%s ld=%s}",

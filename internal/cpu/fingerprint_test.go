@@ -53,15 +53,10 @@ func TestFingerprintDistinguishes(t *testing.T) {
 
 	// Two spellings of one predictor kind at different geometries are
 	// different machines.
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.BPred = "yags:4096,1024,6,12" },
-		func(c *Config) { c.IndirectPred = "cascaded:128,256,8,10" },
-	} {
-		c := Config4Wide()
-		mutate(&c)
-		if c.Fingerprint() == base {
-			t.Errorf("predictor params %q/%q not reflected in fingerprint", c.BPred, c.IndirectPred)
-		}
+	c := Config4Wide()
+	c.BPred = "yags:4096,1024,6,12"
+	if c.Fingerprint() == base {
+		t.Errorf("predictor params %q not reflected in fingerprint", c.BPred)
 	}
 	if Config4Wide().Fingerprint() == Config8Wide().Fingerprint() {
 		t.Error("4-wide and 8-wide fingerprint identically")
@@ -99,7 +94,7 @@ func mutateLeaf(t *testing.T, name string, v reflect.Value) {
 // share memo entries and warm checkpoints.
 func TestFingerprintPredictorNormalization(t *testing.T) {
 	a, b := Config4Wide(), Config4Wide()
-	b.BPred, b.IndirectPred = "yags", "cascaded"
+	b.BPred = "yags"
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("empty predictor spec fingerprints differently than the default name")
 	}

@@ -27,7 +27,7 @@ func (c *Core) issueStage() {
 		if di == nil {
 			continue
 		}
-		if issued == c.cfg.IssueWidth {
+		if issued == c.cfg.Width {
 			kept = append(kept, r)
 			continue
 		}

@@ -8,7 +8,7 @@ import (
 
 // retireStage commits completed instructions in order, main threads first.
 // Predictor training, PDE attribution, and store write-back all happen
-// here, on the architecturally correct path only. CommitWidth is shared
+// here, on the architecturally correct path only. The commit width is shared
 // across programs; main threads drain in thread-index (program slot)
 // order, which keeps multi-programmed retirement deterministic.
 func (c *Core) retireStage() {
@@ -20,7 +20,7 @@ func (c *Core) retireStage() {
 		if !t.Alive {
 			continue
 		}
-		for retired < c.cfg.CommitWidth && t.rob.len() > 0 {
+		for retired < c.cfg.Width && t.rob.len() > 0 {
 			di := t.rob.front()
 			if !di.Completed || di.CompleteCycle > c.now {
 				break

@@ -117,7 +117,7 @@ func TestRunDigests(t *testing.T) {
 		want[c] = sum
 	}
 	if moved := digestDiff(want, got); len(moved) > 0 {
-		t.Errorf("%d of %d cells moved against %s:\n%s", len(moved), len(want), digestTable, strings.Join(moved, "\n"))
+		t.Errorf("%d cells moved, missing or new against the %d of %s:\n%s", len(moved), len(want), digestTable, strings.Join(moved, "\n"))
 	}
 }
 

@@ -65,7 +65,7 @@ func TestPredictorChoiceNeverSharesWarmCheckpoints(t *testing.T) {
 	}
 
 	cfgC := cpu.Config4Wide()
-	cfgC.BPred, cfgC.IndirectPred = "yags", "cascaded"
+	cfgC.BPred = "yags"
 	measureVia(t, cp, "vpr", cfgC, false, 20_000, 20_000)
 	if st := cp.Stats(); st.WarmMisses != 2 || st.WarmHits != 1 {
 		t.Errorf("spelled-out default: warm misses=%d hits=%d, want 2/1", st.WarmMisses, st.WarmHits)
