@@ -312,10 +312,13 @@ func (c *Core) Done() bool {
 }
 
 // Run simulates until every program has retired maxMainRetired more
-// instructions (counted from the last ResetStats) or halted, or the cycle
-// guard fired. A program that reaches its target keeps running — and
-// contending — until the slowest one catches up. It returns program 0's
-// stats; per-program counters come from Snapshot or ProgSim.
+// instructions (counted from the last ResetStats), or the whole machine
+// has halted and drained, or the cycle guard fired. A program that
+// reaches its target keeps running — and contending — until the slowest
+// one catches up. A co-scheduled program that halts short of the target
+// therefore holds the run until every program has halted and drained.
+// It returns program 0's stats; per-program counters come from Snapshot
+// or ProgSim.
 func (c *Core) Run(maxMainRetired uint64) *stats.Sim {
 	start := c.now
 	for {
