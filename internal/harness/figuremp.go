@@ -144,7 +144,7 @@ func RunMP(group []*workloads.Workload, p Params, withSlices bool, warm, run uin
 			specs[i].SliceTable = w.SliceTable()
 		}
 		if o.Enabled {
-			// The oracle's models need their own memory copies: each leg
+			// The oracle's models need their own memory copies: each model
 			// mutates its image with every store.
 			seeds = append(seeds, oracle.ProgSeed{Image: w.Image, Mem: w.NewMemory(), Entry: w.Entry, Name: w.Name})
 		}
