@@ -259,7 +259,7 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 	}
 	p := c.progs[0]
 	if p.mainStores.len() != 0 {
-		return nil, fmt.Errorf("cpu: %d committed-store records survived the drain", p.mainStores.len())
+		return nil, fmt.Errorf("cpu: %d store-queue entries survived the drain", p.mainStores.len())
 	}
 	var w wire.Writer
 	if err := c.saveComponents(&w); err != nil {

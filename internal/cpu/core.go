@@ -388,7 +388,6 @@ func (c *Core) dispatchStage() {
 			}
 			t.fetchq.popFront()
 			di.Dispatched = true
-			di.DispatchCycle = c.now
 			t.rob.pushBack(di)
 			c.window++
 			if !t.IsMain {

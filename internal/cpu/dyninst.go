@@ -77,8 +77,6 @@ type DynInst struct {
 
 	// Timing.
 	FetchCycle    uint64
-	DispatchCycle uint64
-	IssueCycle    uint64
 	CompleteCycle uint64
 	Dispatched    bool
 	Issued        bool
@@ -93,9 +91,6 @@ type DynInst struct {
 	// forwarded marks loads satisfied by an in-flight store.
 	forwarded bool
 }
-
-// isHelper reports whether this instruction belongs to a helper thread.
-func (d *DynInst) isHelper() bool { return !d.Thread.IsMain }
 
 // actualNextPC returns the architecturally correct next PC.
 func (d *DynInst) actualNextPC() uint64 { return d.Out.NextPC(d.PC) }

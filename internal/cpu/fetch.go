@@ -178,16 +178,9 @@ func (c *Core) fetchOne(t *Thread, r *pcRow, pc uint64) {
 	}
 	if t.IsMain {
 		if in.IsStore() {
-			t.pendingStores = append(t.pendingStores, di)
-			if di.undoMemValid {
-				p.noteMainStore(di)
-			}
+			p.mainStores.pushBack(di)
 		} else if in.IsLoad() {
-			// Real disambiguation: subscribe to every older in-flight
-			// store; each wakes the load when its address generates.
-			for _, s := range t.pendingStores {
-				c.subscribe(di, s)
-			}
+			c.subscribeToStores(di)
 		}
 	}
 

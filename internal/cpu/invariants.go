@@ -11,8 +11,8 @@ import (
 // oracle's second half. Where the lockstep diff validates the *stream*
 // the core retires, CheckInvariants validates the *bookkeeping* the
 // zero-alloc machinery maintains: pool recycling, ring-buffer occupancy
-// vs. window accounting, the register-writer chains, the committed-store
-// queue, the incremental scheduler's waiter and ready lists, and the
+// vs. window accounting, the register-writer chains, the store queues,
+// the incremental scheduler's waiter and ready lists, and the
 // correlator's binding liveness. Dead instRefs are legal anywhere; a live
 // one that reaches a pooled instruction is not. It runs per-N-cycles when
 // the oracle is attached (and from tests), never from the bare cycle
@@ -98,7 +98,7 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
-	// Committed-store queues: each program's in-flight main-thread stores
+	// Store queues: each program's in-flight main-thread stores, each
 	// with a recorded memory effect, in fetch order.
 	for pi, prog := range c.progs {
 		var prevStore *DynInst
@@ -125,6 +125,9 @@ func (c *Core) CheckInvariants() error {
 				return fmt.Errorf("cpu: p%d mainStores out of order at %d (seq %d then %d)", pi, i, prevStore.Seq, d.Seq)
 			}
 			prevStore = d
+		}
+		if err := checkStoreQueue(prog, c.retiring); err != nil {
+			return err
 		}
 	}
 
@@ -239,6 +242,33 @@ func (c *Core) checkThread(t *Thread, pooled map[*DynInst]bool) error {
 				return fmt.Errorf("cpu: t%d writer chain for r%d not age-ordered (seq %d then %d)", t.ID, r, w.Seq, p.Seq)
 			}
 		}
+	}
+	return nil
+}
+
+// checkStoreQueue requires the program's store queue to hold exactly the
+// stores in its main thread's ROB and fetch queue, in the same order.
+// retiring, popped from the ROB but still queued while the oracle
+// observes it, may lead the queue.
+func checkStoreQueue(p *progState, retiring *DynInst) error {
+	q, j := &p.mainStores, 0
+	if q.len() > 0 && q.front() == retiring {
+		j = 1
+	}
+	for _, r := range []*instRing{&p.main.rob, &p.main.fetchq} {
+		for i := 0; i < r.len(); i++ {
+			d := r.at(i)
+			if !d.Static.IsStore() {
+				continue
+			}
+			if j == q.len() || q.at(j) != d {
+				return fmt.Errorf("cpu: p%d main-thread store seq=%d (pc=%#x) is missing from mainStores", p.index, d.Seq, d.PC)
+			}
+			j++
+		}
+	}
+	if j != q.len() {
+		return fmt.Errorf("cpu: p%d mainStores holds %d entries past the main thread's in-flight stores", p.index, q.len()-j)
 	}
 	return nil
 }

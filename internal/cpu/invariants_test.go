@@ -88,6 +88,28 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			want: "mainStores",
 		},
 		{
+			name: "store-queue-out-of-order",
+			corrupt: func(c *Core) {
+				q := &c.progs[0].mainStores
+				if q.len() < 2 {
+					t.Skip("fewer than two in-flight stores at the stop point")
+				}
+				i, j := q.head, (q.head+1)&(len(q.buf)-1)
+				q.buf[i], q.buf[j] = q.buf[j], q.buf[i]
+			},
+			want: "mainStores out of order",
+		},
+		{
+			name: "store-queue-missing-store",
+			corrupt: func(c *Core) {
+				if c.progs[0].mainStores.len() == 0 {
+					t.Skip("no in-flight stores at the stop point")
+				}
+				c.progs[0].mainStores.popBack()
+			},
+			want: "missing from mainStores",
+		},
+		{
 			name: "ready-list-stale",
 			corrupt: func(c *Core) {
 				for _, r := range c.ready {

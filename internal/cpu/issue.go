@@ -66,7 +66,6 @@ func (c *Core) issueStage() {
 // issue starts execution and computes the completion time.
 func (c *Core) issue(di *DynInst) {
 	di.Issued = true
-	di.IssueCycle = c.now
 	in := di.Static
 
 	switch {
@@ -75,7 +74,6 @@ func (c *Core) issue(di *DynInst) {
 	case in.IsStore():
 		// Address generation; data heads to memory at retire.
 		di.CompleteCycle = c.now + 1
-		c.unpend(di)
 		c.wakeWaiters(di)
 	case in.IsComplex():
 		lat := uint64(mulLatency)
@@ -87,21 +85,6 @@ func (c *Core) issue(di *DynInst) {
 		di.CompleteCycle = c.now + 1
 	}
 	c.calFile(di)
-}
-
-// unpend removes an issued store from the disambiguation list, in place:
-// the old three-index append forced a fresh backing array per store.
-func (c *Core) unpend(di *DynInst) {
-	ps := di.Thread.pendingStores
-	for i, s := range ps {
-		if s == di {
-			last := len(ps) - 1
-			copy(ps[i:], ps[i+1:])
-			ps[last] = nil
-			di.Thread.pendingStores = ps[:last]
-			return
-		}
-	}
 }
 
 // loadLatency runs the load through forwarding, the perfect-load modes,
@@ -116,7 +99,7 @@ func (c *Core) loadLatency(di *DynInst) uint64 {
 		return latL1
 	}
 
-	// Store→load forwarding from in-flight stores of the same thread.
+	// Store→load forwarding from the program's store queue.
 	if di.Thread.IsMain {
 		if s := c.forwardingStore(di); s != nil {
 			di.forwarded = true
@@ -141,32 +124,6 @@ func (c *Core) loadLatency(di *DynInst) uint64 {
 		p.S.SlicePrefetches++
 	}
 	return r.Latency
-}
-
-// forwardingStore returns the youngest older in-flight store overlapping
-// the load, if any.
-func (c *Core) forwardingStore(di *DynInst) *DynInst {
-	var best *DynInst
-	rob := &di.Thread.rob
-	for i, n := 0, rob.len(); i < n; i++ {
-		s := rob.at(i)
-		if s.Seq >= di.Seq {
-			break
-		}
-		if !s.Static.IsStore() || s.Squashed || !s.Issued || s.Out.Fault {
-			continue
-		}
-		if overlaps(s.Out.Addr, s.Out.Size, di.Out.Addr, di.Out.Size) {
-			if best == nil || s.Seq > best.Seq {
-				best = s
-			}
-		}
-	}
-	return best
-}
-
-func overlaps(a uint64, an int, b uint64, bn int) bool {
-	return a < b+uint64(bn) && b < a+uint64(an)
 }
 
 // completeStage finalizes instructions whose completion time arrived:

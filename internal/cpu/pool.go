@@ -33,15 +33,15 @@ import (
 //
 //   - the correlator's Consumer handle is cleared at retire
 //     (DropConsumer) or squash (UndoUse);
-//   - the committed-store queue and the pending-store list drop the
-//     instruction the moment it retires, issues or squashes.
+//   - each program's store queue (stores.go) drops a store the moment
+//     it retires or squashes.
 //
 // An instruction's kill records are consumed exactly once, by CommitKill
 // at retire or UndoKill at squash, and are not read after.
 //
 // Scrubbing happens at *allocation*, not release: same-cycle consumers
-// (the pendingStores compaction after a squash, the completion list's
-// Squashed check) may still read a released instruction's flags, and those
+// (the deferred store wakeups' and the completion list's Squashed checks)
+// may still read a released instruction's flags, and those
 // reads stay valid until the slot is reused by a later fetch — which is
 // always in a later pipeline stage of the same cycle or a later cycle.
 // DESIGN.md ("DynInst pooling") documents the full contract; the
@@ -122,8 +122,7 @@ func newInstChunk() []DynInst {
 // Fields fetchOne assigns unconditionally before anything can read them —
 // Thread, Static, row, PC, Seq, FetchCycle, Out, HistAfter, PathAfter,
 // RASAfter, LoopAfter — keep their stale values through allocation. The
-// cycle timestamps (DispatchCycle, IssueCycle, CompleteCycle) and the
-// undo-log payloads (undoReg*, undoMem* other than the valid bits) are
+// completion timestamp (CompleteCycle) and the undo-log payloads (undoReg*, undoMem* other than the valid bits) are
 // read only behind flags that are reset here or freshly written, and
 // every instRef additionally validates Seq, so they stay stale too.
 // Everything conditionally written in a lifetime is reset below; the

@@ -13,7 +13,7 @@ import (
 // cache hierarchy — the scenario where slice helpers compete with real
 // work instead of idle contexts. Each program owns everything that is
 // architecturally or statistically *per program*: code image, memory,
-// slice hardware (table, correlator, confidence), committed-store queue,
+// slice hardware (table, correlator, confidence), store queue,
 // halt tracking, and a stats.Sim. Shared predictors are indexed with a
 // per-program PC salt so identical virtual PCs in different programs do
 // not alias destructively; the cache hierarchy sees per-program physical
@@ -66,9 +66,8 @@ type progState struct {
 	// loop consults about this program.
 	pcs pcTable
 
-	// mainStores is the queue of this program's in-flight main-thread
-	// stores with a recorded memory effect, for committedRead: pushed at
-	// fetch, popped at retire (front) and squash (back).
+	// mainStores is the program's store queue (stores.go): its main
+	// thread's in-flight stores, oldest first.
 	mainStores instRing
 
 	main   *Thread

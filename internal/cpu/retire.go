@@ -145,8 +145,8 @@ func (c *Core) retireInst(di *DynInst) {
 		}
 	}
 
-	if di.undoMemValid {
-		p.dropRetiredStore(di)
+	if in.IsStore() {
+		p.mainStores.popFront()
 	}
 	c.releaseRetired(di)
 }

@@ -1,7 +1,7 @@
 package cpu
 
 // instRing is a FIFO of in-flight instructions over a power-of-two backing
-// array — the ROB, the fetch queues, and the committed-store queue. The
+// array — the ROB, the fetch queues, and the store queues. The
 // previous representation drained by re-slicing (q = q[1:]), which retains
 // the full backing array for the life of the thread and regrows it on
 // every wrap; the ring allocates once and nils slots as instructions

@@ -23,20 +23,6 @@ func (c *Core) squashAfter(di *DynInst) {
 		c.emit(stats.Event{Kind: stats.EvSquash, PC: di.PC, N: squashed})
 	}
 
-	// Drop squashed stores from the disambiguation list (their Squashed
-	// flags stay readable until the pool reuses them — see pool.go).
-	ps := t.pendingStores
-	kept := ps[:0]
-	for _, s := range ps {
-		if !s.Squashed {
-			kept = append(kept, s)
-		}
-	}
-	for i := len(kept); i < len(ps); i++ {
-		ps[i] = nil
-	}
-	t.pendingStores = kept
-
 	// Restore speculative front-end state to just after di.
 	t.Hist = di.HistAfter
 	t.Path = di.PathAfter
@@ -57,9 +43,6 @@ func (c *Core) squashInst(x *DynInst) {
 	}
 	x.Squashed = true
 	p := x.Thread.prog
-	// Capture before undo() clears the record: a noted store must leave
-	// the committed-store queue.
-	notedStore := x.Thread.IsMain && x.undoMemValid
 	x.undo(c)
 
 	if p.corr != nil {
@@ -87,9 +70,9 @@ func (c *Core) squashInst(x *DynInst) {
 	}
 	if x.Thread.IsMain {
 		p.S.MainWrongPath++
-	}
-	if notedStore {
-		p.dropSquashedStore(x)
+		if x.Static.IsStore() {
+			p.mainStores.popBack()
+		}
 	}
 	// Every scheduler and writer-chain reference to x is an instRef, dead
 	// from here on (pool.go), so x goes straight back to the pool.

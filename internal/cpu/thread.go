@@ -35,9 +35,6 @@ type Thread struct {
 	fetchq     instRing
 	rob        instRing
 	lastWriter [isa.NumRegs]instRef
-	// pendingStores are fetched-but-unissued stores (address unknown) for
-	// load disambiguation.
-	pendingStores []*DynInst
 
 	// waitResolve is the unpredicted indirect branch fetch is stalled on.
 	waitResolve *DynInst
@@ -83,7 +80,6 @@ func (t *Thread) reset() {
 	t.fetchq.clear()
 	t.rob.clear()
 	t.lastWriter = [isa.NumRegs]instRef{}
-	t.pendingStores = t.pendingStores[:0]
 	t.waitResolve = nil
 	t.icStallUntil = 0
 	t.Slice = nil
