@@ -14,8 +14,8 @@ import (
 // the paper's slice/PGI table (§4.2, Figure 6) widened to the instruction
 // itself, the limit-study bits and the retire-time stats slot. Fetch
 // resolves a PC here once; the fetched instruction carries its row to
-// issue and retire. The slice table's maps stay the source the build
-// reads; the cycle loop never consults them.
+// issue and retire. The build resolves each slice's PCs to their rows
+// once, straight from the slice list.
 
 // pcRow is one image PC's entry.
 type pcRow struct {
@@ -35,9 +35,19 @@ type pcRow struct {
 	stat *stats.Static
 }
 
-// sliceHooks are the slice-table CAM hits of one main-thread fetch PC.
+// sliceHooks are the slice-table CAM hits of one main-thread fetch PC,
+// each list in slice-index order.
 type sliceHooks struct {
 	forks, loopKills, sliceKills []*slicehw.Slice
+}
+
+// hook returns r's hook lists, allocating them at the first slice PC
+// resolved to r.
+func (r *pcRow) hook() *sliceHooks {
+	if r.hooks == nil {
+		r.hooks = &sliceHooks{}
+	}
+	return r.hooks
 }
 
 // pcSeg covers one program region of the image.
@@ -63,16 +73,6 @@ func newPCTable(image *asm.Image, st *slicehw.Table, cfg *Config) (pcTable, erro
 			r.inst = &pr.Insts[i]
 			r.perfectBranch = cfg.Perfect.AllBranches || cfg.Perfect.BranchPCs[pc]
 			r.perfectLoad = cfg.Perfect.AllLoads || cfg.Perfect.LoadPCs[pc]
-			if st == nil {
-				continue
-			}
-			forks, loopKills, sliceKills := st.ForksAt(pc), st.LoopKillsAt(pc), st.SliceKillsAt(pc)
-			if len(forks)+len(loopKills)+len(sliceKills) > 0 {
-				r.hooks = &sliceHooks{forks, loopKills, sliceKills}
-			}
-			if ref, ok := st.PGIAt(pc); ok && !cfg.SlicePredictionsOff {
-				r.pgi = &ref
-			}
 		}
 		t = append(t, seg)
 	}
@@ -82,21 +82,34 @@ func newPCTable(image *asm.Image, st *slicehw.Table, cfg *Config) (pcTable, erro
 	type slicePC struct {
 		name string
 		pc   uint64
+		set  func(r *pcRow) // nil: the PC is only resolved
 	}
 	for _, s := range st.Slices() {
-		pcs := []slicePC{{"fork", s.ForkPC}, {"slice", s.SlicePC}}
-		// The loop and kill PCs are optional: zero marks them unused.
-		for _, p := range []slicePC{{"loop-back", s.LoopBackPC}, {"loop-kill", s.LoopKillPC}, {"slice-kill", s.SliceKillPC}} {
-			if p.pc != 0 {
-				pcs = append(pcs, p)
-			}
+		pcs := []slicePC{
+			{"fork", s.ForkPC, func(r *pcRow) { r.hook().forks = append(r.hook().forks, s) }},
+			{"slice", s.SlicePC, nil},
+			{"loop-back", s.LoopBackPC, nil},
+			{"loop-kill", s.LoopKillPC, func(r *pcRow) { r.hook().loopKills = append(r.hook().loopKills, s) }},
+			{"slice-kill", s.SliceKillPC, func(r *pcRow) { r.hook().sliceKills = append(r.hook().sliceKills, s) }},
 		}
-		for _, g := range s.PGIs {
-			pcs = append(pcs, slicePC{"PGI", g.SlicePC})
+		for j := range s.PGIs {
+			g := &s.PGIs[j]
+			pcs = append(pcs, slicePC{"PGI", g.SlicePC, func(r *pcRow) {
+				if !cfg.SlicePredictionsOff {
+					r.pgi = &slicehw.PGIRef{Slice: s, PGI: g}
+				}
+			}})
 		}
 		for _, p := range pcs {
-			if t.at(p.pc) == nil {
+			if p.pc == 0 {
+				continue // an unused loop or kill PC (NewTable requires the fork and slice PCs)
+			}
+			r := t.at(p.pc)
+			if r == nil {
 				return nil, fmt.Errorf("slice %q: %s PC %#x is not an instruction of the image", s.Name, p.name, p.pc)
+			}
+			if p.set != nil {
+				p.set(r)
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 
 // TestPCTableMatchesSources: for every workload under every setup that
 // changes what the program table holds, each image PC's row agrees with
-// the sources it was built from — the image, the slice table's CAMs and
-// PGI table, and Config.Perfect — and its stats slot is the record
+// the sources it was built from — the image, the slice list's fork, kill
+// and PGI PCs, and Config.Perfect — and its stats slot is the record
 // Sim.ByPC holds, including after ResetStats replaces the Static map.
 func TestPCTableMatchesSources(t *testing.T) {
 	for _, w := range workloads.All() {
@@ -68,6 +68,30 @@ func checkPCRows(t *testing.T, setup string, c *Core, st *slicehw.Table) {
 	p := c.progs[0]
 	perf := c.cfg.Perfect
 	hooked := 0
+	// The expected hooks and PGI entries, straight from the slice list:
+	// each hook list in slice-index order.
+	want := map[uint64]*sliceHooks{}
+	wantPGIs := map[uint64]slicehw.PGIRef{}
+	if st != nil {
+		hooks := func(pc uint64) *sliceHooks {
+			if want[pc] == nil {
+				want[pc] = &sliceHooks{}
+			}
+			return want[pc]
+		}
+		for _, s := range st.Slices() {
+			hooks(s.ForkPC).forks = append(hooks(s.ForkPC).forks, s)
+			if s.LoopKillPC != 0 {
+				hooks(s.LoopKillPC).loopKills = append(hooks(s.LoopKillPC).loopKills, s)
+			}
+			if s.SliceKillPC != 0 {
+				hooks(s.SliceKillPC).sliceKills = append(hooks(s.SliceKillPC).sliceKills, s)
+			}
+			for j := range s.PGIs {
+				wantPGIs[s.PGIs[j].SlicePC] = slicehw.PGIRef{Slice: s, PGI: &s.PGIs[j]}
+			}
+		}
+	}
 	for _, pr := range p.image.Programs() {
 		for pc := pr.Base; pc < pr.End(); pc += isa.InstBytes {
 			r := p.pcs.at(pc)
@@ -85,18 +109,22 @@ func checkPCRows(t *testing.T, setup string, c *Core, st *slicehw.Table) {
 			}
 			var wantPGI *slicehw.PGIRef
 			if st != nil {
-				if !slices.Equal(forks, st.ForksAt(pc)) || !slices.Equal(loopKills, st.LoopKillsAt(pc)) ||
-					!slices.Equal(sliceKills, st.SliceKillsAt(pc)) {
-					t.Errorf("%s: pc %#x: hooks differ from ForksAt/LoopKillsAt/SliceKillsAt", setup, pc)
+				w := want[pc]
+				if w == nil {
+					w = &sliceHooks{}
 				}
-				if ref, ok := st.PGIAt(pc); ok && !c.cfg.SlicePredictionsOff {
+				if !slices.Equal(forks, w.forks) || !slices.Equal(loopKills, w.loopKills) ||
+					!slices.Equal(sliceKills, w.sliceKills) {
+					t.Errorf("%s: pc %#x: hooks differ from the slice list's fork and kill PCs", setup, pc)
+				}
+				if ref, ok := wantPGIs[pc]; ok && !c.cfg.SlicePredictionsOff {
 					wantPGI = &ref
 				}
 			} else if r.hooks != nil {
 				t.Errorf("%s: pc %#x: hooks without a slice table", setup, pc)
 			}
 			if (r.pgi == nil) != (wantPGI == nil) || (r.pgi != nil && *r.pgi != *wantPGI) {
-				t.Errorf("%s: pc %#x: pgi %v, PGIAt gives %v", setup, pc, r.pgi, wantPGI)
+				t.Errorf("%s: pc %#x: pgi %v, the slice list gives %v", setup, pc, r.pgi, wantPGI)
 			}
 			if r.perfectBranch != (perf.AllBranches || perf.BranchPCs[pc]) ||
 				r.perfectLoad != (perf.AllLoads || perf.LoadPCs[pc]) {

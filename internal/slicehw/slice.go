@@ -118,15 +118,11 @@ func (s *Slice) KillCount() int {
 	return n
 }
 
-// Table is the front-end slice/PGI table (Figure 6). It answers, for a
-// fetched PC, whether it forks a slice, kills predictions, or generates a
-// prediction — all in O(1).
+// Table is the front-end slice/PGI table (Figure 6): the validated,
+// indexed slice list. The core resolves each slice's fork, kill and PGI
+// PCs into its per-PC program table once, when it is built.
 type Table struct {
-	slices      []*Slice
-	forkAt      map[uint64][]*Slice
-	loopKillAt  map[uint64][]*Slice
-	sliceKillAt map[uint64][]*Slice
-	pgiAt       map[uint64]PGIRef
+	slices []*Slice
 }
 
 // PGIRef resolves a slice-code PC to its PGI-table entry.
@@ -135,40 +131,26 @@ type PGIRef struct {
 	PGI   *PGI
 }
 
-// NewTable builds the lookup structures, validating slice metadata.
+// NewTable validates the slice metadata and indexes the slices in order.
 func NewTable(slices []*Slice) (*Table, error) {
-	t := &Table{
-		slices:      slices,
-		forkAt:      make(map[uint64][]*Slice),
-		loopKillAt:  make(map[uint64][]*Slice),
-		sliceKillAt: make(map[uint64][]*Slice),
-		pgiAt:       make(map[uint64]PGIRef),
-	}
+	pgis := make(map[uint64]bool)
 	for i, s := range slices {
 		if s.ForkPC == 0 || s.SlicePC == 0 {
 			return nil, fmt.Errorf("slicehw: slice %q missing fork or slice PC", s.Name)
 		}
 		s.Index = i
 		s.coveredBranches = coveredBranchPCs(s.PGIs)
-		t.forkAt[s.ForkPC] = append(t.forkAt[s.ForkPC], s)
-		if s.LoopKillPC != 0 {
-			t.loopKillAt[s.LoopKillPC] = append(t.loopKillAt[s.LoopKillPC], s)
-		}
-		if s.SliceKillPC != 0 {
-			t.sliceKillAt[s.SliceKillPC] = append(t.sliceKillAt[s.SliceKillPC], s)
-		}
 		if len(s.PGIs) > 0 && s.SliceKillPC == 0 {
 			return nil, fmt.Errorf("slicehw: slice %q has PGIs but no slice kill; its instances could never retire", s.Name)
 		}
-		for j := range s.PGIs {
-			p := &s.PGIs[j]
-			if _, dup := t.pgiAt[p.SlicePC]; dup {
+		for _, p := range s.PGIs {
+			if pgis[p.SlicePC] {
 				return nil, fmt.Errorf("slicehw: slice %q: duplicate PGI at %#x", s.Name, p.SlicePC)
 			}
-			t.pgiAt[p.SlicePC] = PGIRef{Slice: s, PGI: p}
+			pgis[p.SlicePC] = true
 		}
 	}
-	return t, nil
+	return &Table{slices: slices}, nil
 }
 
 // MustTable is NewTable that panics (static configuration).
@@ -180,20 +162,5 @@ func MustTable(slices []*Slice) *Table {
 	return t
 }
 
-// Slices returns all slices.
+// Slices returns all slices, in index order.
 func (t *Table) Slices() []*Slice { return t.slices }
-
-// ForksAt returns the slices forked when the main thread fetches pc.
-func (t *Table) ForksAt(pc uint64) []*Slice { return t.forkAt[pc] }
-
-// LoopKillsAt returns slices whose loop-iteration kill fires at pc.
-func (t *Table) LoopKillsAt(pc uint64) []*Slice { return t.loopKillAt[pc] }
-
-// SliceKillsAt returns slices whose slice kill fires at pc.
-func (t *Table) SliceKillsAt(pc uint64) []*Slice { return t.sliceKillAt[pc] }
-
-// PGIAt returns the PGI-table entry for a slice-code pc, if any.
-func (t *Table) PGIAt(pc uint64) (PGIRef, bool) {
-	r, ok := t.pgiAt[pc]
-	return r, ok
-}

@@ -21,26 +21,55 @@ func testSlice() *Slice {
 	}
 }
 
+// TestTableLookups: the table is the slice list the core resolves per PC,
+// so NewTable keeps the slices in order and indexes them, and each fork,
+// kill and PGI PC is found through the list exactly where it was given.
 func TestTableLookups(t *testing.T) {
 	s := testSlice()
-	tbl := MustTable([]*Slice{s})
-	if got := tbl.ForksAt(0x1000); len(got) != 1 || got[0] != s {
-		t.Errorf("ForksAt = %v", got)
+	s2 := testSlice()
+	s2.Name, s2.ForkPC = "second", 0x3000
+	s2.PGIs = []PGI{{SlicePC: 0x100020, BranchPC: 0x2000}}
+	tbl := MustTable([]*Slice{s, s2})
+	if got := tbl.Slices(); len(got) != 2 || got[0] != s || got[1] != s2 || s.Index != 0 || s2.Index != 1 {
+		t.Fatalf("Slices = %v, indices %d %d", got, s.Index, s2.Index)
 	}
-	if got := tbl.ForksAt(0x1004); got != nil {
+	at := func(pc uint64, field func(*Slice) uint64) []*Slice {
+		var out []*Slice
+		for _, x := range tbl.Slices() {
+			if field(x) == pc {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	fork := func(x *Slice) uint64 { return x.ForkPC }
+	if got := at(0x1000, fork); len(got) != 1 || got[0] != s {
+		t.Errorf("forks at 0x1000 = %v", got)
+	}
+	if got := at(0x1004, fork); got != nil {
 		t.Errorf("spurious fork at %v", got)
 	}
-	if got := tbl.LoopKillsAt(0x2040); len(got) != 1 {
-		t.Errorf("LoopKillsAt = %v", got)
+	if got := at(0x2040, func(x *Slice) uint64 { return x.LoopKillPC }); len(got) != 2 || got[0] != s {
+		t.Errorf("loop kills at 0x2040 = %v", got)
 	}
-	if got := tbl.SliceKillsAt(0x2080); len(got) != 1 {
-		t.Errorf("SliceKillsAt = %v", got)
+	if got := at(0x2080, func(x *Slice) uint64 { return x.SliceKillPC }); len(got) != 2 || got[0] != s {
+		t.Errorf("slice kills at 0x2080 = %v", got)
 	}
-	ref, ok := tbl.PGIAt(0x100010)
+	pgiAt := func(pc uint64) (PGIRef, bool) {
+		for _, x := range tbl.Slices() {
+			for j := range x.PGIs {
+				if x.PGIs[j].SlicePC == pc {
+					return PGIRef{Slice: x, PGI: &x.PGIs[j]}, true
+				}
+			}
+		}
+		return PGIRef{}, false
+	}
+	ref, ok := pgiAt(0x100010)
 	if !ok || ref.Slice != s || ref.PGI.BranchPC != 0x2000 {
-		t.Errorf("PGIAt = %+v ok=%v", ref, ok)
+		t.Errorf("PGI at 0x100010 = %+v ok=%v", ref, ok)
 	}
-	if _, ok := tbl.PGIAt(0x100014); ok {
+	if _, ok := pgiAt(0x100014); ok {
 		t.Error("spurious PGI")
 	}
 }
