@@ -312,11 +312,12 @@ func (c *Core) Done() bool {
 }
 
 // Run simulates until every program has retired maxMainRetired more
-// instructions (counted from the last ResetStats), or the whole machine
-// has halted and drained, or the cycle guard fired. A program that
-// reaches its target keeps running — and contending — until the slowest
-// one catches up. A co-scheduled program that halts short of the target
-// therefore holds the run until every program has halted and drained.
+// instructions (counted from the last ResetStats) or halted and drained,
+// or the cycle guard fired. A program that reaches its target keeps
+// running — and contending — until the slowest one catches up; a
+// co-scheduled program that halts short of the target no longer counts.
+// Once every program has halted, Run returns only when the whole machine
+// is Done (write buffer drained), unless each had reached its target.
 // It returns program 0's stats; per-program counters come from Snapshot
 // or ProgSim.
 func (c *Core) Run(maxMainRetired uint64) *stats.Sim {
@@ -339,18 +340,23 @@ func (c *Core) Run(maxMainRetired uint64) *stats.Sim {
 	return c.S
 }
 
-// runTargetMet reports whether Run's stopping condition holds: the
-// machine fully drained, or every program retired its share.
+// runTargetMet reports whether Run's stopping condition holds: every
+// program retired its share or halted and drained, and, when all of them
+// halted with one short of its share, the write buffer drained too.
 func (c *Core) runTargetMet(max uint64) bool {
-	if c.Done() {
-		return true
-	}
+	running, short := false, false
 	for _, p := range c.progs {
-		if p.S.MainRetired < max {
-			return false
+		switch {
+		case !p.drainedMain():
+			if p.S.MainRetired < max {
+				return false
+			}
+			running = true
+		case p.S.MainRetired < max:
+			short = true
 		}
 	}
-	return true
+	return running || !short || c.hier.WriteBufLen() == 0
 }
 
 // stepCycle advances the machine one cycle through every pipeline stage.

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
+	"repro/internal/workloads"
 )
 
 // newMiniPair builds a fresh two-program core (both programs the buildMini
@@ -192,5 +194,51 @@ func TestSquashKillsOnlyOwnHelper(t *testing.T) {
 	core.squashInst(x1)
 	if h1.Alive || core.ProgSim(1).ForksSquashed != 1 {
 		t.Error("squashing program 1's forker left its helper running")
+	}
+}
+
+// TestRunStopsPastHaltedProgram: a co-scheduled program that halts short
+// of Run's target stops counting, so Run returns once the other program
+// reaches the target instead of waiting for it to halt too. When every
+// program halts short, Run still returns only once the machine is Done.
+// MaxCycles is capped so a regression fails on the cycle guard instead of
+// hanging.
+func TestRunStopsPastHaltedProgram(t *testing.T) {
+	b := asm.NewBuilder(0x1000)
+	b.Li(27, 0x40000)
+	b.St(27, 0, 27) // a store for the write buffer to drain
+	b.Halt()
+	short := b.MustBuild()
+	im, err := asm.NewImage(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortSpec := func() ProgSpec { return ProgSpec{Image: im, Mem: mem.New(), Entry: short.Base} }
+	mcf, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config4Wide()
+	cfg.MaxCycles = 1_000_000
+
+	c, err := NewMulti(cfg, []ProgSpec{shortSpec(), {Image: mcf.Image, Mem: mcf.NewMemory(), Entry: mcf.Entry}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(20_000)
+	if s := c.ProgSim(1); s.MainRetired < 20_000 || s.CycleGuardHits != 0 {
+		t.Fatalf("the running program retired %d of 20000 with %d cycle-guard hits", s.MainRetired, s.CycleGuardHits)
+	}
+	if !c.progs[0].drainedMain() || c.ProgSim(0).MainRetired != 3 {
+		t.Fatalf("the short program retired %d instructions, halted %t", c.ProgSim(0).MainRetired, c.progs[0].halted)
+	}
+
+	c, err = NewMulti(cfg, []ProgSpec{shortSpec(), shortSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(20_000)
+	if !c.Done() || c.ProgSim(0).CycleGuardHits != 0 {
+		t.Fatalf("two halted programs: Run returned with Done=%t, %d cycle-guard hits", c.Done(), c.ProgSim(0).CycleGuardHits)
 	}
 }

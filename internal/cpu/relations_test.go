@@ -11,12 +11,16 @@ import (
 
 // measureRegion runs w on the 4-wide machine under cfg with the given
 // slice table (nil for none): 20k instructions of detailed warm-up, then a
-// 60k-instruction measured region. It returns the region's snapshot.
-func measureRegion(t *testing.T, w *workloads.Workload, cfg Config, table *slicehw.Table) stats.Snapshot {
+// 60k-instruction measured region, ended by one Run or, with stops, by a
+// Run to each stop first. It returns the region's snapshot.
+func measureRegion(t *testing.T, w *workloads.Workload, cfg Config, table *slicehw.Table, stops ...uint64) stats.Snapshot {
 	t.Helper()
 	c := MustNew(cfg, w.Image, w.NewMemory(), w.Entry, table)
 	c.Run(20_000)
 	c.ResetStats()
+	for _, n := range stops {
+		c.Run(n) // Run's target is cumulative
+	}
 	s := c.Run(60_000)
 	if s.CycleGuardHits != 0 || s.MainRetired < 60_000 {
 		t.Fatalf("table=%t: region truncated (%d retired, %d guard hits)", table != nil, s.MainRetired, s.CycleGuardHits)
@@ -24,7 +28,7 @@ func measureRegion(t *testing.T, w *workloads.Workload, cfg Config, table *slice
 	return c.Snapshot()
 }
 
-// TestTimingRelations checks four metamorphic relations of the timing
+// TestTimingRelations checks five metamorphic relations of the timing
 // model on all 12 workloads. Each pairs runs that must agree, so a
 // failure is an accounting leak, not a tolerance to widen.
 //
@@ -37,9 +41,13 @@ func measureRegion(t *testing.T, w *workloads.Workload, cfg Config, table *slice
 //   - R3: with SlicePredictionsOff, slices fork and prefetch but no
 //     prediction is generated, consumed or resolved early.
 //   - R4: an empty slice table gives the same whole snapshot as no table.
+//   - R6: with slices, a measured region Run in three parts (stopping at
+//     20k and 40k) gives the same whole snapshot as one Run. The store
+//     queue, the helpers and the stop rule all carry state across the
+//     stops.
 //
-// A fifth, a one-program NewMulti core equal to New, holds by
-// construction: New calls NewMulti.
+// R5, a one-program NewMulti core equal to New, holds by construction:
+// New calls NewMulti.
 func TestTimingRelations(t *testing.T) {
 	for _, w := range workloads.All() {
 		t.Run(w.Name, func(t *testing.T) {
@@ -83,6 +91,13 @@ func TestTimingRelations(t *testing.T) {
 			if !reflect.DeepEqual(none, empty) {
 				none.Sim, empty.Sim = withoutStatic(none.Sim), withoutStatic(empty.Sim)
 				t.Errorf("R4: an empty slice table moved the snapshot:\nno table    %+v\nempty table %+v", none, empty)
+			}
+
+			whole := measureRegion(t, w, Config4Wide(), w.SliceTable())
+			split := measureRegion(t, w, Config4Wide(), w.SliceTable(), 20_000, 40_000)
+			if !reflect.DeepEqual(whole, split) {
+				whole.Sim, split.Sim = withoutStatic(whole.Sim), withoutStatic(split.Sim)
+				t.Errorf("R6: stopping Run at 20k and 40k moved the snapshot:\none Run %+v\nsplit   %+v", whole, split)
 			}
 		})
 	}
