@@ -204,9 +204,12 @@ func TestSquashKillsOnlyOwnHelper(t *testing.T) {
 // MaxCycles is capped so a regression fails on the cycle guard instead of
 // hanging.
 func TestRunStopsPastHaltedProgram(t *testing.T) {
+	const stores = 24 // a burst on distinct lines, left in the write buffer at HALT
 	b := asm.NewBuilder(0x1000)
 	b.Li(27, 0x40000)
-	b.St(27, 0, 27) // a store for the write buffer to drain
+	for i := int32(0); i < stores; i++ {
+		b.St(27, 64*i, 27)
+	}
 	b.Halt()
 	short := b.MustBuild()
 	im, err := asm.NewImage(short)
@@ -229,7 +232,7 @@ func TestRunStopsPastHaltedProgram(t *testing.T) {
 	if s := c.ProgSim(1); s.MainRetired < 20_000 || s.CycleGuardHits != 0 {
 		t.Fatalf("the running program retired %d of 20000 with %d cycle-guard hits", s.MainRetired, s.CycleGuardHits)
 	}
-	if !c.progs[0].drainedMain() || c.ProgSim(0).MainRetired != 3 {
+	if !c.progs[0].drainedMain() || c.ProgSim(0).MainRetired != stores+2 {
 		t.Fatalf("the short program retired %d instructions, halted %t", c.ProgSim(0).MainRetired, c.progs[0].halted)
 	}
 

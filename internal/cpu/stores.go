@@ -44,14 +44,13 @@ func overlaps(a uint64, an int, b uint64, bn int) bool {
 // [addr, addr+size) of one program by peeling its in-flight main-thread
 // stores off the speculative memory image, using their undo records. The
 // records are applied youngest-first so the final value is the one from
-// before the *oldest* in-flight store — i.e., the retired state.
+// before the *oldest* in-flight store — i.e., the retired state. Every
+// queued store holds its record: fetch executed it, and retire and squash
+// pop it before anything reads the queue again.
 func (p *progState) committedRead(addr uint64, size int) (uint64, bool) {
 	v, ok := p.mem.Read(addr, size)
 	for i := p.mainStores.len() - 1; i >= 0; i-- {
 		s := p.mainStores.at(i)
-		if s.Retired || s.Squashed || !s.undoMemValid {
-			continue
-		}
 		sa, sn := s.undoMemAddr, s.undoMemSize
 		if sa == addr && sn == size {
 			v = s.undoMemVal
