@@ -52,11 +52,20 @@ func fetchAndDispatch(t *testing.T, c *Core) []*DynInst {
 	return insts
 }
 
-// TestForwardingPicksYoungestOlderIssuedStore: a main-thread load
-// forwards from the youngest store older than it that has issued and
-// overlaps it — never from a younger store, an unissued one, or one whose
-// bytes it does not touch, whatever the widths involved.
-func TestForwardingPicksYoungestOlderIssuedStore(t *testing.T) {
+// TestStoreQueueRules pins the three rules the store queue serves: store
+// to load forwarding, load-store disambiguation and the helpers'
+// committed view. No workload or generated program issues a narrow
+// store, so these kernels are the only core-level cover for one.
+func TestStoreQueueRules(t *testing.T) {
+	t.Run("forwarding", testForwardingPicksYoungestOlderIssuedStore)
+	t.Run("disambiguation", testLoadWaitsForOlderUnissuedStore)
+	t.Run("committed-read", testCommittedReadPeelsInFlightStores)
+}
+
+// A main-thread load forwards from the youngest store older than it that
+// has issued and overlaps it — never from a younger store, an unissued
+// one, or one whose bytes it does not touch, whatever the widths involved.
+func testForwardingPicksYoungestOlderIssuedStore(t *testing.T) {
 	c := storeRuleCore(t, func(b *asm.Builder) {
 		b.St(1, 0, 27)   // s8:    [A, A+8)
 		b.Stb(1, 3, 27)  // sb:    [A+3], a narrow store inside s8
@@ -99,11 +108,10 @@ func TestForwardingPicksYoungestOlderIssuedStore(t *testing.T) {
 	expect("all issued", map[*DynInst]*DynInst{ld8: sb, ldb7: s8, ldw12: nil, ld12: far, ldb5: young})
 }
 
-// TestLoadWaitsForOlderUnissuedStore: a main-thread load behind a store
-// whose address is not yet generated does not issue until that store has
-// issued, even when the two turn out not to overlap; the overlapping load
-// then forwards from it.
-func TestLoadWaitsForOlderUnissuedStore(t *testing.T) {
+// A main-thread load behind a store whose address is not yet generated
+// does not issue until that store has issued, even when the two turn out
+// not to overlap; the overlapping load then forwards from it.
+func testLoadWaitsForOlderUnissuedStore(t *testing.T) {
 	var storePC uint64
 	c := storeRuleCore(t, func(b *asm.Builder) {
 		b.I(isa.LDI, 9, 0, 1000)
@@ -160,12 +168,12 @@ func TestLoadWaitsForOlderUnissuedStore(t *testing.T) {
 	}
 }
 
-// TestCommittedReadPeelsInFlightStores: with an 8-byte store and then a
-// byte store inside it both in flight, the committed view returns the
-// bytes from before the older store for a read of the whole word, a read
-// overlapping both stores in part, and a read straddling past the wide
-// store's end — while the speculative image already holds the new bytes.
-func TestCommittedReadPeelsInFlightStores(t *testing.T) {
+// With an 8-byte store and then a byte store inside it both in flight, the
+// committed view returns the bytes from before the older store for a read
+// of the whole word, a read overlapping both stores in part, and a read
+// straddling past the wide store's end — while the speculative image
+// already holds the new bytes.
+func testCommittedReadPeelsInFlightStores(t *testing.T) {
 	c := storeRuleCore(t, func(b *asm.Builder) {
 		b.Li(1, 0x0102030405060708)
 		b.I(isa.LDI, 2, 0, 0xEE)
