@@ -79,38 +79,42 @@ func newPCTable(image *asm.Image, st *slicehw.Table, cfg *Config) (pcTable, erro
 	if st == nil {
 		return t, nil
 	}
-	type slicePC struct {
-		name string
-		pc   uint64
-		set  func(r *pcRow) // nil: the PC is only resolved
-	}
 	for _, s := range st.Slices() {
-		pcs := []slicePC{
-			{"fork", s.ForkPC, func(r *pcRow) { r.hook().forks = append(r.hook().forks, s) }},
-			{"slice", s.SlicePC, nil},
-			{"loop-back", s.LoopBackPC, nil},
-			{"loop-kill", s.LoopKillPC, func(r *pcRow) { r.hook().loopKills = append(r.hook().loopKills, s) }},
-			{"slice-kill", s.SliceKillPC, func(r *pcRow) { r.hook().sliceKills = append(r.hook().sliceKills, s) }},
+		// at resolves one of s's PCs to its row, recording the first PC
+		// that is off the image. Zero marks an unused loop or kill PC
+		// (NewTable requires the fork and slice PCs).
+		var err error
+		at := func(name string, pc uint64) *pcRow {
+			if pc == 0 || err != nil {
+				return nil
+			}
+			r := t.at(pc)
+			if r == nil {
+				err = fmt.Errorf("slice %q: %s PC %#x is not an instruction of the image", s.Name, name, pc)
+			}
+			return r
+		}
+		if r := at("fork", s.ForkPC); r != nil {
+			h := r.hook()
+			h.forks = append(h.forks, s)
+		}
+		at("slice", s.SlicePC)
+		at("loop-back", s.LoopBackPC)
+		if r := at("loop-kill", s.LoopKillPC); r != nil {
+			h := r.hook()
+			h.loopKills = append(h.loopKills, s)
+		}
+		if r := at("slice-kill", s.SliceKillPC); r != nil {
+			h := r.hook()
+			h.sliceKills = append(h.sliceKills, s)
 		}
 		for j := range s.PGIs {
-			g := &s.PGIs[j]
-			pcs = append(pcs, slicePC{"PGI", g.SlicePC, func(r *pcRow) {
-				if !cfg.SlicePredictionsOff {
-					r.pgi = &slicehw.PGIRef{Slice: s, PGI: g}
-				}
-			}})
+			if r := at("PGI", s.PGIs[j].SlicePC); r != nil && !cfg.SlicePredictionsOff {
+				r.pgi = &slicehw.PGIRef{Slice: s, PGI: &s.PGIs[j]}
+			}
 		}
-		for _, p := range pcs {
-			if p.pc == 0 {
-				continue // an unused loop or kill PC (NewTable requires the fork and slice PCs)
-			}
-			r := t.at(p.pc)
-			if r == nil {
-				return nil, fmt.Errorf("slice %q: %s PC %#x is not an instruction of the image", s.Name, p.name, p.pc)
-			}
-			if p.set != nil {
-				p.set(r)
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
